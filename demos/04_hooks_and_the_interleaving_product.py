@@ -10,12 +10,14 @@ Two constructions reach far beyond brute force:
   is the elementwise product of the class of (a1,) with the class of the
   rest, under an interleaving embedding of S_{n1} x S_{n2}.
 
-Together they describe every class whose odd parts form a hook.
+`sigma_class` applies both: it builds the odd tail (a hook embedding, or
+the membership filter when the odd parts are not a hook) and then splits
+the even parts off one product at a time.
 """
 
 from heckezero import (
-    approx_class, cycle_class, cycle_string, generate_hookish, iprod,
-    odd_hook_embed, size_sigma_formula, stair_form,
+    approx_class, cycle_class, cycle_string, iprod, odd_hook_embed,
+    sigma_class, size_sigma_formula, stair_form,
 )
 
 # The interleaving product relabels the left factor onto the outer block
@@ -35,7 +37,7 @@ for tau in sorted(cycle_class(3)):
 
 # Assembling (2,4,3,1,1): split the even parts off one at a time.
 alpha = (2, 4, 3, 1, 1)
-cls = generate_hookish(alpha)
+cls = sigma_class(alpha)
 print(f"\nclass of {alpha}: {cls.size} elements, e.g.")
 for w in cls.sorted_elements()[:3]:
     print(f"  {cycle_string(w, include_trivial=False)}")
@@ -49,5 +51,5 @@ print("matches the reachability search from the stair form")
 # The same assembly at a degree far beyond any exhaustive search:
 big = (2, 8, 4, 5, 1, 1, 1)
 print(f"\nclass of {big} at degree {sum(big)}: "
-      f"{generate_hookish(big).size} elements "
+      f"{sigma_class(big).size} elements "
       f"(formula {size_sigma_formula(big)})")

@@ -8,9 +8,10 @@ The package has two halves that check each other:
   classes of the length-non-increasing conjugation relation on all of S_n
   by strongly connected components, and
 * a constructive half (`stair_classes`, `inductive_product`, `counting`)
-  that builds the maximal-stratum classes from stair forms, growth
-  bijections for full cycles, hook embeddings and an interleaving product,
-  together with closed counting formulas.
+  whose single route, `sigma_class`, builds each maximal-stratum class from
+  its odd tail (the identity, a hook embedding of a grown full-cycle class,
+  or the membership filter) and then joins the even parts through the
+  interleaving product, together with closed counting formulas.
 
 On top of both, `hecke` realizes the center of the 0-Hecke algebra as
 indicator sums over Bruhat order ideals of the maximal classes and
@@ -33,17 +34,17 @@ from .hecke import (
     verify_center_basis,
 )
 from .inductive_product import (
-    class_product, generate_hookish, iprod, iprod_factor, iprod_length_law,
-    orbit_partition_histogram, sigma_star, stair_factorization,
+    iprod, iprod_factor, iprod_length_law, orbit_partition_histogram,
+    sigma_star, stair_factorization,
 )
 from .permutations import (
     bruhat_leq, compose, conj_adjacent, conj_w0, cycle_string, cycle_type,
     cycles, even_orbits, from_cycles, identity, inverse, length,
-    length_delta_conj, longest_element,
+    length_delta_conj, longest_element, swap_values,
 )
 from .stair_classes import (
-    cycle_class, cycle_delete, cycle_insert, even_hook_lift,
-    has_connected_intervals, hook_properties, is_oscillating,
+    cycle_class, cycle_delete, cycle_insert, has_connected_intervals,
+    hook_properties, is_oscillating,
     lift_cycle_class, lower_cycle_class, member_sigma_alpha, odd_hook_embed,
     sigma_class, stair_form,
 )
@@ -52,11 +53,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EquivClass", "HeckeElement",
-    "approx_class", "arrow_closure", "bruhat_leq", "class_product",
-    "compose", "conj_adjacent", "conj_w0", "cycle_class", "cycle_delete",
+    "approx_class", "arrow_closure", "bruhat_leq", "compose", "conj_adjacent", "conj_w0", "cycle_class", "cycle_delete",
     "cycle_insert", "cycle_string", "cycle_type", "cycles", "dim_center",
-    "enumerate_maximal", "equiv_classes", "even_hook_lift", "even_orbits",
-    "from_cycles", "generate_hookish", "has_connected_intervals",
+    "enumerate_maximal", "equiv_classes", "even_orbits", "from_cycles",
+    "has_connected_intervals",
     "hook_kind", "hook_properties", "identity", "inverse", "iprod",
     "iprod_factor", "iprod_length_law", "is_central", "is_maximal",
     "is_oscillating", "label_max_classes", "length", "length_delta_conj",
@@ -65,6 +65,7 @@ __all__ = [
     "one_step", "orbit_partition_histogram", "order_ideal", "sigma_class",
     "sigma_star", "size_sigma_formula", "size_sigma_n",
     "size_sigma_odd_hook", "sort_to_partition", "split_even_odd",
-    "stair_factorization", "stair_form", "t_basis", "t_leq_sigma",
+    "stair_factorization", "stair_form", "swap_values", "t_basis",
+    "t_leq_sigma",
     "verify_center_basis",
 ]

@@ -4,7 +4,8 @@ Command-line front end: batch computation, verification and JSON export.
 Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  Exit codes: 0 success, 1 invalid
-input, 2 verification failure.
+input or a degree beyond the soft limit without --force, 2 verification
+failure or internal invariant violated.
 """
 
 from __future__ import annotations
@@ -197,7 +198,6 @@ def _build_parser() -> _Parser:
 
     p = add("sigma", _cmd_sigma, help="the class labelled by a composition")
     p.add_argument("--alpha", required=True, help='comma syntax, e.g. "3,1,1"')
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = add("stairform", _cmd_stairform, help="stair form of a composition")
     p.add_argument("--alpha", required=True)
@@ -230,6 +230,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

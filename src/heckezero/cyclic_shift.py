@@ -16,13 +16,14 @@ bound n <= 8 is a soft limit lifted by `force=True`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .compositions import Composition, enumerate_maximal
 from .permutations import (
     OrbitPartition, Perm, all_perms, compose, cycle_type, even_orbits,
-    length, longest_element,
+    length, longest_element, swap_values,
 )
 from .stair_classes import stair_form
 
@@ -93,15 +94,9 @@ def twisted_gen(i: int, n: int, twist: str) -> int:
 
 def _step(w: Perm, i: int, twist: str) -> Perm:
     """The permutation s_i * w * delta(s_i), regardless of length."""
-    n = len(w)
-    j = twisted_gen(i, n, twist)
-    q = list(w)
+    j = twisted_gen(i, len(w), twist)
+    q = list(swap_values(w, i))
     q[j - 1], q[j] = q[j], q[j - 1]           # right factor swaps positions j, j+1
-    for t, v in enumerate(q):                 # left factor swaps values i, i+1
-        if v == i:
-            q[t] = i + 1
-        elif v == i + 1:
-            q[t] = i
     return tuple(q)
 
 
@@ -119,8 +114,9 @@ def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
     return w2 if length(w2) <= length(w) else None
 
 
-def arrow_closure(w: Perm, twist: str = "id") -> frozenset[Perm]:
-    """All permutations reachable from `w` by cyclic-shift steps."""
+def _search(w: Perm, twist: str, keep) -> frozenset[Perm]:
+    """Depth-first search from `w` along the steps v -> u with
+    keep(length(u), length(v))."""
     _check_twist(twist)
     n = len(w)
     seen = {w}
@@ -130,10 +126,15 @@ def arrow_closure(w: Perm, twist: str = "id") -> frozenset[Perm]:
         lv = length(v)
         for i in range(1, n):
             u = _step(v, i, twist)
-            if u not in seen and length(u) <= lv:
+            if u not in seen and keep(length(u), lv):
                 seen.add(u)
                 stack.append(u)
     return frozenset(seen)
+
+
+def arrow_closure(w: Perm, twist: str = "id") -> frozenset[Perm]:
+    """All permutations reachable from `w` by cyclic-shift steps."""
+    return _search(w, twist, operator.le)
 
 
 def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
@@ -145,19 +146,7 @@ def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
     this BFS explores directly; unlike `equiv_classes` it never touches the
     rest of S_n, so it stays cheap even at degrees where n! is out of reach.
     """
-    _check_twist(twist)
-    n = len(w)
-    lw = length(w)
-    seen = {w}
-    stack = [w]
-    while stack:
-        v = stack.pop()
-        for i in range(1, n):
-            u = _step(v, i, twist)
-            if u not in seen and length(u) == lw:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(seen)
+    return _search(w, twist, operator.eq)
 
 
 def _check_degree(n: int, force: bool) -> None:

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
-from .permutations import Perm, all_perms, identity, length
+from .permutations import Perm, all_perms, identity, length, swap_values
 from .stair_classes import sigma_class
 
 __all__ = [
@@ -99,16 +99,9 @@ def left_mul_gen(i: int, x: HeckeElement) -> HeckeElement:
     _check_gen(i, x.n)
     acc: dict[Perm, int] = {}
     for w, c in x.terms.items():
-        lw = length(w)
-        sw = list(w)
-        for t, v in enumerate(sw):
-            if v == i:
-                sw[t] = i + 1
-            elif v == i + 1:
-                sw[t] = i
-        swt = tuple(sw)
-        if length(swt) > lw:
-            acc[swt] = acc.get(swt, 0) + c
+        sw = swap_values(w, i)
+        if length(sw) > length(w):
+            acc[sw] = acc.get(sw, 0) + c
         else:
             acc[w] = acc.get(w, 0) - c
     return hecke_element(x.n, acc)

@@ -7,7 +7,8 @@ factor is relabelled onto N1 and the second onto N2 by the unique
 increasing bijections.  The product is injective with image exactly the
 permutations stabilizing both blocks, and it factors the maximal classes:
 a class whose label starts with an even part is the product of the class
-of that part with the class of the remaining label.
+of that part with the class of the remaining label.  `sigma_class` builds
+every labelled class from that factorization.
 
 >>> from .stair_classes import stair_form
 >>> from .permutations import cycle_string
@@ -18,48 +19,16 @@ of that part with the class of the remaining label.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
-from .compositions import Composition, hook_kind, is_maximal, split_even_odd
-from .permutations import (
-    OrbitPartition, Perm, conj_w0, cycle_type, identity, length, orbits,
-)
-from .stair_classes import cycle_class, odd_hook_embed, sigma_class, stair_form
+from .compositions import Composition
+from .permutations import OrbitPartition, Perm, conj_w0, cycle_type, length, orbits
+from .stair_classes import sigma_class, stair_form
 
 __all__ = [
-    "IprodFrame", "frame", "iprod", "iprod_factor", "iprod_length_law",
-    "stair_factorization", "class_product", "sigma_star",
-    "orbit_partition_histogram", "generate_hookish",
+    "iprod", "iprod_factor", "iprod_length_law", "stair_factorization",
+    "sigma_star", "orbit_partition_histogram",
 ]
-
-
-@dataclass(frozen=True)
-class IprodFrame:
-    """The index bookkeeping of one product S_{n1} x S_{n2} -> S_n."""
-
-    n1: int
-    n2: int
-    k: int
-    block1: tuple[int, ...]
-    block2: tuple[int, ...]
-
-    def phi1(self, i: int) -> int:
-        return i if i <= self.k else i + self.n2
-
-    def phi2(self, i: int) -> int:
-        return i + self.k
-
-
-def frame(n1: int, n2: int) -> IprodFrame:
-    """The frame of the product on S_{n1} x S_{n2}."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("degrees must be nonnegative")
-    k = (n1 + 1) // 2
-    n = n1 + n2
-    block1 = tuple(range(1, k + 1)) + tuple(range(k + n2 + 1, n + 1))
-    block2 = tuple(range(k + 1, k + n2 + 1))
-    return IprodFrame(n1, n2, k, block1, block2)
 
 
 def iprod(s1: Perm, s2: Perm) -> Perm:
@@ -68,7 +37,7 @@ def iprod(s1: Perm, s2: Perm) -> Perm:
     The cycles of the result are the cycles of s1 with entries > k raised
     by n2, together with the cycles of s2 raised by k.
 
-    >>> iprod((2, 1), identity(1))
+    >>> iprod((2, 1), (1,))
     (3, 2, 1)
     >>> iprod((), (2, 1)) == iprod((2, 1), ()) == (2, 1)
     True
@@ -88,25 +57,23 @@ def iprod(s1: Perm, s2: Perm) -> Perm:
 def iprod_factor(p: Perm, n1: int, n2: int) -> tuple[Perm, Perm] | None:
     """Factor `p` through the product on S_{n1} x S_{n2}, or None.
 
-    Succeeds exactly when `p` stabilizes both blocks of the frame setwise,
-    in which case the factors are unique and `iprod` recomposes them.
+    Succeeds exactly when `p` stabilizes both blocks N1 and N2 setwise, in
+    which case the factors are unique and `iprod` recomposes them.
 
     >>> iprod_factor((3, 2, 1), 2, 1)
     ((2, 1), (1,))
     >>> iprod_factor((5, 6, 4, 1, 2, 3), 2, 4) is None
     True
     """
+    if n1 < 0 or n2 < 0:
+        raise ValueError("degrees must be nonnegative")
     if n1 + n2 != len(p):
         raise ValueError(f"block sizes {n1}+{n2} do not sum to degree {len(p)}")
-    fr = frame(n1, n2)
-    k = fr.k
-    block1 = set(fr.block1)
-    if any(p[i - 1] not in block1 for i in fr.block1):
+    k = (n1 + 1) // 2
+    images = [p[(i if i <= k else i + n2) - 1] for i in range(1, n1 + 1)]
+    if any(k < v <= k + n2 for v in images):
         return None
-    s1 = tuple(
-        (lambda v: v if v <= k else v - n2)(p[fr.phi1(i) - 1])
-        for i in range(1, n1 + 1)
-    )
+    s1 = tuple(v if v <= k else v - n2 for v in images)
     s2 = tuple(p[k + i - 1] - k for i in range(1, n2 + 1))
     return s1, s2
 
@@ -147,20 +114,6 @@ def stair_factorization(alpha: Composition) -> tuple[Perm, Perm]:
     return head, tail
 
 
-def class_product(alpha: Composition, force: bool = False):
-    """Assemble the class of `alpha` (maximal, first part even) as the
-    image of the product of the first-part class with the tail class."""
-    from .cyclic_shift import make_equiv_class
-
-    if not is_maximal(alpha) or not alpha or alpha[0] % 2 == 1:
-        raise ValueError(f"need a maximal composition with even first part: {alpha}")
-    left = cycle_class(alpha[0])
-    right = sigma_class(alpha[1:], force=force).elements
-    return make_equiv_class(
-        {iprod(a, b) for a in left for b in right}, alpha=alpha
-    )
-
-
 def sigma_star(alpha: Composition, force: bool = False) -> frozenset[Perm]:
     """The members of the class of `alpha` whose full orbit partition equals
     that of the stair form."""
@@ -177,36 +130,3 @@ def orbit_partition_histogram(elements: Iterable[Perm]) -> dict[OrbitPartition, 
     claiming any structure.
     """
     return dict(Counter(orbits(w) for w in elements))
-
-
-def generate_hookish(alpha: Composition, _force: bool = False):
-    """Constructively generate the class of a maximal composition whose odd
-    parts form a hook (possibly trivial or empty).
-
-    The even parts are split off one product at a time, evaluated right to
-    left in the order they appear in `alpha`; the odd hook tail comes from
-    its embedding bijection.  No brute force is involved, so this scales to
-    degrees far beyond exhaustive reach.
-    """
-    from .cyclic_shift import make_equiv_class
-
-    if not is_maximal(alpha):
-        raise ValueError(f"not a maximal composition: {alpha}")
-    evens, odds, _ = split_even_odd(alpha)
-    if odds and hook_kind(odds) == "not_hook":
-        raise ValueError(f"odd parts of {alpha} do not form a hook: {odds}")
-    nodd = sum(odds)
-    if not odds or odds[0] == 1:
-        tail: set[Perm] = {identity(nodd)}
-    else:
-        r = odds[0]
-        m = (r - 1) // 2
-        tail = {
-            odd_hook_embed(tau, j, odds)
-            for tau in cycle_class(r) for j in range(m + 1, nodd - m + 1)
-        }
-    current = tail
-    for part in reversed(evens):
-        left = cycle_class(part)
-        current = {iprod(a, b) for a in left for b in current}
-    return make_equiv_class(current, alpha=alpha)

@@ -25,7 +25,8 @@ __all__ = [
     "Perm", "Cycle", "OrbitPartition",
     "identity", "is_perm", "all_perms", "compose", "inverse", "length",
     "left_descents", "right_descents", "longest_element",
-    "adjacent_transposition", "conj_adjacent", "length_delta_conj", "conj_w0",
+    "adjacent_transposition", "swap_values", "conj_adjacent",
+    "length_delta_conj", "conj_w0",
     "cycles", "from_cycles", "cycle_type", "orbits", "even_orbits",
     "bruhat_leq", "cycle_string",
 ]
@@ -121,6 +122,19 @@ def adjacent_transposition(n: int, i: int) -> Perm:
     return tuple(out)
 
 
+def swap_values(p: Perm, i: int) -> Perm:
+    """The product s_i * p: the values i and i+1 trade places in the
+    one-line word.  Raises ValueError when i or i+1 is not a value of `p`.
+
+    >>> swap_values((3, 1, 2), 1)
+    (3, 2, 1)
+    """
+    q = list(p)
+    q[p.index(i)] = i + 1
+    q[p.index(i + 1)] = i
+    return tuple(q)
+
+
 def conj_adjacent(p: Perm, i: int) -> Perm:
     """Conjugate by s_i: returns s_i * p * s_i.
 
@@ -132,13 +146,8 @@ def conj_adjacent(p: Perm, i: int) -> Perm:
     n = len(p)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for S_{n}")
-    q = list(p)
+    q = list(swap_values(p, i))
     q[i - 1], q[i] = q[i], q[i - 1]
-    for j, v in enumerate(q):
-        if v == i:
-            q[j] = i + 1
-        elif v == i + 1:
-            q[j] = i
     return tuple(q)
 
 

@@ -9,8 +9,10 @@ cycle.
 Membership in a labelled class is decided by three invariants (cycle type,
 length, even-size orbits).  For a one-part label the class is exactly the
 set of full cycles that are *oscillating* with *connected intervals*, and
-it grows degree by degree through an insertion bijection; hook labels are
-reached from there by two explicit bijections.
+it grows degree by degree through an insertion bijection.  `sigma_class` is
+the one constructive route to every labelled class: the even parts split off
+through the interleaving product, an odd tail shaped like a hook comes from
+the hook embedding, and any other odd tail from the membership filter.
 
 >>> cycle_string(stair_form((4, 2)))
 '(1,6,2,5)(3,4)'
@@ -33,15 +35,15 @@ from .permutations import (
 )
 
 __all__ = [
-    "stair_sequence", "stair_form", "stair_is_max", "member_sigma_alpha",
+    "stair_sequence", "stair_form", "member_sigma_alpha",
     "standardize_cycle", "is_oscillating_cycle", "has_connected_intervals_cycle",
     "is_oscillating", "has_connected_intervals", "hook_properties",
     "cycle_insert", "cycle_delete", "lift_cycle_class", "lower_cycle_class",
-    "cycle_class", "odd_hook_embed", "even_hook_lift", "sigma_class",
-    "FILTER_SOFT_LIMIT",
+    "cycle_class", "odd_hook_embed", "sigma_class", "FILTER_SOFT_LIMIT",
 ]
 
-#: Largest degree at which the generic filter fallback runs without force.
+#: Largest degree of the odd tail that the membership filter scans without
+#: force.
 FILTER_SOFT_LIMIT = 9
 
 
@@ -73,12 +75,6 @@ def stair_form(alpha: Composition) -> Perm:
         cycs.append(seq[start:start + part])
         start += part
     return from_cycles(n, cycs)
-
-
-def stair_is_max(alpha: Composition) -> bool:
-    """Whether the stair form of `alpha` has maximal length in its conjugacy
-    class; this holds exactly for the maximal compositions."""
-    return is_maximal(alpha)
 
 
 def member_sigma_alpha(p: Perm, alpha: Composition) -> bool:
@@ -217,14 +213,13 @@ def hook_properties(p: Perm, alpha: Composition) -> bool:
 
 def _cycle_from_one(p: Perm) -> Cycle:
     """The full cycle `p` written starting at entry 1."""
-    n = len(p)
-    if cycle_type(p) != (n,) and n > 0:
-        raise ValueError(f"not a full cycle: {p}")
     out = [1]
     v = p[0]
     while v != 1:
         out.append(v)
         v = p[v - 1]
+    if len(out) != len(p):
+        raise ValueError(f"not a full cycle: {p}")
     return tuple(out)
 
 
@@ -379,68 +374,42 @@ def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
     return from_cycles(n, [tuple(support[t - 1] for t in c)])
 
 
-def even_hook_lift(tau: Perm, alpha: Composition) -> Perm:
-    """Embed a full l-cycle class member into the even-hook class of shape
-    alpha = (l, 1, ..., 1): the product of `tau` with the identity on the
-    remaining points under the interleaving product.
-
-    >>> cycle_string(even_hook_lift(from_cycles(4, [(1, 4, 2, 3)]), (4, 1, 1)),
-    ...              include_trivial=False)
-    '(1,6,2,5)'
-    """
-    if hook_kind(alpha) != "even_hook":
-        raise ValueError(f"not an even hook: {alpha}")
-    l = alpha[0]
-    if tau not in cycle_class(l):
-        raise ValueError(f"{tau} is not in the one-part class of degree {l}")
-    from .inductive_product import iprod
-
-    return iprod(tau, identity(sum(alpha) - l))
-
-
 def sigma_class(alpha: Composition, force: bool = False):
     """The full class labelled by the maximal composition `alpha`, as an
     EquivClass.
 
-    Strategy: one-part labels come from the insertion recursion, hooks from
-    the two hook bijections, labels whose odd parts form a hook from the
-    interleaving-product assembly, and anything else from filtering the
-    permutations of matching cycle type through `member_sigma_alpha` (soft
-    degree limit, lifted by `force=True`).
+    The odd tail is built first: the identity when its parts are all ones,
+    the image of `odd_hook_embed` when they form a hook, and otherwise the
+    permutations of S_{|tail|} that pass `member_sigma_alpha` (soft limit
+    FILTER_SOFT_LIMIT on |tail|, lifted by `force=True`).  Each even part,
+    right to left, then joins through the interleaving product with the
+    class of full cycles of that size.
     """
     from .cyclic_shift import make_equiv_class
-    from .inductive_product import generate_hookish
+    from .inductive_product import iprod
 
-    if not is_maximal(alpha):
-        raise ValueError(f"not a maximal composition: {alpha}")
-    n = sum(alpha)
-    if n == 0 or all(a == 1 for a in alpha):
-        return make_equiv_class([identity(n)], alpha=alpha)
-    if len(alpha) == 1:
-        return make_equiv_class(cycle_class(n), alpha=alpha)
-    kind = hook_kind(alpha)
-    if kind == "odd_hook":
-        k = alpha[0]
-        m = (k - 1) // 2
-        elems = {
-            odd_hook_embed(tau, j, alpha)
-            for tau in cycle_class(k) for j in range(m + 1, n - m + 1)
+    evens, odds, _ = split_even_odd(alpha)
+    n = sum(odds)
+    if all(a == 1 for a in odds):
+        current = {identity(n)}
+    elif hook_kind(odds) == "odd_hook":
+        m = (odds[0] - 1) // 2
+        current = {
+            odd_hook_embed(tau, j, odds)
+            for tau in cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
         }
-        return make_equiv_class(elems, alpha=alpha)
-    if kind == "even_hook":
-        elems = {even_hook_lift(tau, alpha) for tau in cycle_class(alpha[0])}
-        return make_equiv_class(elems, alpha=alpha)
-    _, odds, _ = split_even_odd(alpha)
-    if not odds or hook_kind(odds) != "not_hook":
-        return generate_hookish(alpha)
-    if n > FILTER_SOFT_LIMIT and not force:
-        raise ValueError(
-            f"filter fallback for {alpha} needs scanning S_{n}, beyond the "
-            f"soft limit {FILTER_SOFT_LIMIT}; pass force=True to override"
-        )
-    target = sort_to_partition(alpha)
-    elems = {
-        p for p in all_perms(n)
-        if cycle_type(p) == target and member_sigma_alpha(p, alpha)
-    }
-    return make_equiv_class(elems, alpha=alpha)
+    else:
+        if n > FILTER_SOFT_LIMIT and not force:
+            raise ValueError(
+                f"the class of {alpha} needs a filter scan of S_{n}, beyond "
+                f"the soft limit {FILTER_SOFT_LIMIT}; pass force=True to "
+                "override"
+            )
+        target = sort_to_partition(odds)
+        current = {
+            p for p in all_perms(n)
+            if cycle_type(p) == target and member_sigma_alpha(p, odds)
+        }
+    for part in reversed(evens):
+        current = {iprod(a, b) for a in cycle_class(part) for b in current}
+    return make_equiv_class(current, alpha=alpha)

@@ -2,6 +2,7 @@
 
 import json
 
+from heckezero import cli
 from heckezero.cli import main
 
 
@@ -52,6 +53,16 @@ class TestClasses:
         code, _, err = run(capsys, "classes", "--n", "9")
         assert code == 1
         assert "force" in err
+
+    def test_invariant_failure_exits_2(self, capsys, monkeypatch):
+        def broken(n, force=False):
+            raise RuntimeError("stair forms of (3,) and (2, 1) share one class")
+
+        monkeypatch.setattr(cli, "label_max_classes", broken)
+        code, _, err = run(capsys, "classes", "--n", "3")
+        assert code == 2
+        assert "internal invariant violated" in err
+        assert "Traceback" not in err
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "classes", "--n", "4")
@@ -114,6 +125,11 @@ class TestCount:
         doc, _ = run_json(capsys, "count", "--alpha", "3,3")
         assert doc["formula"] is None
         assert doc["enumerated"] == 22
+
+    def test_gate_counts_odd_tail_degree(self, capsys):
+        doc, _ = run_json(capsys, "count", "--alpha", "2,3,3,1,1")
+        assert doc["formula"] is None
+        assert doc["enumerated"] == 108
 
     def test_non_hookish_large_fails_without_force(self, capsys):
         code, _, err = run(capsys, "count", "--alpha", "5,5")

@@ -7,8 +7,7 @@ from heckezero.counting import (
     dim_center, size_sigma_formula, size_sigma_n, size_sigma_odd_hook,
 )
 from heckezero.cyclic_shift import equiv_classes, label_max_classes
-from heckezero.inductive_product import generate_hookish
-from heckezero.stair_classes import cycle_class, odd_hook_embed
+from heckezero.stair_classes import cycle_class, odd_hook_embed, sigma_class
 
 
 class TestSizeSigmaN:
@@ -78,7 +77,7 @@ class TestSizeSigmaFormula:
                 value = size_sigma_formula(alpha)
             except ValueError:
                 continue
-            assert value == generate_hookish(alpha).size, alpha
+            assert value == sigma_class(alpha).size, alpha
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_brute_force(self, n):

@@ -4,10 +4,10 @@ import pytest
 
 from heckezero.compositions import enumerate_maximal
 from heckezero.cyclic_shift import approx_class, label_max_classes
+from heckezero.compositions import hook_kind, split_even_odd
 from heckezero.inductive_product import (
-    class_product, frame, generate_hookish, iprod, iprod_factor,
-    iprod_length_law, orbit_partition_histogram, sigma_star,
-    stair_factorization,
+    iprod, iprod_factor, iprod_length_law, orbit_partition_histogram,
+    sigma_star, stair_factorization,
 )
 from heckezero.permutations import (
     all_perms, conj_w0, cycle_type, from_cycles, identity, length, orbits,
@@ -26,6 +26,21 @@ def full_cycles(n):
     return [p for p in all_perms(n) if cycle_type(p) == (n,)]
 
 
+def phi1(n1, n2, i):
+    """Where the product on S_{n1} x S_{n2} puts point i of the first factor."""
+    k = (n1 + 1) // 2
+    return i if i <= k else i + n2
+
+
+def phi2(n1, i):
+    """Where the product puts point i of the second factor."""
+    return i + (n1 + 1) // 2
+
+
+def moved(p):
+    return {i for i, v in enumerate(p, 1) if v != i}
+
+
 class TestIprod:
     def test_empty_identity(self):
         sigma = perm((1, 3, 2), n=3)
@@ -42,22 +57,21 @@ class TestIprod:
         assert got == stair_form((5, 3, 1))
 
     def test_frame_blocks(self):
-        fr = frame(6, 4)
-        assert fr.k == 3
-        assert fr.block1 == (1, 2, 3, 8, 9, 10)
-        assert fr.block2 == (4, 5, 6, 7)
+        assert [phi1(6, 4, i) for i in range(1, 7)] == [1, 2, 3, 8, 9, 10]
+        assert [phi2(6, i) for i in range(1, 5)] == [4, 5, 6, 7]
+        assert moved(iprod(stair_form((6,)), identity(4))) == {1, 2, 3, 8, 9, 10}
+        assert moved(iprod(identity(6), stair_form((4,)))) == {4, 5, 6, 7}
 
     @pytest.mark.parametrize("split", [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
     def test_two_domain_law(self, split):
         n1, n2 = split
-        fr = frame(n1, n2)
         for s1 in all_perms(n1):
             for s2 in all_perms(n2):
                 p = iprod(s1, s2)
                 for i in range(1, n1 + 1):
-                    assert p[fr.phi1(i) - 1] == fr.phi1(s1[i - 1])
+                    assert p[phi1(n1, n2, i) - 1] == phi1(n1, n2, s1[i - 1])
                 for i in range(1, n2 + 1):
-                    assert p[fr.phi2(i) - 1] == fr.phi2(s2[i - 1])
+                    assert p[phi2(n1, i) - 1] == phi2(n1, s2[i - 1])
 
 
 class TestIprodFactor:
@@ -80,8 +94,7 @@ class TestIprodFactor:
     def test_image_law_and_roundtrip(self, n):
         for n1 in range(n + 1):
             n2 = n - n1
-            fr = frame(n1, n2)
-            b1 = set(fr.block1)
+            b1 = {phi1(n1, n2, i) for i in range(1, n1 + 1)}
             products = set()
             for s1 in all_perms(n1):
                 for s2 in all_perms(n2):
@@ -98,14 +111,13 @@ class TestIprodFactor:
     def test_orbit_law(self, n):
         for n1 in range(n + 1):
             n2 = n - n1
-            fr = frame(n1, n2)
             for s1 in all_perms(n1):
                 for s2 in all_perms(n2):
                     expected = frozenset(
-                        frozenset(fr.phi1(i) for i in block)
+                        frozenset(phi1(n1, n2, i) for i in block)
                         for block in orbits(s1)
                     ) | frozenset(
-                        frozenset(fr.phi2(i) for i in block)
+                        frozenset(phi2(n1, i) for i in block)
                         for block in orbits(s2)
                     )
                     assert orbits(iprod(s1, s2)) == expected
@@ -177,20 +189,16 @@ class TestStairFactorization:
 
 class TestClassProduct:
     def test_sigma_2(self):
-        assert class_product((2,)).elements == {(2, 1)}
+        assert sigma_class((2,)).elements == {(2, 1)}
 
     def test_24311_size(self):
-        assert class_product((2, 4, 3, 1, 1)).size == 12
+        assert sigma_class((2, 4, 3, 1, 1)).size == 12
 
     def test_example_element(self):
         inner = iprod(perm((1, 3, 2, 4), n=4), perm((1, 3, 5), n=5))
         got = iprod((2, 1), inner)
         assert got == perm((1, 11), (2, 9, 3, 10), (4, 6, 8), n=11)
-        assert got in class_product((2, 4, 3, 1, 1)).elements
-
-    def test_rejects_odd_first_part(self):
-        with pytest.raises(ValueError):
-            class_product((3, 1))
+        assert got in sigma_class((2, 4, 3, 1, 1)).elements
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_even_first_decomposition_vs_brute_force(self, n):
@@ -198,7 +206,9 @@ class TestClassProduct:
         for alpha in enumerate_maximal(n):
             if len(alpha) < 2 or alpha[0] % 2 == 1:
                 continue
-            assert class_product(alpha).elements == labelled[alpha].elements
+            tail = label_max_classes(n - alpha[0])[alpha[1:]].elements
+            product = {iprod(a, b) for a in cycle_class(alpha[0]) for b in tail}
+            assert product == labelled[alpha].elements, alpha
 
 
 class TestSigmaStar:
@@ -230,26 +240,22 @@ class TestOrbitHistogram:
 
 class TestGenerateHookish:
     def test_all_ones(self):
-        assert generate_hookish((1, 1, 1)).elements == {identity(3)}
+        assert sigma_class((1, 1, 1)).elements == {identity(3)}
 
     def test_24311_matches_brute_force(self):
-        got = generate_hookish((2, 4, 3, 1, 1))
+        got = sigma_class((2, 4, 3, 1, 1))
         assert got.size == 12
         assert got.elements == approx_class(stair_form((2, 4, 3, 1, 1)))
 
     def test_large_count(self):
-        assert generate_hookish((2, 8, 4, 5, 1, 1, 1)).size == 864
-
-    def test_rejects_non_hook_odds(self):
-        with pytest.raises(ValueError):
-            generate_hookish((2, 3, 3))
+        assert sigma_class((2, 8, 4, 5, 1, 1, 1)).size == 864
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_brute_force_when_applicable(self, n):
         labelled = label_max_classes(n)
         for alpha in enumerate_maximal(n):
-            try:
-                got = generate_hookish(alpha)
-            except ValueError:
+            _, odds, _ = split_even_odd(alpha)
+            if odds and hook_kind(odds) == "not_hook":
                 continue
+            got = sigma_class(alpha)
             assert got.elements == labelled[alpha].elements, alpha

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from heckezero.cyclic_shift import approx_class, one_step
 from heckezero.inductive_product import iprod, iprod_factor, iprod_length_law
 from heckezero.permutations import (
-    bruhat_leq, compose, conj_adjacent, conj_w0, cycle_type, from_cycles,
-    inverse, length, length_delta_conj, longest_element,
+    adjacent_transposition, bruhat_leq, compose, conj_adjacent, conj_w0,
+    cycle_type, from_cycles, inverse, length, length_delta_conj,
+    longest_element, swap_values,
 )
 from heckezero.stair_classes import (
     cycle_class, cycle_delete, cycle_insert, lift_cycle_class,
@@ -65,6 +66,13 @@ def test_w0_laws(p):
 def test_length_delta_matches_direct(p, data):
     i = data.draw(st.integers(min_value=1, max_value=len(p) - 1))
     assert length_delta_conj(p, i) == length(conj_adjacent(p, i)) - length(p)
+
+
+@given(perms(min_n=2), st.data())
+def test_swap_values_is_left_generator(p, data):
+    n = len(p)
+    i = data.draw(st.integers(min_value=1, max_value=n - 1))
+    assert swap_values(p, i) == compose(adjacent_transposition(n, i), p)
 
 
 @given(perm_pairs(min_n=6, max_n=7))

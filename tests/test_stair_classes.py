@@ -7,13 +7,13 @@ from heckezero.permutations import (
     all_perms, conj_w0, cycle_type, from_cycles, identity, inverse, length,
 )
 from heckezero.stair_classes import (
-    cycle_class, cycle_delete, cycle_insert, even_hook_lift,
-    has_connected_intervals, has_connected_intervals_cycle, hook_properties,
-    is_oscillating, is_oscillating_cycle, lift_cycle_class,
-    lower_cycle_class, member_sigma_alpha, odd_hook_embed, sigma_class,
-    stair_form, stair_is_max, stair_sequence, standardize_cycle,
+    cycle_class, cycle_delete, cycle_insert, has_connected_intervals,
+    has_connected_intervals_cycle, hook_properties, is_oscillating,
+    is_oscillating_cycle, lift_cycle_class, lower_cycle_class,
+    member_sigma_alpha, odd_hook_embed, sigma_class, stair_form,
+    stair_sequence, standardize_cycle,
 )
-from heckezero.compositions import enumerate_maximal, hook_kind
+from heckezero.compositions import enumerate_maximal, hook_kind, is_maximal
 
 from oracles import compositions_of, perms_of_type
 
@@ -47,10 +47,10 @@ class TestStairForm:
 
 class TestStairIsMax:
     def test_examples(self):
-        assert stair_is_max((4, 6, 2, 3, 1, 1))
-        assert not stair_is_max((6, 4, 3, 2, 1, 1))
+        assert is_maximal((4, 6, 2, 3, 1, 1))
+        assert not is_maximal((6, 4, 3, 2, 1, 1))
         for n in range(1, 8):
-            assert stair_is_max((n,))
+            assert is_maximal((n,))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_brute_force_max_membership(self, n):
@@ -61,7 +61,7 @@ class TestStairIsMax:
         for alpha in compositions_of(n):
             sf = stair_form(alpha)
             is_max = length(sf) == max_len[cycle_type(sf)]
-            assert stair_is_max(alpha) == is_max
+            assert is_maximal(alpha) == is_max
 
 
 class TestMemberSigmaAlpha:
@@ -324,14 +324,14 @@ def _nontrivial_cycles(p):
 
 class TestEvenHookLift:
     def test_411(self):
-        got = {even_hook_lift(tau, (4, 1, 1)) for tau in cycle_class(4)}
+        got = sigma_class((4, 1, 1)).elements
         assert got == {perm((1, 6, 2, 5), n=6), perm((1, 5, 2, 6), n=6)}
 
     def test_degenerate_full_cycle(self):
-        assert even_hook_lift((2, 1), (2,)) == (2, 1)
+        assert sigma_class((2,)).elements == {(2, 1)}
 
     def test_21_is_stair(self):
-        assert even_hook_lift((2, 1), (2, 1)) == stair_form((2, 1))
+        assert sigma_class((2, 1)).elements == {stair_form((2, 1))}
 
 
 class TestSigmaClass:
@@ -360,6 +360,14 @@ class TestSigmaClass:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             sigma_class((5, 5))  # odd non-hook needs a scan of S_10
+
+    def test_guard_gates_the_odd_tail_degree(self):
+        # degree 10, but the filter scans only S_8 for the tail (3, 3, 1, 1)
+        got = sigma_class((2, 3, 3, 1, 1))
+        assert got.size == 108 == sigma_class((3, 3, 1, 1)).size
+        assert all(member_sigma_alpha(p, (2, 3, 3, 1, 1)) for p in got.elements)
+        with pytest.raises(ValueError, match=r"\(2, 5, 5\).*S_10"):
+            sigma_class((2, 5, 5))
 
     def test_rejects_non_maximal(self):
         with pytest.raises(ValueError):
