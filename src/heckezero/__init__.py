@@ -29,6 +29,7 @@ from .cyclic_shift import (
     EquivClass, approx_class, arrow_closure, equiv_classes,
     label_max_classes, min_representatives, one_step,
 )
+from .errors import DegreeLimitError
 from .hecke import (
     HeckeElement, is_central, mul, order_ideal, t_basis, t_leq_sigma,
     verify_center_basis,
@@ -52,7 +53,7 @@ from .stair_classes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EquivClass", "HeckeElement",
+    "DegreeLimitError", "EquivClass", "HeckeElement",
     "approx_class", "arrow_closure", "bruhat_leq", "compose", "conj_adjacent", "conj_w0", "cycle_class", "cycle_delete",
     "cycle_insert", "cycle_string", "cycle_type", "cycles", "dim_center",
     "enumerate_maximal", "equiv_classes", "even_orbits", "from_cycles",

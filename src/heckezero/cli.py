@@ -17,6 +17,7 @@ import sys
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import equiv_classes, label_max_classes
+from .errors import DegreeLimitError
 from .hecke import t_leq_sigma
 from .permutations import cycle_string
 from .stair_classes import sigma_class, stair_form
@@ -126,7 +127,7 @@ def _cmd_count(args) -> int:
     enumerated = None
     try:
         enumerated = sigma_class(alpha, force=args.force).size
-    except ValueError:
+    except DegreeLimitError:
         pass
     if formula is None and enumerated is None:
         raise _CliError(

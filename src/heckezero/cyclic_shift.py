@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .compositions import Composition, enumerate_maximal
+from .errors import DegreeLimitError
 from .permutations import (
     OrbitPartition, Perm, all_perms, compose, cycle_type, even_orbits,
     length, longest_element, swap_values,
@@ -153,7 +154,7 @@ def _check_degree(n: int, force: bool) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > DEGREE_SOFT_LIMIT and not force:
-        raise ValueError(
+        raise DegreeLimitError(
             f"degree {n} exceeds the practical bound {DEGREE_SOFT_LIMIT} "
             "for brute-force enumeration; pass force=True to override"
         )

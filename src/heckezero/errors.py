@@ -1,0 +1,14 @@
+"""
+Exception types shared by the brute-force and constructive halves.
+"""
+
+from __future__ import annotations
+
+__all__ = ["DegreeLimitError"]
+
+
+class DegreeLimitError(ValueError):
+    """A degree beyond a soft limit for exponential work, requested
+    without `force=True`.  A subclass of ValueError, so the CLI still maps
+    it to exit code 1, but callers that can skip an over-limit case catch
+    it alone and let every other ValueError through."""

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
-from .permutations import Perm, all_perms, identity, length, swap_values
+from .permutations import Perm, all_perms, identity, length
 from .stair_classes import sigma_class
 
 __all__ = [
@@ -95,12 +95,23 @@ def _check_gen(i: int, n: int) -> None:
 
 
 def left_mul_gen(i: int, x: HeckeElement) -> HeckeElement:
-    """T_{s_i} * x, extended linearly over the terms of x."""
+    """T_{s_i} * x, extended linearly over the terms of x.
+
+    s_i * w swaps the values i and i+1 in the one-line word of w.  That
+    changes the relative order of those two values only, so s_i * w is
+    longer than w exactly when i stands left of i+1.  The two positions
+    that locate the swap therefore decide between the climb and the sign
+    flip; no length is computed.
+    """
     _check_gen(i, x.n)
     acc: dict[Perm, int] = {}
     for w, c in x.terms.items():
-        sw = swap_values(w, i)
-        if length(sw) > length(w):
+        a = w.index(i)
+        b = w.index(i + 1)
+        if a < b:
+            v = list(w)
+            v[a], v[b] = i + 1, i
+            sw = tuple(v)
             acc[sw] = acc.get(sw, 0) + c
         else:
             acc[w] = acc.get(w, 0) - c
@@ -161,29 +172,44 @@ def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 def order_ideal(sigma) -> frozenset[Perm]:
     """The downward Bruhat closure of a set of permutations.
 
-    Accepts an EquivClass or any iterable of permutations.  Walks down
-    cover chains: right-multiplying by a transposition that undoes an
-    inversion lowers the length, and every element below is reached by
-    such steps.
+    Accepts an EquivClass or any iterable of permutations.  Bruhat order
+    is graded by length, so the closure is walked down one length at a
+    time, and each element emits only its Bruhat covers: w * (i, j) with
+    w(i) > w(j) and no value strictly between them at a position strictly
+    between them (Bjorner-Brenti, GTM 231, §2.1).  For each i the
+    scan steps j rightwards keeping the largest value below w(i) seen so
+    far; w(j) gives a cover exactly when it exceeds that value.  Each level
+    is seeded with the input elements of that length, so generating sets
+    of mixed length are closed correctly.
 
     >>> sorted(order_ideal([(2, 3, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
     """
     elements: Iterable[Perm] = getattr(sigma, "elements", sigma)
-    seen: set[Perm] = set(elements)
-    stack = list(seen)
-    while stack:
-        w = stack.pop()
-        n = len(w)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if w[i] > w[j]:
-                    v = list(w)
-                    v[i], v[j] = v[j], v[i]
-                    vt = tuple(v)
-                    if vt not in seen:
-                        seen.add(vt)
-                        stack.append(vt)
+    seeds: dict[int, set[Perm]] = {}
+    for w in elements:
+        seeds.setdefault(length(w), set()).add(w)
+    if not seeds:
+        return frozenset()
+    seen: set[Perm] = set()
+    level: set[Perm] = set()
+    for ell in range(max(seeds), -1, -1):
+        level |= seeds.get(ell, set())
+        seen |= level
+        below: set[Perm] = set()
+        for w in level:
+            n = len(w)
+            for i in range(n - 1):
+                wi = w[i]
+                best = 0
+                for j in range(i + 1, n):
+                    wj = w[j]
+                    if best < wj < wi:
+                        best = wj
+                        v = list(w)
+                        v[i], v[j] = wj, wi
+                        below.add(tuple(v))
+        level = below
     return frozenset(seen)
 
 

@@ -29,6 +29,8 @@ from .compositions import (
     Composition, check_composition, hook_kind, is_maximal, sort_to_partition,
     split_even_odd,
 )
+from .counting import size_sigma_n
+from .errors import DegreeLimitError
 from .permutations import (
     Cycle, Perm, all_perms, cycle_string, cycle_type, cycles, even_orbits,
     from_cycles, identity, inverse, length,
@@ -285,6 +287,12 @@ def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
         raise ValueError(f"expected a permutation of degree {n - 1}")
     if not _is_cycle_class_member(sigma):
         raise ValueError(f"{sigma} is not in the one-part class of degree {n - 1}")
+    return _lift(n, sigma, q)
+
+
+def _lift(n: int, sigma: Perm, q: int | None) -> Perm:
+    """The insertion step of `lift_cycle_class`, without its membership
+    check on `sigma`."""
     c = _cycle_from_one(sigma)
     if n % 2 == 0:
         if q is not None:
@@ -333,6 +341,9 @@ def cycle_class(n: int) -> frozenset[Perm]:
 
     Starts from the explicit classes at n <= 3 and applies the insertion
     bijection: each even step preserves the count, each odd step triples it.
+    The inputs are class members by construction, so the lift skips its
+    membership check; one count against `size_sigma_n` instead catches a
+    lift that leaves the class or is not injective, and raises RuntimeError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -346,8 +357,15 @@ def cycle_class(n: int) -> frozenset[Perm]:
         return frozenset([from_cycles(3, [(1, 3, 2)]), from_cycles(3, [(1, 2, 3)])])
     prev = cycle_class(n - 1)
     if n % 2 == 0:
-        return frozenset(lift_cycle_class(n, s) for s in prev)
-    return frozenset(lift_cycle_class(n, s, q) for s in prev for q in (0, 1, 2))
+        result = frozenset(_lift(n, s, None) for s in prev)
+    else:
+        result = frozenset(_lift(n, s, q) for s in prev for q in (0, 1, 2))
+    if len(result) != size_sigma_n(n):
+        raise RuntimeError(
+            f"the lift built {len(result)} full {n}-cycles, expected "
+            f"{size_sigma_n(n)}"
+        )
+    return result
 
 
 def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
@@ -400,7 +418,7 @@ def sigma_class(alpha: Composition, force: bool = False):
         }
     else:
         if n > FILTER_SOFT_LIMIT and not force:
-            raise ValueError(
+            raise DegreeLimitError(
                 f"the class of {alpha} needs a filter scan of S_{n}, beyond "
                 f"the soft limit {FILTER_SOFT_LIMIT}; pass force=True to "
                 "override"

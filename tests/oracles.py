@@ -59,6 +59,25 @@ def all_reduced_words(w):
     return words
 
 
+def ideal_by_inversions(gens):
+    """The downward Bruhat closure of `gens`: repeatedly swap the two
+    entries of any inversion, which lowers the length and reaches every
+    element below (no cover test, no level order)."""
+    seen = set(gens)
+    stack = list(seen)
+    while stack:
+        w = stack.pop()
+        for i, j in combinations(range(len(w)), 2):
+            if w[i] > w[j]:
+                v = list(w)
+                v[i], v[j] = v[j], v[i]
+                v = tuple(v)
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return seen
+
+
 def bruhat_leq_oracle(u, w):
     """u <= w iff some reduced word of w contains a reduced word of u as a
     subsequence; checked against one fixed reduced word of w, which the

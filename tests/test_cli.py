@@ -135,6 +135,17 @@ class TestCount:
         code, _, err = run(capsys, "count", "--alpha", "5,5")
         assert code == 1
 
+    def test_construction_fault_is_not_read_as_gated(self, capsys,
+                                                     monkeypatch):
+        def broken(alpha, force=False):
+            raise ValueError("constructive route broke")
+
+        monkeypatch.setattr(cli, "sigma_class", broken)
+        code, out, err = run(capsys, "count", "--alpha", "2,4,3,1,1")
+        assert code != 0
+        assert out == ""
+        assert "constructive route broke" in err
+
 
 class TestBasis:
     def test_single_alpha(self, capsys):

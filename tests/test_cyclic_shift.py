@@ -3,6 +3,7 @@
 import pytest
 
 from heckezero.compositions import enumerate_maximal
+from heckezero.errors import DegreeLimitError
 from heckezero.cyclic_shift import (
     approx_class, arrow_closure, equiv_classes, label_max_classes,
     min_representatives, one_step,
@@ -153,8 +154,11 @@ class TestEquivClasses:
             assert covered == expected
 
     def test_degree_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegreeLimitError):
             equiv_classes(9)
+        with pytest.raises(ValueError) as exc:
+            equiv_classes(-1)
+        assert not isinstance(exc.value, DegreeLimitError)
 
     def test_approx_class_matches_scc(self):
         for n in range(1, 6):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from heckezero import hecke
 from heckezero.compositions import enumerate_maximal
 from heckezero.hecke import (
     hecke_element, integer_matrix_rank, is_central, left_mul_gen, mul,
@@ -12,6 +13,8 @@ from heckezero.permutations import (
     all_perms, bruhat_leq, compose, from_cycles, identity, length,
 )
 from heckezero.stair_classes import sigma_class
+
+import oracles
 
 
 def perm(*cycs, n):
@@ -54,6 +57,30 @@ class TestGeneratorAction:
                     twice = left_mul_gen(i, once)
                     neg = hecke_element(n, {w: -c for w, c in once.terms.items()})
                     assert twice == neg
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_climb_rule_against_oracle(self, n):
+        for w in all_perms(n):
+            for i in range(1, n):
+                sw = oracles.apply_gen_left(i, w)
+                if oracles.inv_count(sw) > oracles.inv_count(w):
+                    expected = {sw: 1}
+                else:
+                    expected = {w: -1}
+                assert dict(left_mul_gen(i, t_basis(n, w)).terms) == expected
+
+    def test_generator_action_computes_no_length(self, monkeypatch):
+        x = t_leq_sigma((4,), 4)
+        basis = basis_elements(4)
+
+        def no_length(w):
+            raise AssertionError("the generator action computed a length")
+
+        monkeypatch.setattr(hecke, "length", no_length)
+        assert is_central(x)
+        for a in basis[::5]:
+            for b in basis:
+                mul(a, b)
 
     def test_right_action_mirrors_left_through_inverse(self):
         for n in range(2, 5):
@@ -129,6 +156,19 @@ class TestOrderIdeal:
     def test_three_cycle_class_ideal(self):
         got = order_ideal({perm((1, 2, 3), n=3), perm((1, 3, 2), n=3)})
         assert got == set(all_perms(3)) - {perm((1, 3), n=3)}
+
+    def test_empty_input(self):
+        assert order_ideal([]) == frozenset()
+
+    def test_mixed_length_generators(self):
+        gens = {(2, 3, 1, 4), (1, 2, 4, 3)}
+        assert order_ideal(gens) == oracles.ideal_by_inversions(gens)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_inversion_closure_every_label(self, n):
+        for alpha in enumerate_maximal(n):
+            gens = sigma_class(alpha).elements
+            assert order_ideal(gens) == oracles.ideal_by_inversions(gens), alpha
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_bruhat_filter_and_is_downward_closed(self, n):
@@ -218,5 +258,5 @@ class TestVerifyCenterBasis:
 
     def test_independence_and_count_n6(self):
         report = verify_center_basis(6)
-        assert report.independent and report.size_matches
+        assert report.ok, report.failures
         assert report.dim == 12

@@ -13,7 +13,9 @@ from heckezero.stair_classes import (
     member_sigma_alpha, odd_hook_embed, sigma_class, stair_form,
     stair_sequence, standardize_cycle,
 )
+from heckezero import stair_classes
 from heckezero.compositions import enumerate_maximal, hook_kind, is_maximal
+from heckezero.errors import DegreeLimitError
 
 from oracles import compositions_of, perms_of_type
 
@@ -285,6 +287,17 @@ class TestCycleClass:
                 assert p in got
         assert count == len(got)
 
+    def test_count_check_catches_a_broken_lift(self, monkeypatch):
+        # appending a fixed point ignores q, so the odd step is not injective
+        monkeypatch.setattr(stair_classes, "_lift",
+                            lambda n, sigma, q: sigma + (n,))
+        cycle_class.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="expected 6"):
+                cycle_class(5)
+        finally:
+            cycle_class.cache_clear()
+
 
 class TestOddHookEmbed:
     def test_example_tau_132(self):
@@ -358,7 +371,7 @@ class TestSigmaClass:
         assert got.elements == approx_class(stair_form((3, 3)))
 
     def test_resource_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegreeLimitError):
             sigma_class((5, 5))  # odd non-hook needs a scan of S_10
 
     def test_guard_gates_the_odd_tail_degree(self):

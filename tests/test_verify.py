@@ -4,8 +4,8 @@ import pytest
 
 import heckezero
 from heckezero import (
-    cli, compositions, counting, cyclic_shift, hecke, inductive_product,
-    permutations, stair_classes, verify,
+    cli, compositions, counting, cyclic_shift, errors, hecke,
+    inductive_product, permutations, stair_classes, verify,
 )
 
 
@@ -16,8 +16,28 @@ def test_predicate_mismatch_fails_the_suite(monkeypatch):
     assert not any(c["predicate_matches"] for c in report["checks"])
 
 
+def test_construction_fault_fails_the_suite(monkeypatch):
+    def broken(alpha, force=False):
+        raise ValueError("constructive route broke")
+
+    monkeypatch.setattr(verify, "sigma_class", broken)
+    report = verify.suite_classes(4)
+    assert report["ok"] is False
+    assert all(c["constructive_matches"] is False for c in report["checks"])
+
+
+def test_degree_limit_skips_the_constructive_check(monkeypatch):
+    def gated(alpha, force=False):
+        raise errors.DegreeLimitError("beyond the soft limit")
+
+    monkeypatch.setattr(verify, "sigma_class", gated)
+    report = verify.suite_classes(4)
+    assert report["ok"] is True
+    assert all(c["constructive_matches"] is None for c in report["checks"])
+
+
 @pytest.mark.parametrize("module", [
-    heckezero, cli, compositions, counting, cyclic_shift, hecke,
+    heckezero, cli, compositions, counting, cyclic_shift, errors, hecke,
     inductive_product, permutations, stair_classes, verify,
 ], ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
