@@ -6,7 +6,7 @@ The package has two halves that check each other:
 
 * a brute-force half (`cyclic_shift`) that computes the equivalence
   classes of the length-non-increasing conjugation relation on all of S_n
-  by strongly connected components, and
+  as the connected components of its length-preserving steps, and
 * a constructive half (`stair_classes`, `inductive_product`, `counting`)
   whose single route, `sigma_class`, builds each maximal-stratum class from
   its odd tail (the identity, a hook embedding of a grown full-cycle class,
@@ -41,7 +41,7 @@ from .inductive_product import (
 from .permutations import (
     bruhat_leq, compose, conj_adjacent, conj_w0, cycle_string, cycle_type,
     cycles, even_orbits, from_cycles, identity, inverse, length,
-    length_delta_conj, longest_element, swap_values,
+    longest_element, swap_values,
 )
 from .stair_classes import (
     cycle_class, cycle_delete, cycle_insert, has_connected_intervals,
@@ -60,7 +60,7 @@ __all__ = [
     "has_connected_intervals",
     "hook_kind", "hook_properties", "identity", "inverse", "iprod",
     "iprod_factor", "iprod_length_law", "is_central", "is_maximal",
-    "is_oscillating", "label_max_classes", "length", "length_delta_conj",
+    "is_oscillating", "label_max_classes", "length",
     "lift_cycle_class", "longest_element", "lower_cycle_class",
     "member_sigma_alpha", "min_representatives", "mul", "odd_hook_embed",
     "one_step", "orbit_partition_histogram", "order_ideal", "sigma_class",

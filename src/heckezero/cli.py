@@ -66,11 +66,12 @@ def _class_entry(cls) -> dict:
 
 
 def _cmd_classes(args) -> int:
-    classes = equiv_classes(args.n, args.twist, args.stratum, force=args.force)
     if args.twist == "id" and args.stratum == "max":
-        labelled = label_max_classes(args.n, force=args.force)
-        by_min = {cls.min_element: cls for cls in labelled.values()}
-        classes = [by_min[c.min_element] for c in classes]
+        classes = sorted(label_max_classes(args.n, force=args.force).values(),
+                         key=lambda c: c.min_element)
+    else:
+        classes = equiv_classes(args.n, args.twist, args.stratum,
+                                force=args.force)
     doc = {
         "n": args.n,
         "twist": args.twist,
@@ -87,10 +88,7 @@ def _cmd_sigma(args) -> int:
     alpha = _parse_alpha(args.alpha)
     if not is_maximal(alpha):
         raise _CliError(f"not a maximal composition: {alpha}")
-    try:
-        cls = sigma_class(alpha, force=args.force)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    cls = sigma_class(alpha, force=args.force)
     doc = _class_entry(cls)
     _emit(doc, args,
           f"class of {alpha}: {cls.size} elements of length {cls.common_length}")

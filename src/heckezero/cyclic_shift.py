@@ -8,10 +8,14 @@ reflexive-transitive closure of these steps is a preorder; mutual
 reachability is an equivalence whose classes partition the strata of
 minimal- and maximal-length elements of each twisted conjugacy class.
 
-Classes are computed as strongly connected components of the one-step
-digraph over all of S_n.  Enumerations materialize S_n in lexicographic
-one-line order, so everything here is deterministic; the practical degree
-bound n <= 8 is a soft limit lifted by `force=True`.
+Steps never increase length, so a round trip keeps the length constant,
+and the same step undoes a length-preserving step.  The classes are
+therefore the connected components of the length-preserving steps, found
+by one search per class from its least member.  The step kernel decides
+the length change of each step from two comparisons and computes no
+length.  Enumerations materialize S_n in lexicographic one-line order, so
+everything here is deterministic; the practical degree bound n <= 8 is a
+soft limit lifted by `force=True`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .compositions import Composition, enumerate_maximal
 from .errors import DegreeLimitError
 from .permutations import (
     OrbitPartition, Perm, all_perms, compose, cycle_type, even_orbits,
-    length, longest_element, swap_values,
+    length, longest_element,
 )
 from .stair_classes import stair_form
 
@@ -87,18 +91,24 @@ def _check_twist(twist: str) -> None:
         raise ValueError(f"unknown twist {twist!r}; expected one of {TWISTS}")
 
 
-def twisted_gen(i: int, n: int, twist: str) -> int:
-    """Image of the generator index i under the twist (i itself, or n-i)."""
-    _check_twist(twist)
-    return i if twist == "id" else n - i
+def _step(w: Perm, i: int, twist: str) -> tuple[Perm, int]:
+    """The permutation s_i * w * delta(s_i) and its length minus length(w).
 
-
-def _step(w: Perm, i: int, twist: str) -> Perm:
-    """The permutation s_i * w * delta(s_i), regardless of length."""
-    j = twisted_gen(i, len(w), twist)
-    q = list(swap_values(w, i))
-    q[j - 1], q[j] = q[j], q[j - 1]           # right factor swaps positions j, j+1
-    return tuple(q)
+    The left factor swaps the values i and i+1, which lengthens w exactly
+    when i stands left of i+1; the right factor s_j (j = i, or n-i under
+    the `nu` twist) swaps the positions j and j+1, which lengthens exactly
+    when they ascend.  Each factor moves the length by one, so the
+    difference is -2, 0 or +2 and no length is computed.  `twist` is
+    assumed valid; the public entry points check it.
+    """
+    j = i if twist == "id" else len(w) - i
+    a = w.index(i)
+    b = w.index(i + 1)
+    q = list(w)
+    q[a], q[b] = i + 1, i
+    delta = (1 if a < b else -1) + (1 if q[j - 1] < q[j] else -1)
+    q[j - 1], q[j] = q[j], q[j - 1]
+    return tuple(q), delta
 
 
 def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
@@ -108,26 +118,25 @@ def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
     >>> one_step((2, 3, 1), 1)     # (1,2,3) -> (1,3,2)
     (3, 1, 2)
     """
+    _check_twist(twist)
     n = len(w)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for S_{n}")
-    w2 = _step(w, i, twist)
-    return w2 if length(w2) <= length(w) else None
+    u, delta = _step(w, i, twist)
+    return u if delta <= 0 else None
 
 
 def _search(w: Perm, twist: str, keep) -> frozenset[Perm]:
-    """Depth-first search from `w` along the steps v -> u with
-    keep(length(u), length(v))."""
-    _check_twist(twist)
+    """Depth-first search from `w` along the steps whose length change
+    `delta` satisfies keep(delta, 0)."""
     n = len(w)
     seen = {w}
     stack = [w]
     while stack:
         v = stack.pop()
-        lv = length(v)
         for i in range(1, n):
-            u = _step(v, i, twist)
-            if u not in seen and keep(length(u), lv):
+            u, delta = _step(v, i, twist)
+            if u not in seen and keep(delta, 0):
                 seen.add(u)
                 stack.append(u)
     return frozenset(seen)
@@ -135,6 +144,7 @@ def _search(w: Perm, twist: str, keep) -> frozenset[Perm]:
 
 def arrow_closure(w: Perm, twist: str = "id") -> frozenset[Perm]:
     """All permutations reachable from `w` by cyclic-shift steps."""
+    _check_twist(twist)
     return _search(w, twist, operator.le)
 
 
@@ -142,11 +152,13 @@ def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
     """The full equivalence class of `w` under mutual reachability.
 
     Steps never increase length, so any round trip w -> ... -> w' -> ... -> w
-    keeps the length constant throughout.  The class of `w` is therefore the
-    connected component of `w` under length-preserving steps alone, which
-    this BFS explores directly; unlike `equiv_classes` it never touches the
-    rest of S_n, so it stays cheap even at degrees where n! is out of reach.
+    keeps the length constant throughout, and a length-preserving step is
+    undone by the same step.  The class of `w` is therefore the connected
+    component of `w` under length-preserving steps alone, which this search
+    explores directly; it never touches the rest of S_n, so it stays cheap
+    even at degrees where n! is out of reach.
     """
+    _check_twist(twist)
     return _search(w, twist, operator.eq)
 
 
@@ -161,69 +173,18 @@ def _check_degree(n: int, force: bool) -> None:
 
 
 @lru_cache(maxsize=None)
-def _scc_partition(n: int, twist: str) -> tuple[frozenset[Perm], ...]:
-    """Strongly connected components of the one-step digraph on S_n.
-
-    Iterative Tarjan over vertex ranks in lexicographic order.
+def _classes(n: int, twist: str) -> tuple[frozenset[Perm], ...]:
+    """The partition of S_n into classes, in lexicographic order of their
+    least members: each permutation not yet covered starts the class
+    `approx_class` finds from it, and is that class's least member.
     """
-    perms = list(all_perms(n))
-    rank = {p: r for r, p in enumerate(perms)}
-    lens = [length(p) for p in perms]
-    nverts = len(perms)
-
-    succs: list[list[int]] = []
-    for v, w in enumerate(perms):
-        lw = lens[v]
-        row = []
-        for i in range(1, n):
-            u = rank[_step(w, i, twist)]
-            if lens[u] <= lw:
-                row.append(u)
-        succs.append(row)
-
-    index = [-1] * nverts
-    low = [0] * nverts
-    on_stack = bytearray(nverts)
-    stack: list[int] = []
+    covered: set[Perm] = set()
     comps: list[frozenset[Perm]] = []
-    counter = 0
-
-    for root in range(nverts):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            for k in range(pi, len(succs[v])):
-                u = succs[v][k]
-                if index[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = 0
-                    comp.append(perms[u])
-                    if u == v:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+    for w in all_perms(n):
+        if w not in covered:
+            comp = approx_class(w, twist)
+            covered |= comp
+            comps.append(comp)
     return tuple(comps)
 
 
@@ -244,34 +205,51 @@ def equiv_classes(
 
     `stratum` restricts to classes of minimal ("min") or maximal ("max")
     length within their twisted conjugacy class; "all" keeps everything.
-    Classes are sorted by their lexicographically smallest member.
+    Every member of a class shares its length and its twisted conjugacy
+    class, so one member per class decides the strata.  Classes are sorted
+    by their lexicographically smallest member.
     """
     _check_twist(twist)
     _check_degree(n, force)
     if stratum not in ("all", "min", "max"):
         raise ValueError(f"unknown stratum {stratum!r}")
-    comps = _scc_partition(n, twist)
-
-    if stratum == "all":
-        chosen = list(comps)
-    else:
+    comps = _classes(n, twist)
+    if stratum != "all":
         w0 = longest_element(n)
-        extreme: dict[tuple, int] = {}
         better = min if stratum == "min" else max
-        for w in all_perms(n):
-            key = _delta_class_key(w, twist, w0)
-            lw = length(w)
-            cur = extreme.get(key)
-            extreme[key] = lw if cur is None else better(cur, lw)
-        chosen = []
+        keyed = []
+        extreme: dict[tuple, int] = {}
         for comp in comps:
             w = next(iter(comp))
-            if length(w) == extreme[_delta_class_key(w, twist, w0)]:
-                chosen.append(comp)
+            key, lw = _delta_class_key(w, twist, w0), length(w)
+            extreme[key] = better(extreme.get(key, lw), lw)
+            keyed.append((key, lw, comp))
+        comps = [comp for key, lw, comp in keyed if lw == extreme[key]]
+    return [make_equiv_class(comp) for comp in comps]
 
-    classes = [make_equiv_class(comp) for comp in chosen]
-    classes.sort(key=lambda c: c.min_element)
-    return classes
+
+def _match_representatives(
+    classes: list[EquivClass], reps: dict[Composition, Perm], what: str, where: str
+) -> dict[Composition, int]:
+    """The index in `classes` of the class holding each representative.
+
+    Raises RuntimeError unless the representatives hit every class exactly
+    once; any failure would indicate a bug.
+    """
+    of_elem = {w: idx for idx, cls in enumerate(classes) for w in cls.elements}
+    hit: dict[int, Composition] = {}
+    for alpha, rep in reps.items():
+        idx = of_elem.get(rep)
+        if idx is None:
+            raise RuntimeError(f"{what} of {alpha} is not in {where}")
+        if idx in hit:
+            raise RuntimeError(f"{what}s of {hit[idx]} and {alpha} share one class")
+        hit[idx] = alpha
+    if len(hit) != len(classes):
+        raise RuntimeError(
+            f"{len(classes) - len(hit)} classes of {where} hold no {what}"
+        )
+    return {alpha: idx for idx, alpha in hit.items()}
 
 
 def label_max_classes(n: int, force: bool = False) -> dict[Composition, EquivClass]:
@@ -283,30 +261,10 @@ def label_max_classes(n: int, force: bool = False) -> dict[Composition, EquivCla
     would indicate a bug and raises RuntimeError.
     """
     classes = equiv_classes(n, "id", "max", force)
-    of_elem: dict[Perm, int] = {}
-    for idx, cls in enumerate(classes):
-        for w in cls.elements:
-            of_elem[w] = idx
-    out: dict[Composition, EquivClass] = {}
-    hit: dict[int, Composition] = {}
-    for alpha in enumerate_maximal(n):
-        sf = stair_form(alpha)
-        idx = of_elem.get(sf)
-        if idx is None:
-            raise RuntimeError(
-                f"stair form of {alpha} is not in the maximal stratum of S_{n}"
-            )
-        if idx in hit:
-            raise RuntimeError(
-                f"stair forms of {hit[idx]} and {alpha} share one class"
-            )
-        hit[idx] = alpha
-        out[alpha] = replace(classes[idx], alpha=alpha)
-    if len(hit) != len(classes):
-        raise RuntimeError(
-            f"{len(classes) - len(hit)} maximal classes of S_{n} carry no stair form"
-        )
-    return out
+    reps = {alpha: stair_form(alpha) for alpha in enumerate_maximal(n)}
+    index = _match_representatives(
+        classes, reps, "stair form", f"the maximal stratum of S_{n}")
+    return {alpha: replace(classes[index[alpha]], alpha=alpha) for alpha in reps}
 
 
 def min_representatives(n: int, force: bool = False) -> dict[Composition, Perm]:
@@ -317,27 +275,9 @@ def min_representatives(n: int, force: bool = False) -> dict[Composition, Perm]:
     the nu-minimal stratum and that every such class is hit; any failure
     raises RuntimeError.
     """
+    classes = equiv_classes(n, "nu", "min", force)
     w0 = longest_element(n)
     reps = {alpha: compose(stair_form(alpha), w0) for alpha in enumerate_maximal(n)}
-    classes = equiv_classes(n, "nu", "min", force)
-    of_elem: dict[Perm, int] = {}
-    for idx, cls in enumerate(classes):
-        for w in cls.elements:
-            of_elem[w] = idx
-    seen: dict[int, Composition] = {}
-    for alpha, rep in reps.items():
-        idx = of_elem.get(rep)
-        if idx is None:
-            raise RuntimeError(
-                f"representative of {alpha} is not nu-minimal in S_{n}"
-            )
-        if idx in seen:
-            raise RuntimeError(
-                f"representatives of {seen[idx]} and {alpha} share one class"
-            )
-        seen[idx] = alpha
-    if len(seen) != len(classes):
-        raise RuntimeError(
-            f"{len(classes) - len(seen)} nu-minimal classes of S_{n} missed"
-        )
+    _match_representatives(
+        classes, reps, "representative", f"the nu-minimal stratum of S_{n}")
     return reps

@@ -115,7 +115,7 @@ def left_mul_gen(i: int, x: HeckeElement) -> HeckeElement:
             acc[sw] = acc.get(sw, 0) + c
         else:
             acc[w] = acc.get(w, 0) - c
-    return hecke_element(x.n, acc)
+    return HeckeElement(x.n, {w: c for w, c in acc.items() if c})
 
 
 def right_mul_gen(i: int, x: HeckeElement) -> HeckeElement:
@@ -128,7 +128,7 @@ def right_mul_gen(i: int, x: HeckeElement) -> HeckeElement:
             acc[ws] = acc.get(ws, 0) + c
         else:
             acc[w] = acc.get(w, 0) - c
-    return hecke_element(x.n, acc)
+    return HeckeElement(x.n, {w: c for w, c in acc.items() if c})
 
 
 def reduced_word(w: Perm) -> tuple[int, ...]:
@@ -166,7 +166,7 @@ def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             y = left_mul_gen(i, y)
         for v, d in y.terms.items():
             acc[v] = acc.get(v, 0) + c * d
-    return hecke_element(a.n, acc)
+    return HeckeElement(a.n, {w: c for w, c in acc.items() if c})
 
 
 def order_ideal(sigma) -> frozenset[Perm]:

@@ -25,8 +25,7 @@ __all__ = [
     "Perm", "Cycle", "OrbitPartition",
     "identity", "is_perm", "all_perms", "compose", "inverse", "length",
     "left_descents", "right_descents", "longest_element",
-    "adjacent_transposition", "swap_values", "conj_adjacent",
-    "length_delta_conj", "conj_w0",
+    "adjacent_transposition", "swap_values", "conj_adjacent", "conj_w0",
     "cycles", "from_cycles", "cycle_type", "orbits", "even_orbits",
     "bruhat_leq", "cycle_string",
 ]
@@ -149,30 +148,6 @@ def conj_adjacent(p: Perm, i: int) -> Perm:
     q = list(swap_values(p, i))
     q[i - 1], q[i] = q[i], q[i - 1]
     return tuple(q)
-
-
-def length_delta_conj(p: Perm, i: int) -> int:
-    """The difference length(s_i p s_i) - length(p), always one of -2, 0, +2.
-
-    The value is determined without recomputing any lengths: conjugation by
-    s_i changes the length by -2 exactly when {p(i), p(i+1)} != {i, i+1} and
-    both p and p^-1 descend at i, by +2 in the mirrored situation, and
-    otherwise (including the case where i, i+1 are fixed or swapped by p)
-    leaves the length unchanged.
-    """
-    n = len(p)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for S_{n}")
-    a, b = p[i - 1], p[i]
-    if {a, b} == {i, i + 1}:
-        return 0
-    inv = inverse(p)
-    c, d = inv[i - 1], inv[i]
-    if a > b and c > d:
-        return -2
-    if a < b and c < d:
-        return +2
-    return 0
 
 
 def conj_w0(p: Perm) -> Perm:

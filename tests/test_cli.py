@@ -86,6 +86,14 @@ class TestSigma:
         code, _, err = run(capsys, "sigma", "--alpha", "2,x")
         assert code == 1
 
+    def test_gate_exits_1_with_message(self, capsys):
+        code, out, err = run(capsys, "sigma", "--alpha", "2,5,5")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: the class of (2, 5, 5) needs a filter scan of "
+                       "S_10, beyond the soft limit 9; pass force=True to "
+                       "override\n")
+
 
 class TestStairform:
     def test_42(self, capsys):

@@ -100,6 +100,10 @@ class TestDimCenter:
         assert [dim_center(n) for n in range(9)] == [
             1, 1, 2, 3, 5, 7, 12, 16, 26]
 
+    def test_large_degrees(self):
+        assert dim_center(36) == 524552
+        assert dim_center(40) == 2098849
+
     @pytest.mark.parametrize("n", range(8))
     def test_matches_brute_force_class_count(self, n):
         assert dim_center(n) == len(equiv_classes(n, "id", "max"))

@@ -2,11 +2,12 @@
 
 import pytest
 
+import heckezero.cyclic_shift as cyclic_shift
 from heckezero.compositions import enumerate_maximal
 from heckezero.errors import DegreeLimitError
 from heckezero.cyclic_shift import (
-    approx_class, arrow_closure, equiv_classes, label_max_classes,
-    min_representatives, one_step,
+    _classes, _match_representatives, _step, approx_class, arrow_closure,
+    equiv_classes, label_max_classes, min_representatives, one_step,
 )
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_type, even_orbits, from_cycles,
@@ -14,7 +15,9 @@ from heckezero.permutations import (
 )
 from heckezero.stair_classes import member_sigma_alpha, stair_form
 
-from oracles import mutual_classes
+from oracles import (
+    apply_gen_left, apply_gen_right, inv_count, mutual_classes, twisted_image,
+)
 
 
 def perm(*cycs, n):
@@ -39,6 +42,44 @@ class TestOneStep:
     def test_nu_twist_uses_mirrored_generator(self):
         # s_1 * w * s_{n-1}; for w = s_1 in S_4 this lands on s_1 s_1 s_3 = s_3
         assert one_step((2, 1, 3, 4), 1, "nu") == (1, 2, 4, 3)
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("twist", ["id", "nu"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_oracle(self, n, twist):
+        for w in all_perms(n):
+            lw = inv_count(w)
+            for i in range(1, n):
+                u = apply_gen_right(apply_gen_left(i, w),
+                                    twisted_image(i, n, twist))
+                assert _step(w, i, twist) == (u, inv_count(u) - lw)
+
+    def test_public_entry_points_reject_unknown_twist(self):
+        w = (2, 1, 3)
+        for call in (lambda: one_step(w, 1, "mu"),
+                     lambda: arrow_closure(w, "mu"),
+                     lambda: approx_class(w, "mu"),
+                     lambda: equiv_classes(3, "mu")):
+            with pytest.raises(ValueError, match="unknown twist"):
+                call()
+
+    @pytest.mark.parametrize("twist", ["id", "nu"])
+    def test_computes_no_length(self, twist, monkeypatch):
+        def no_length(w):
+            raise AssertionError("the step kernel must not compute a length")
+
+        expected = _classes(6, twist)
+        _classes.cache_clear()
+        monkeypatch.setattr(cyclic_shift, "length", no_length)
+        try:
+            assert _classes(6, twist) == expected
+            w = perm((1, 6, 2, 5, 3, 4), n=6)
+            assert approx_class(w, twist) in expected
+            assert approx_class(w, twist) <= arrow_closure(w, twist)
+            assert one_step(w, 2, twist) is not None
+        finally:
+            _classes.cache_clear()
 
 
 class TestArrowClosure:
@@ -98,7 +139,7 @@ class TestEquivClasses:
         assert len(equiv_classes(6, "id", "max")) == 12
 
     @pytest.mark.parametrize("twist", ["id", "nu"])
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", range(6))
     def test_matches_pairwise_reachability_oracle(self, n, twist):
         got = {cls.elements for cls in equiv_classes(n, twist)}
         expected = set(mutual_classes(n, twist))
@@ -207,6 +248,33 @@ class TestLabelMaxClasses:
                 assert member_sigma_alpha(w, alpha)
 
 
+class TestMatchRepresentatives:
+    """The one check behind label_max_classes and min_representatives."""
+
+    def classes(self):
+        return equiv_classes(3, "id", "max")
+
+    def test_bijection(self):
+        reps = {alpha: stair_form(alpha) for alpha in enumerate_maximal(3)}
+        index = _match_representatives(self.classes(), reps, "rep", "S_3")
+        assert sorted(index.values()) == [0, 1, 2]
+
+    def test_rejects_outside_rep(self):
+        reps = {(3,): (2, 1, 3)}
+        with pytest.raises(RuntimeError, match="rep of \\(3,\\) is not in"):
+            _match_representatives(self.classes(), reps, "rep", "S_3")
+
+    def test_rejects_shared_class(self):
+        reps = {(3,): (2, 3, 1), (2, 1): (3, 1, 2)}
+        with pytest.raises(RuntimeError, match="share one class"):
+            _match_representatives(self.classes(), reps, "rep", "S_3")
+
+    def test_rejects_missed_class(self):
+        reps = {(3,): (2, 3, 1)}
+        with pytest.raises(RuntimeError, match="2 classes of S_3 hold no rep"):
+            _match_representatives(self.classes(), reps, "rep", "S_3")
+
+
 class TestNuInvariance:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_conj_w0_stabilizes_max_classes(self, n):
@@ -242,7 +310,7 @@ class TestTwistedConjugacyKey:
             while stack:
                 v = stack.pop()
                 for i in range(1, n):
-                    u = _step(v, i, "nu")
+                    u = _step(v, i, "nu")[0]
                     if u not in orbit:
                         orbit.add(u)
                         stack.append(u)

@@ -5,8 +5,9 @@ import pytest
 from heckezero.permutations import (
     all_perms, bruhat_leq, compose, conj_adjacent, conj_w0, cycle_string,
     cycle_type, cycles, even_orbits, from_cycles, identity, inverse, length,
-    length_delta_conj, left_descents, longest_element, right_descents,
+    left_descents, longest_element, right_descents,
 )
+from heckezero.cyclic_shift import _step
 
 from oracles import bruhat_leq_oracle
 
@@ -95,22 +96,26 @@ class TestConjAdjacent:
 
 
 class TestLengthDeltaConj:
+    """The length change of conjugation by s_i, as the identity-twist
+    cyclic-shift step kernel reports it."""
+
     def test_identity_case(self):
         for i in range(1, 4):
-            assert length_delta_conj(identity(4), i) == 0
+            assert _step(identity(4), i, "id") == (identity(4), 0)
 
     def test_stair_six(self):
         p = perm((1, 6, 2, 5, 3, 4), n=6)
-        assert length_delta_conj(p, 2) == -2
+        assert _step(p, 2, "id")[1] == -2
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_direct_computation(self, n):
         for p in all_perms(n):
             lp = length(p)
             for i in range(1, n):
-                delta = length_delta_conj(p, i)
+                q, delta = _step(p, i, "id")
+                assert q == conj_adjacent(p, i)
                 assert delta in (-2, 0, 2)
-                assert delta == length(conj_adjacent(p, i)) - lp
+                assert delta == length(q) - lp
 
 
 class TestConjW0:

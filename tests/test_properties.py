@@ -4,12 +4,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from heckezero.cyclic_shift import approx_class, one_step
+from heckezero.cyclic_shift import _step, approx_class, one_step
 from heckezero.inductive_product import iprod, iprod_factor, iprod_length_law
 from heckezero.permutations import (
-    adjacent_transposition, bruhat_leq, compose, conj_adjacent, conj_w0,
-    cycle_type, from_cycles, inverse, length, length_delta_conj,
-    longest_element, swap_values,
+    adjacent_transposition, bruhat_leq, compose, conj_w0,
+    cycle_type, from_cycles, inverse, length, longest_element, swap_values,
 )
 from heckezero.stair_classes import (
     cycle_class, cycle_delete, cycle_insert, lift_cycle_class,
@@ -62,10 +61,15 @@ def test_w0_laws(p):
     assert conj_w0(conj_w0(p)) == p
 
 
-@given(perms(min_n=2), st.data())
-def test_length_delta_matches_direct(p, data):
-    i = data.draw(st.integers(min_value=1, max_value=len(p) - 1))
-    assert length_delta_conj(p, i) == length(conj_adjacent(p, i)) - length(p)
+@given(perms(min_n=2), st.data(), st.sampled_from(["id", "nu"]))
+def test_length_delta_matches_direct(p, data, twist):
+    n = len(p)
+    i = data.draw(st.integers(min_value=1, max_value=n - 1))
+    j = i if twist == "id" else n - i
+    q, delta = _step(p, i, twist)
+    assert q == compose(compose(adjacent_transposition(n, i), p),
+                        adjacent_transposition(n, j))
+    assert delta == length(q) - length(p)
 
 
 @given(perms(min_n=2), st.data())
