@@ -11,8 +11,8 @@ Two constructions reach far beyond brute force:
   rest, under an interleaving embedding of S_{n1} x S_{n2}.
 
 `sigma_class` applies both: it builds the odd tail (a hook embedding, or
-the membership filter when the odd parts are not a hook) and then splits
-the even parts off one product at a time.
+the class search from the tail's stair form when the odd parts are not a
+hook) and then splits the even parts off one product at a time.
 """
 
 from heckezero import (

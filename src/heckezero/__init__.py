@@ -9,9 +9,10 @@ The package has two halves that check each other:
   as the connected components of its length-preserving steps, and
 * a constructive half (`stair_classes`, `inductive_product`, `counting`)
   whose single route, `sigma_class`, builds each maximal-stratum class from
-  its odd tail (the identity, a hook embedding of a grown full-cycle class,
-  or the membership filter) and then joins the even parts through the
-  interleaving product, together with closed counting formulas.
+  its odd tail (a hook embedding of a grown full-cycle class, or else the
+  class search from the tail's stair form) and then joins the even parts
+  through the interleaving product, together with closed counting
+  formulas.
 
 On top of both, `hecke` realizes the center of the 0-Hecke algebra as
 indicator sums over Bruhat order ideals of the maximal classes and

@@ -17,7 +17,6 @@ import sys
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import equiv_classes, label_max_classes
-from .errors import DegreeLimitError
 from .hecke import t_leq_sigma
 from .permutations import cycle_string
 from .stair_classes import sigma_class, stair_form
@@ -88,7 +87,7 @@ def _cmd_sigma(args) -> int:
     alpha = _parse_alpha(args.alpha)
     if not is_maximal(alpha):
         raise _CliError(f"not a maximal composition: {alpha}")
-    cls = sigma_class(alpha, force=args.force)
+    cls = sigma_class(alpha)
     doc = _class_entry(cls)
     _emit(doc, args,
           f"class of {alpha}: {cls.size} elements of length {cls.common_length}")
@@ -122,16 +121,7 @@ def _cmd_count(args) -> int:
     formula = None
     if not odds or hook_kind(odds) != "not_hook":
         formula = size_sigma_formula(alpha)
-    enumerated = None
-    try:
-        enumerated = sigma_class(alpha, force=args.force).size
-    except DegreeLimitError:
-        pass
-    if formula is None and enumerated is None:
-        raise _CliError(
-            f"no closed formula for {alpha} (odd parts are not a hook) and "
-            "enumeration exceeds the practical bound; use --force"
-        )
+    enumerated = sigma_class(alpha).size
     doc = {"alpha": list(alpha), "formula": formula, "enumerated": enumerated}
     _emit(doc, args,
           f"size of the class of {alpha}: formula={formula} "

@@ -27,8 +27,7 @@ from functools import lru_cache
 from .compositions import Composition, enumerate_maximal
 from .errors import DegreeLimitError
 from .permutations import (
-    OrbitPartition, Perm, all_perms, compose, cycle_type, even_orbits,
-    length, longest_element,
+    Perm, all_perms, compose, cycle_type, length, longest_element,
 )
 from .stair_classes import stair_form
 
@@ -51,15 +50,12 @@ class EquivClass:
 
     All members share a common Coxeter length.  `alpha` is the labelling
     maximal composition when the class is a labelled maximal-stratum class,
-    else None.  `even_orbit_partition` is the even-size orbit partition
-    shared by every member, or None when the members disagree (possible
-    only for unlabelled strata).
+    else None.
     """
 
     elements: frozenset[Perm]
     common_length: int
     alpha: Composition | None = None
-    even_orbit_partition: OrbitPartition | None = None
 
     @property
     def size(self) -> int:
@@ -74,16 +70,14 @@ class EquivClass:
 
 
 def make_equiv_class(elements, alpha: Composition | None = None) -> EquivClass:
-    """Build an EquivClass, computing the shared length and orbit data."""
+    """Build an EquivClass, checking that its members share one length."""
     elems = frozenset(elements)
     if not elems:
         raise ValueError("an equivalence class cannot be empty")
     lengths = {length(w) for w in elems}
     if len(lengths) != 1:
         raise ValueError("elements do not share a common length")
-    pes = {even_orbits(w) for w in elems}
-    pe = next(iter(pes)) if len(pes) == 1 else None
-    return EquivClass(elems, lengths.pop(), alpha, pe)
+    return EquivClass(elems, lengths.pop(), alpha)
 
 
 def _check_twist(twist: str) -> None:

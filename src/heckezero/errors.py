@@ -10,5 +10,5 @@ __all__ = ["DegreeLimitError"]
 class DegreeLimitError(ValueError):
     """A degree beyond a soft limit for exponential work, requested
     without `force=True`.  A subclass of ValueError, so the CLI still maps
-    it to exit code 1, but callers that can skip an over-limit case catch
-    it alone and let every other ValueError through."""
+    it to exit code 1, while callers can tell it from other invalid
+    input."""

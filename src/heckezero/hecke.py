@@ -24,6 +24,7 @@ from typing import Iterable, Mapping
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
+from .cyclic_shift import _check_degree
 from .permutations import Perm, all_perms, identity, length
 from .stair_classes import sigma_class
 
@@ -217,6 +218,9 @@ def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement
     """The central element of the class labelled by `alpha`: the indicator
     sum of T_x over the Bruhat order ideal generated by the class.
 
+    The ideal can hold most of S_n, so n is gated by the brute-force soft
+    limit `DEGREE_SOFT_LIMIT`, lifted by `force=True`.
+
     >>> t_leq_sigma((1, 1, 1), 3) == t_one(3)
     True
     """
@@ -224,7 +228,8 @@ def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement
         raise ValueError(f"not a maximal composition: {alpha}")
     if sum(alpha) != n:
         raise ValueError(f"|{alpha}| != {n}")
-    ideal = order_ideal(sigma_class(alpha, force=force))
+    _check_degree(n, force)
+    ideal = order_ideal(sigma_class(alpha))
     return HeckeElement(n, {w: 1 for w in ideal})
 
 

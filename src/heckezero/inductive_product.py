@@ -114,11 +114,11 @@ def stair_factorization(alpha: Composition) -> tuple[Perm, Perm]:
     return head, tail
 
 
-def sigma_star(alpha: Composition, force: bool = False) -> frozenset[Perm]:
+def sigma_star(alpha: Composition) -> frozenset[Perm]:
     """The members of the class of `alpha` whose full orbit partition equals
     that of the stair form."""
     base = orbits(stair_form(alpha))
-    cls = sigma_class(alpha, force=force)
+    cls = sigma_class(alpha)
     return frozenset(w for w in cls.elements if orbits(w) == base)
 
 

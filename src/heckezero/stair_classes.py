@@ -12,7 +12,8 @@ set of full cycles that are *oscillating* with *connected intervals*, and
 it grows degree by degree through an insertion bijection.  `sigma_class` is
 the one constructive route to every labelled class: the even parts split off
 through the interleaving product, an odd tail shaped like a hook comes from
-the hook embedding, and any other odd tail from the membership filter.
+the hook embedding, and any other odd tail is the cyclic-shift class of its
+stair form.
 
 >>> cycle_string(stair_form((4, 2)))
 '(1,6,2,5)(3,4)'
@@ -30,10 +31,9 @@ from .compositions import (
     split_even_odd,
 )
 from .counting import size_sigma_n
-from .errors import DegreeLimitError
 from .permutations import (
-    Cycle, Perm, all_perms, cycle_string, cycle_type, cycles, even_orbits,
-    from_cycles, identity, inverse, length,
+    Cycle, Perm, cycle_string, cycle_type, cycles, even_orbits, from_cycles,
+    identity, inverse, length,
 )
 
 __all__ = [
@@ -41,12 +41,8 @@ __all__ = [
     "standardize_cycle", "is_oscillating_cycle", "has_connected_intervals_cycle",
     "is_oscillating", "has_connected_intervals", "hook_properties",
     "cycle_insert", "cycle_delete", "lift_cycle_class", "lower_cycle_class",
-    "cycle_class", "odd_hook_embed", "sigma_class", "FILTER_SOFT_LIMIT",
+    "cycle_class", "odd_hook_embed", "sigma_class",
 ]
-
-#: Largest degree of the odd tail that the membership filter scans without
-#: force.
-FILTER_SOFT_LIMIT = 9
 
 
 def stair_sequence(n: int) -> tuple[int, ...]:
@@ -392,42 +388,30 @@ def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
     return from_cycles(n, [tuple(support[t - 1] for t in c)])
 
 
-def sigma_class(alpha: Composition, force: bool = False):
+def sigma_class(alpha: Composition):
     """The full class labelled by the maximal composition `alpha`, as an
     EquivClass.
 
-    The odd tail is built first: the identity when its parts are all ones,
-    the image of `odd_hook_embed` when they form a hook, and otherwise the
-    permutations of S_{|tail|} that pass `member_sigma_alpha` (soft limit
-    FILTER_SOFT_LIMIT on |tail|, lifted by `force=True`).  Each even part,
-    right to left, then joins through the interleaving product with the
-    class of full cycles of that size.
+    The odd tail is built first: the image of `odd_hook_embed` when it is a
+    hook with long part >= 3, and otherwise the cyclic-shift class of its
+    stair form, found by the reachability search (`approx_class`), which
+    visits only the class.  Each even part, right to left, then joins
+    through the interleaving product with the class of full cycles of that
+    size.
     """
-    from .cyclic_shift import make_equiv_class
+    from .cyclic_shift import approx_class, make_equiv_class
     from .inductive_product import iprod
 
     evens, odds, _ = split_even_odd(alpha)
-    n = sum(odds)
-    if all(a == 1 for a in odds):
-        current = {identity(n)}
-    elif hook_kind(odds) == "odd_hook":
+    if hook_kind(odds) == "odd_hook" and odds[0] >= 3:
+        n = sum(odds)
         m = (odds[0] - 1) // 2
         current = {
             odd_hook_embed(tau, j, odds)
             for tau in cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
         }
     else:
-        if n > FILTER_SOFT_LIMIT and not force:
-            raise DegreeLimitError(
-                f"the class of {alpha} needs a filter scan of S_{n}, beyond "
-                f"the soft limit {FILTER_SOFT_LIMIT}; pass force=True to "
-                "override"
-            )
-        target = sort_to_partition(odds)
-        current = {
-            p for p in all_perms(n)
-            if cycle_type(p) == target and member_sigma_alpha(p, odds)
-        }
+        current = approx_class(stair_form(odds))
     for part in reversed(evens):
         current = {iprod(a, b) for a in cycle_class(part) for b in current}
     return make_equiv_class(current, alpha=alpha)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from .compositions import enumerate_maximal, hook_kind, sort_to_partition
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import label_max_classes
-from .errors import DegreeLimitError
 from .hecke import verify_center_basis
 from .inductive_product import iprod, iprod_length_law
 from .permutations import (
@@ -52,12 +51,10 @@ def suite_classes(n: int, force: bool = False) -> dict:
         )
         nu_stable = all(conj_w0(w) in brute for w in brute)
         try:
-            constructive = sigma_class(alpha, force=force).elements == brute
-        except DegreeLimitError:
-            constructive = None     # beyond the soft limit: not checked
+            constructive = sigma_class(alpha).elements == brute
         except ValueError:
             constructive = False    # a fault in the constructive route
-        good = predicate_ok and nu_stable and constructive is not False
+        good = predicate_ok and nu_stable and constructive
         ok = ok and good
         checks.append({
             "alpha": list(alpha),

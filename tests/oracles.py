@@ -134,26 +134,52 @@ def mutual_classes(n, twist="id"):
     return classes
 
 
+def orbit_sets(p):
+    """The orbits of p as frozensets, by following each unvisited point."""
+    seen = set()
+    out = []
+    for start in range(1, len(p) + 1):
+        if start in seen:
+            continue
+        orbit = set()
+        v = start
+        while v not in orbit:
+            orbit.add(v)
+            v = p[v - 1]
+        seen |= orbit
+        out.append(frozenset(orbit))
+    return out
+
+
 def perms_of_type(n, lam):
     """All permutations of S_n whose multiset of cycle lengths is lam."""
     target = tuple(sorted(lam, reverse=True))
-    out = []
-    for p in permutations(range(1, n + 1)):
-        lengths = []
-        seen = set()
-        for start in range(1, n + 1):
-            if start in seen:
-                continue
-            k = 0
-            v = start
-            while v not in seen:
-                seen.add(v)
-                v = p[v - 1]
-                k += 1
-            lengths.append(k)
-        if tuple(sorted(lengths, reverse=True)) == target:
-            out.append(p)
-    return out
+    return [p for p in permutations(range(1, n + 1))
+            if tuple(sorted(map(len, orbit_sets(p)), reverse=True)) == target]
+
+
+def invariant_class(alpha):
+    """The permutations that share cycle type, inversion count and even-size
+    orbits with the stair form of alpha.  The stair form is rebuilt here:
+    deal 1..n alternately from the low and the high end, cut the sequence
+    into blocks of sizes alpha and close each block into a cycle."""
+    n = sum(alpha)
+    rest = list(range(1, n + 1))
+    seq = [rest.pop(0) if r % 2 == 0 else rest.pop() for r in range(n)]
+    img = list(range(1, n + 1))
+    start = 0
+    for part in alpha:
+        block = seq[start:start + part]
+        for t, v in enumerate(block):
+            img[v - 1] = block[(t + 1) % part]
+        start += part
+    stair = tuple(img)
+
+    def even(p):
+        return {b for b in orbit_sets(p) if len(b) % 2 == 0}
+
+    return {p for p in perms_of_type(n, alpha)
+            if inv_count(p) == inv_count(stair) and even(p) == even(stair)}
 
 
 def compositions_of(n):

@@ -1,6 +1,7 @@
 """The command-line interface: subcommands, JSON schemas, exit codes."""
 
 import json
+import time
 
 from heckezero import cli
 from heckezero.cli import main
@@ -87,12 +88,8 @@ class TestSigma:
         assert code == 1
 
     def test_gate_exits_1_with_message(self, capsys):
-        code, out, err = run(capsys, "sigma", "--alpha", "2,5,5")
-        assert code == 1
-        assert out == ""
-        assert err == ("error: the class of (2, 5, 5) needs a filter scan of "
-                       "S_10, beyond the soft limit 9; pass force=True to "
-                       "override\n")
+        doc, _ = run_json(capsys, "sigma", "--alpha", "2,5,5")
+        assert doc["size"] == 664
 
 
 class TestStairform:
@@ -140,12 +137,13 @@ class TestCount:
         assert doc["enumerated"] == 108
 
     def test_non_hookish_large_fails_without_force(self, capsys):
-        code, _, err = run(capsys, "count", "--alpha", "5,5")
-        assert code == 1
+        doc, _ = run_json(capsys, "count", "--alpha", "5,5")
+        assert doc["formula"] is None
+        assert doc["enumerated"] == 664
 
     def test_construction_fault_is_not_read_as_gated(self, capsys,
                                                      monkeypatch):
-        def broken(alpha, force=False):
+        def broken(alpha):
             raise ValueError("constructive route broke")
 
         monkeypatch.setattr(cli, "sigma_class", broken)
@@ -168,6 +166,14 @@ class TestBasis:
         assert doc["dim"] == 3
         sizes = sorted(e["ideal_size"] for e in doc["elements"])
         assert sizes == [1, 5, 6]
+
+    def test_degree_gate(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "basis", "--n", "9", "--alpha", "9")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        assert "force" in err
 
     def test_alpha_degree_mismatch(self, capsys):
         code, _, err = run(capsys, "basis", "--n", "4", "--alpha", "3")

@@ -15,9 +15,8 @@ from heckezero.stair_classes import (
 )
 from heckezero import stair_classes
 from heckezero.compositions import enumerate_maximal, hook_kind, is_maximal
-from heckezero.errors import DegreeLimitError
 
-from oracles import compositions_of, perms_of_type
+from oracles import compositions_of, invariant_class, perms_of_type
 
 
 def perm(*cycs, n):
@@ -371,16 +370,21 @@ class TestSigmaClass:
         assert got.elements == approx_class(stair_form((3, 3)))
 
     def test_resource_guard(self):
-        with pytest.raises(DegreeLimitError):
-            sigma_class((5, 5))  # odd non-hook needs a scan of S_10
+        # 664 is the size the membership filter over S_10 found
+        assert sigma_class((5, 5)).size == 664
 
     def test_guard_gates_the_odd_tail_degree(self):
-        # degree 10, but the filter scans only S_8 for the tail (3, 3, 1, 1)
         got = sigma_class((2, 3, 3, 1, 1))
         assert got.size == 108 == sigma_class((3, 3, 1, 1)).size
         assert all(member_sigma_alpha(p, (2, 3, 3, 1, 1)) for p in got.elements)
-        with pytest.raises(ValueError, match=r"\(2, 5, 5\).*S_10"):
-            sigma_class((2, 5, 5))
+        got = sigma_class((2, 5, 5))
+        assert got.size == 664
+        assert all(member_sigma_alpha(p, (2, 5, 5)) for p in got.elements)
+
+    @pytest.mark.parametrize("alpha", [(5, 3), (3, 3, 1, 1), (2, 3, 3)])
+    def test_non_hook_tail_matches_invariant_oracle(self, alpha):
+        # every maximal label of 8 whose odd tail is not a hook
+        assert sigma_class(alpha).elements == invariant_class(alpha)
 
     def test_rejects_non_maximal(self):
         with pytest.raises(ValueError):

@@ -17,23 +17,13 @@ def test_predicate_mismatch_fails_the_suite(monkeypatch):
 
 
 def test_construction_fault_fails_the_suite(monkeypatch):
-    def broken(alpha, force=False):
+    def broken(alpha):
         raise ValueError("constructive route broke")
 
     monkeypatch.setattr(verify, "sigma_class", broken)
     report = verify.suite_classes(4)
     assert report["ok"] is False
     assert all(c["constructive_matches"] is False for c in report["checks"])
-
-
-def test_degree_limit_skips_the_constructive_check(monkeypatch):
-    def gated(alpha, force=False):
-        raise errors.DegreeLimitError("beyond the soft limit")
-
-    monkeypatch.setattr(verify, "sigma_class", gated)
-    report = verify.suite_classes(4)
-    assert report["ok"] is True
-    assert all(c["constructive_matches"] is None for c in report["checks"])
 
 
 @pytest.mark.parametrize("module", [
