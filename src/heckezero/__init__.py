@@ -30,7 +30,7 @@ from .cyclic_shift import (
     EquivClass, approx_class, arrow_closure, equiv_classes,
     label_max_classes, min_representatives, one_step,
 )
-from .errors import DegreeLimitError
+from .errors import DegreeLimitError, InvariantError
 from .hecke import (
     HeckeElement, is_central, mul, order_ideal, t_basis, t_leq_sigma,
     verify_center_basis,
@@ -54,7 +54,7 @@ from .stair_classes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeLimitError", "EquivClass", "HeckeElement",
+    "DegreeLimitError", "EquivClass", "HeckeElement", "InvariantError",
     "approx_class", "arrow_closure", "bruhat_leq", "compose", "conj_adjacent", "conj_w0", "cycle_class", "cycle_delete",
     "cycle_insert", "cycle_string", "cycle_type", "cycles", "dim_center",
     "enumerate_maximal", "equiv_classes", "even_orbits", "from_cycles",

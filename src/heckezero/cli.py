@@ -5,7 +5,8 @@ Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  Exit codes: 0 success, 1 invalid
 input or a degree beyond the soft limit without --force, 2 verification
-failure or internal invariant violated.
+failure or internal invariant violated (`InvariantError`).  Any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import equiv_classes, label_max_classes
+from .errors import InvariantError
 from .hecke import t_leq_sigma
 from .permutations import cycle_string
 from .stair_classes import sigma_class, stair_form
@@ -219,7 +221,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except InvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .compositions import Composition, enumerate_maximal
-from .errors import DegreeLimitError
+from .errors import DegreeLimitError, InvariantError
 from .permutations import (
     Perm, all_perms, compose, cycle_type, length, longest_element,
 )
@@ -227,7 +227,7 @@ def _match_representatives(
 ) -> dict[Composition, int]:
     """The index in `classes` of the class holding each representative.
 
-    Raises RuntimeError unless the representatives hit every class exactly
+    Raises InvariantError unless the representatives hit every class exactly
     once; any failure would indicate a bug.
     """
     of_elem = {w: idx for idx, cls in enumerate(classes) for w in cls.elements}
@@ -235,12 +235,12 @@ def _match_representatives(
     for alpha, rep in reps.items():
         idx = of_elem.get(rep)
         if idx is None:
-            raise RuntimeError(f"{what} of {alpha} is not in {where}")
+            raise InvariantError(f"{what} of {alpha} is not in {where}")
         if idx in hit:
-            raise RuntimeError(f"{what}s of {hit[idx]} and {alpha} share one class")
+            raise InvariantError(f"{what}s of {hit[idx]} and {alpha} share one class")
         hit[idx] = alpha
     if len(hit) != len(classes):
-        raise RuntimeError(
+        raise InvariantError(
             f"{len(classes) - len(hit)} classes of {where} hold no {what}"
         )
     return {alpha: idx for idx, alpha in hit.items()}
@@ -252,7 +252,7 @@ def label_max_classes(n: int, force: bool = False) -> dict[Composition, EquivCla
     For every maximal composition alpha of n, the returned mapping sends
     alpha to the class containing its stair-form permutation.  The map is
     checked to be a bijection onto the maximal-stratum classes; any failure
-    would indicate a bug and raises RuntimeError.
+    would indicate a bug and raises InvariantError.
     """
     classes = equiv_classes(n, "id", "max", force)
     reps = {alpha: stair_form(alpha) for alpha in enumerate_maximal(n)}
@@ -267,7 +267,7 @@ def min_representatives(n: int, force: bool = False) -> dict[Composition, Perm]:
 
     Verifies that the representatives lie in pairwise distinct classes of
     the nu-minimal stratum and that every such class is hit; any failure
-    raises RuntimeError.
+    raises InvariantError.
     """
     classes = equiv_classes(n, "nu", "min", force)
     w0 = longest_element(n)

@@ -10,8 +10,17 @@ or flips a sign:
               = -T_w        otherwise.
 
 The center has a basis of indicator sums over Bruhat order ideals
-generated by the maximal cyclic-shift classes; `verify_center_basis`
-checks centrality, linear independence and the dimension count.
+generated by the maximal cyclic-shift classes.  `verify_center_basis`
+checks centrality, linear independence and the dimension count from one
+downward sweep of S_n that gives each permutation a bitmask of the ideals
+holding it.  For a lower ideal I, T_i times the indicator sum of I is the
+indicator sum of its upper boundary {z : s_i z < z, s_i z in I, z not in I},
+and the right product is the same with z s_i, so centrality is a comparison
+of boundaries, made for every ideal at once by XOR.  Independence is
+certified by the unitriangular minor on the stair-form columns, with exact
+Bareiss elimination as the fallback when that pattern fails.  The sparse
+products and `is_central` stay as the algebra API and as the reference the
+sweep is tested against.
 
 Integer coefficients suffice throughout: all structure constants are
 integral, so any field case follows by extension of scalars.
@@ -20,13 +29,13 @@ integral, so any field case follows by extension of scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
 from .cyclic_shift import _check_degree
-from .permutations import Perm, all_perms, identity, length
-from .stair_classes import sigma_class
+from .permutations import Perm, identity, length
+from .stair_classes import sigma_class, stair_form
 
 __all__ = [
     "HeckeElement", "hecke_element", "t_basis", "t_one",
@@ -170,18 +179,42 @@ def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return HeckeElement(a.n, {w: c for w, c in acc.items() if c})
 
 
+def _covers_below(level: Iterable[Perm]) -> set[Perm]:
+    """Every Bruhat cover below some element of `level`.
+
+    The covers of w are the w * (i, j) with w(i) > w(j) and no value
+    strictly between them at a position strictly between them
+    (Bjorner-Brenti, GTM 231, §2.1).  For each i the scan steps j
+    rightwards keeping the largest value below w(i) seen so far; w(j) gives
+    a cover exactly when it exceeds that value.  Each cover is written into
+    one working copy of w and swapped back after it is recorded.
+    """
+    below: set[Perm] = set()
+    add = below.add
+    for w in level:
+        n = len(w)
+        v = list(w)
+        for i in range(n - 1):
+            wi = w[i]
+            best = 0
+            for j in range(i + 1, n):
+                wj = w[j]
+                if best < wj < wi:
+                    best = wj
+                    v[i], v[j] = wj, wi
+                    add(tuple(v))
+                    v[i], v[j] = wi, wj
+    return below
+
+
 def order_ideal(sigma) -> frozenset[Perm]:
     """The downward Bruhat closure of a set of permutations.
 
     Accepts an EquivClass or any iterable of permutations.  Bruhat order
     is graded by length, so the closure is walked down one length at a
-    time, and each element emits only its Bruhat covers: w * (i, j) with
-    w(i) > w(j) and no value strictly between them at a position strictly
-    between them (Bjorner-Brenti, GTM 231, §2.1).  For each i the
-    scan steps j rightwards keeping the largest value below w(i) seen so
-    far; w(j) gives a cover exactly when it exceeds that value.  Each level
-    is seeded with the input elements of that length, so generating sets
-    of mixed length are closed correctly.
+    time, each level emitting only its covers (`_covers_below`).  Each
+    level is seeded with the input elements of that length, so generating
+    sets of mixed length are closed correctly.
 
     >>> sorted(order_ideal([(2, 3, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
@@ -197,21 +230,76 @@ def order_ideal(sigma) -> frozenset[Perm]:
     for ell in range(max(seeds), -1, -1):
         level |= seeds.get(ell, set())
         seen |= level
-        below: set[Perm] = set()
-        for w in level:
-            n = len(w)
-            for i in range(n - 1):
-                wi = w[i]
-                best = 0
-                for j in range(i + 1, n):
-                    wj = w[j]
-                    if best < wj < wi:
-                        best = wj
-                        v = list(w)
-                        v[i], v[j] = wj, wi
-                        below.add(tuple(v))
-        level = below
+        level = _covers_below(level)
     return frozenset(seen)
+
+
+def _ideal_masks(seeds: Sequence[Iterable[Perm]]) -> dict[Perm, int]:
+    """Every order ideal of `seeds` at once: bit r of the mask of w is set
+    exactly when w lies in `order_ideal(seeds[r])`.
+
+    One downward sweep by length, as in `order_ideal`.  A level is grouped
+    by mask, and each group's covers receive its mask, so every element is
+    expanded once however many ideals hold it.
+    """
+    by_length: dict[int, dict[Perm, int]] = {}
+    for r, elements in enumerate(seeds):
+        for w in elements:
+            at = by_length.setdefault(length(w), {})
+            at[w] = at.get(w, 0) | 1 << r
+    masks: dict[Perm, int] = {}
+    level: dict[Perm, int] = {}
+    for ell in range(max(by_length, default=-1), -1, -1):
+        for w, m in by_length.get(ell, {}).items():
+            level[w] = level.get(w, 0) | m
+        masks.update(level)
+        groups: dict[int, list[Perm]] = {}
+        for w, m in level.items():
+            groups.setdefault(m, []).append(w)
+        below: dict[Perm, int] = {}
+        for m, group in groups.items():
+            for v in _covers_below(group):
+                below[v] = below.get(v, 0) | m
+        level = below
+    return masks
+
+
+def _noncentral_bits(masks: Mapping[Perm, int], n: int) -> int:
+    """The bits r whose ideal sum chi_r = sum of T_w over the w with bit r
+    set fails to commute with some generator; the masks must describe
+    lower ideals, as `_ideal_masks` builds them.
+
+    For a lower ideal I the terms of T_i * chi_I from each pair {y, s_i y}
+    inside I cancel, so the coefficient of T_z is [s_i z < z, s_i z in I,
+    z not in I]: the upper boundary of I along left multiplication by s_i.
+    The product chi_I * T_i is the same with z s_i in place of s_i z.  So
+    chi_I is central exactly when, for every i, the left and right
+    boundaries agree, and one XOR of boundary masks tests every ideal.
+    Climbs are decided by position, as in `left_mul_gen` and
+    `right_mul_gen`; no length is computed.
+    """
+    bad = 0
+    for i in range(1, n):
+        left: dict[Perm, int] = {}
+        right: dict[Perm, int] = {}
+        for y, m in masks.items():
+            a = y.index(i)
+            b = y.index(i + 1)
+            if a < b:
+                v = list(y)
+                v[a], v[b] = i + 1, i
+                z = tuple(v)
+                out = m & ~masks.get(z, 0)
+                if out:
+                    left[z] = out
+            if y[i - 1] < y[i]:
+                z = y[: i - 1] + (y[i], y[i - 1]) + y[i + 1:]
+                out = m & ~masks.get(z, 0)
+                if out:
+                    right[z] = out
+        for z in left.keys() | right.keys():
+            bad |= left.get(z, 0) ^ right.get(z, 0)
+    return bad
 
 
 def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement:
@@ -275,12 +363,18 @@ def integer_matrix_rank(rows: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class CenterBasisReport:
-    """Outcome of the center-basis verification at one degree."""
+    """Outcome of the center-basis verification at one degree.
+
+    `certificate` names the check that decided `rank`: "unitriangular"
+    when the stair-form minor proved full rank, "bareiss" when the
+    elimination fallback computed it.
+    """
 
     n: int
     alphas: tuple[Composition, ...]
     central: tuple[bool, ...]
     rank: int
+    certificate: str
     dim: int
     failures: tuple[str, ...] = field(default=())
 
@@ -301,25 +395,62 @@ class CenterBasisReport:
         return self.all_central and self.independent and self.size_matches
 
 
+def _stair_minor_is_unitriangular(
+    alphas: Sequence[Composition], masks: Mapping[Perm, int]
+) -> bool:
+    """Whether the ideal sums restricted to the stair-form columns form a
+    unitriangular minor once the labels are sorted by class length.
+
+    Entry (alpha, beta) is 1 when stair_form(beta) lies in the ideal of
+    class alpha.  The check asks for a 1 on the diagonal and, off it, a 1
+    only where the class of beta is strictly shorter than the class of
+    alpha.  When it holds, the minor has determinant 1, so the family has
+    full rank.  (It always should: an off-diagonal 1 at equal lengths would
+    put stair_form(beta) in the class of alpha.)
+    """
+    ell = [length(stair_form(beta)) for beta in alphas]
+    for c, beta in enumerate(alphas):
+        column = masks.get(stair_form(beta), 0)
+        for r in range(len(alphas)):
+            hit = column >> r & 1
+            if r == c:
+                if not hit:
+                    return False
+            elif hit and ell[c] >= ell[r]:
+                return False
+    return True
+
+
 def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     """Check that the ideal sums over all labelled classes of S_n are
     central, linearly independent, and as many as the center dimension.
 
+    The degree is gated by `DEGREE_SOFT_LIMIT` before any work, lifted by
+    `force=True`.  One downward Bruhat sweep (`_ideal_masks`) builds every
+    ideal at once as label bitmasks.  Centrality is read off the upper
+    boundaries of the ideals (`_noncentral_bits`), with no Hecke product.
+    Independence is decided by a certificate: the minor on the stair-form
+    columns is checked to be unitriangular, which proves rank k.  If that
+    pattern fails, the rank of the k rows over S_n is computed by Bareiss
+    elimination instead and reported as it is; the failed pattern never
+    counts as a pass.
+
     Returns a report rather than raising, so callers can surface every
     failing assertion at once.
     """
+    _check_degree(n, force)
     alphas = tuple(enumerate_maximal(n))
-    elements = [t_leq_sigma(alpha, n, force=force) for alpha in alphas]
-    central = tuple(is_central(x) for x in elements)
+    masks = _ideal_masks([sigma_class(alpha).elements for alpha in alphas])
+    bad = _noncentral_bits(masks, n)
+    central = tuple(not bad >> r & 1 for r in range(len(alphas)))
 
-    index = {w: r for r, w in enumerate(all_perms(n))}
-    rows = []
-    for x in elements:
-        row = [0] * len(index)
-        for w, c in x.terms.items():
-            row[index[w]] = c
-        rows.append(row)
-    rank = integer_matrix_rank(rows) if rows else 0
+    if _stair_minor_is_unitriangular(alphas, masks):
+        certificate, rank = "unitriangular", len(alphas)
+    else:
+        # permutations outside every ideal give zero columns, left out
+        columns = [masks[w] for w in sorted(masks)]
+        rows = [[m >> r & 1 for m in columns] for r in range(len(alphas))]
+        certificate, rank = "bareiss", integer_matrix_rank(rows)
     dim = dim_center(n)
 
     failures = []
@@ -330,4 +461,5 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
         failures.append(f"rank {rank} < family size {len(alphas)}")
     if len(alphas) != dim:
         failures.append(f"family size {len(alphas)} != center dimension {dim}")
-    return CenterBasisReport(n, alphas, central, rank, dim, tuple(failures))
+    return CenterBasisReport(
+        n, alphas, central, rank, certificate, dim, tuple(failures))

@@ -22,6 +22,7 @@ from collections import Counter
 from typing import Iterable
 
 from .compositions import Composition
+from .errors import InvariantError
 from .permutations import OrbitPartition, Perm, conj_w0, cycle_type, length, orbits
 from .stair_classes import sigma_class, stair_form
 
@@ -110,7 +111,7 @@ def stair_factorization(alpha: Composition) -> tuple[Perm, Perm]:
     rest = stair_form(alpha[1:])
     tail = rest if alpha[0] % 2 == 0 else conj_w0(rest)
     if iprod(head, tail) != stair_form(alpha):
-        raise RuntimeError(f"stair factorization failed for {alpha}")
+        raise InvariantError(f"stair factorization failed for {alpha}")
     return head, tail
 
 

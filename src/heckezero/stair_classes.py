@@ -31,6 +31,7 @@ from .compositions import (
     split_even_odd,
 )
 from .counting import size_sigma_n
+from .errors import InvariantError
 from .permutations import (
     Cycle, Perm, cycle_string, cycle_type, cycles, even_orbits, from_cycles,
     identity, inverse, length,
@@ -339,7 +340,7 @@ def cycle_class(n: int) -> frozenset[Perm]:
     bijection: each even step preserves the count, each odd step triples it.
     The inputs are class members by construction, so the lift skips its
     membership check; one count against `size_sigma_n` instead catches a
-    lift that leaves the class or is not injective, and raises RuntimeError.
+    lift that leaves the class or is not injective, and raises InvariantError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -357,7 +358,7 @@ def cycle_class(n: int) -> frozenset[Perm]:
     else:
         result = frozenset(_lift(n, s, q) for s in prev for q in (0, 1, 2))
     if len(result) != size_sigma_n(n):
-        raise RuntimeError(
+        raise InvariantError(
             f"the lift built {len(result)} full {n}-cycles, expected "
             f"{size_sigma_n(n)}"
         )

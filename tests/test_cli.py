@@ -3,8 +3,11 @@
 import json
 import time
 
+import pytest
+
 from heckezero import cli
 from heckezero.cli import main
+from heckezero.errors import InvariantError
 
 
 def run(capsys, *argv):
@@ -57,13 +60,25 @@ class TestClasses:
 
     def test_invariant_failure_exits_2(self, capsys, monkeypatch):
         def broken(n, force=False):
-            raise RuntimeError("stair forms of (3,) and (2, 1) share one class")
+            raise InvariantError("stair forms of (3,) and (2, 1) share one class")
 
         monkeypatch.setattr(cli, "label_max_classes", broken)
         code, _, err = run(capsys, "classes", "--n", "3")
         assert code == 2
         assert "internal invariant violated" in err
         assert "Traceback" not in err
+
+    def test_recursion_error_is_not_an_invariant_failure(self, capsys,
+                                                         monkeypatch):
+        # RecursionError subclasses RuntimeError; only InvariantError is
+        # an internal invariant, so this one keeps its traceback
+        def broken(n, force=False):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "label_max_classes", broken)
+        with pytest.raises(RecursionError):
+            main(["classes", "--n", "3"])
+        assert "internal invariant violated" not in capsys.readouterr().err
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "classes", "--n", "4")
@@ -87,7 +102,7 @@ class TestSigma:
         code, _, err = run(capsys, "sigma", "--alpha", "2,x")
         assert code == 1
 
-    def test_gate_exits_1_with_message(self, capsys):
+    def test_non_hook_tail_needs_no_gate(self, capsys):
         doc, _ = run_json(capsys, "sigma", "--alpha", "2,5,5")
         assert doc["size"] == 664
 
@@ -136,7 +151,7 @@ class TestCount:
         assert doc["formula"] is None
         assert doc["enumerated"] == 108
 
-    def test_non_hookish_large_fails_without_force(self, capsys):
+    def test_non_hook_tail_is_enumerated_without_formula(self, capsys):
         doc, _ = run_json(capsys, "count", "--alpha", "5,5")
         assert doc["formula"] is None
         assert doc["enumerated"] == 664

@@ -4,7 +4,7 @@ import pytest
 
 import heckezero.cyclic_shift as cyclic_shift
 from heckezero.compositions import enumerate_maximal
-from heckezero.errors import DegreeLimitError
+from heckezero.errors import DegreeLimitError, InvariantError
 from heckezero.cyclic_shift import (
     _classes, _match_representatives, _step, approx_class, arrow_closure,
     equiv_classes, label_max_classes, min_representatives, one_step,
@@ -261,17 +261,17 @@ class TestMatchRepresentatives:
 
     def test_rejects_outside_rep(self):
         reps = {(3,): (2, 1, 3)}
-        with pytest.raises(RuntimeError, match="rep of \\(3,\\) is not in"):
+        with pytest.raises(InvariantError, match="rep of \\(3,\\) is not in"):
             _match_representatives(self.classes(), reps, "rep", "S_3")
 
     def test_rejects_shared_class(self):
         reps = {(3,): (2, 3, 1), (2, 1): (3, 1, 2)}
-        with pytest.raises(RuntimeError, match="share one class"):
+        with pytest.raises(InvariantError, match="share one class"):
             _match_representatives(self.classes(), reps, "rep", "S_3")
 
     def test_rejects_missed_class(self):
         reps = {(3,): (2, 3, 1)}
-        with pytest.raises(RuntimeError, match="2 classes of S_3 hold no rep"):
+        with pytest.raises(InvariantError, match="2 classes of S_3 hold no rep"):
             _match_representatives(self.classes(), reps, "rep", "S_3")
 
 

@@ -1,18 +1,21 @@
 """Sparse 0-Hecke arithmetic and the central basis."""
 
+import time
+
 import pytest
 
 from heckezero import hecke
 from heckezero.compositions import enumerate_maximal
+from heckezero.errors import DegreeLimitError
 from heckezero.hecke import (
-    hecke_element, integer_matrix_rank, is_central, left_mul_gen, mul,
+    HeckeElement, hecke_element, integer_matrix_rank, is_central, left_mul_gen, mul,
     order_ideal, reduced_word, right_mul_gen, t_basis, t_leq_sigma, t_one,
     verify_center_basis,
 )
 from heckezero.permutations import (
     all_perms, bruhat_leq, compose, from_cycles, identity, length,
 )
-from heckezero.stair_classes import sigma_class
+from heckezero.stair_classes import sigma_class, stair_form
 
 import oracles
 
@@ -166,9 +169,14 @@ class TestOrderIdeal:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_inversion_closure_every_label(self, n):
-        for alpha in enumerate_maximal(n):
+        # the one-sweep masks hold every label's ideal as one bit
+        alphas = enumerate_maximal(n)
+        masks = hecke._ideal_masks([sigma_class(a).elements for a in alphas])
+        for r, alpha in enumerate(alphas):
             gens = sigma_class(alpha).elements
-            assert order_ideal(gens) == oracles.ideal_by_inversions(gens), alpha
+            expected = oracles.ideal_by_inversions(gens)
+            assert order_ideal(gens) == expected, alpha
+            assert {w for w, m in masks.items() if m >> r & 1} == expected, alpha
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_bruhat_filter_and_is_downward_closed(self, n):
@@ -217,6 +225,24 @@ class TestIsCentral:
         for alpha in enumerate_maximal(n):
             assert is_central(t_leq_sigma(alpha, n))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_boundary_verdict_matches_every_label(self, n):
+        alphas = enumerate_maximal(n)
+        masks = hecke._ideal_masks([sigma_class(a).elements for a in alphas])
+        bad = hecke._noncentral_bits(masks, n)
+        for r, alpha in enumerate(alphas):
+            assert (not bad >> r & 1) == is_central(t_leq_sigma(alpha, n))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_boundary_flags_single_stair_form_ideals(self, n):
+        # from n = 3 on, some stair form alone has a non-central ideal
+        seeds = [[stair_form(alpha)] for alpha in enumerate_maximal(n)]
+        bad = hecke._noncentral_bits(hecke._ideal_masks(seeds), n)
+        assert bad or n < 3
+        for r, seed in enumerate(seeds):
+            x = HeckeElement(n, {w: 1 for w in order_ideal(seed)})
+            assert (not bad >> r & 1) == is_central(x), seed
+
     def test_central_iff_commutes_with_all_products(self):
         # generator commutation implies full commutation; spot-check it
         x = t_leq_sigma((3,), 3)
@@ -260,3 +286,61 @@ class TestVerifyCenterBasis:
         report = verify_center_basis(6)
         assert report.ok, report.failures
         assert report.dim == 12
+        assert report.certificate == "unitriangular"
+
+    def test_failed_certificate_falls_back_to_bareiss(self, monkeypatch):
+        monkeypatch.setattr(hecke, "_stair_minor_is_unitriangular",
+                            lambda alphas, masks: False)
+        report = verify_center_basis(6)
+        assert report.certificate == "bareiss"
+        assert report.rank == len(report.alphas) == 12
+        assert report.ok
+
+    def test_certificate_rejects_a_broken_pattern(self):
+        alphas = ((2, 1), (3,))
+        sf = {alpha: stair_form(alpha) for alpha in alphas}
+        good = {sf[(2, 1)]: 0b01, sf[(3,)]: 0b11}
+        assert hecke._stair_minor_is_unitriangular(alphas, good)
+        # a missing diagonal entry, then an entry above a shorter class
+        missing = {sf[(2, 1)]: 0b01, sf[(3,)]: 0b01}
+        above = {sf[(2, 1)]: 0b11, sf[(3,)]: 0b11}
+        assert not hecke._stair_minor_is_unitriangular(alphas, missing)
+        assert not hecke._stair_minor_is_unitriangular(alphas, above)
+
+    def test_dependent_family_never_passes(self, monkeypatch):
+        # give the second label the first label's ideal: the pattern fails,
+        # and the Bareiss rank reports the dependence
+        sweep = hecke._ideal_masks
+
+        def copy_first_row(seeds):
+            masks = sweep(seeds)
+            return {w: m & ~2 | (m & 1) << 1 for w, m in masks.items()}
+
+        monkeypatch.setattr(hecke, "_ideal_masks", copy_first_row)
+        report = verify_center_basis(5)
+        assert report.certificate == "bareiss"
+        assert report.rank == len(report.alphas) - 1
+        assert not report.ok
+        assert any(f.startswith("rank ") for f in report.failures)
+
+    def test_dropped_ideal_element_is_not_central(self, monkeypatch):
+        # (2, 3, 1) is the member of the (3,) class beside its stair form
+        # (3, 1, 2); the ideal without it is not central
+        sweep = hecke._ideal_masks
+        r = enumerate_maximal(3).index((3,))
+
+        def drop(seeds):
+            masks = sweep(seeds)
+            masks[(2, 3, 1)] &= ~(1 << r)
+            return masks
+
+        monkeypatch.setattr(hecke, "_ideal_masks", drop)
+        report = verify_center_basis(3)
+        assert not report.ok
+        assert report.failures == ("element of (3,) is not central",)
+
+    def test_degree_gate_comes_first(self):
+        start = time.perf_counter()
+        with pytest.raises(DegreeLimitError, match="force"):
+            verify_center_basis(9)
+        assert time.perf_counter() - start < 1.0

@@ -2,9 +2,11 @@
 
 import pytest
 
+from heckezero import inductive_product
 from heckezero.compositions import enumerate_maximal
 from heckezero.cyclic_shift import approx_class, label_max_classes
 from heckezero.compositions import hook_kind, split_even_odd
+from heckezero.errors import InvariantError
 from heckezero.inductive_product import (
     iprod, iprod_factor, iprod_length_law, orbit_partition_histogram,
     sigma_star, stair_factorization,
@@ -179,6 +181,11 @@ class TestStairFactorization:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stair_factorization(())
+
+    def test_failed_check_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(inductive_product, "iprod", lambda a, b: a + b)
+        with pytest.raises(InvariantError, match="failed for \\(4, 2\\)"):
+            stair_factorization((4, 2))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_reproduces_stair_form(self, n):

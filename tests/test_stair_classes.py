@@ -15,6 +15,7 @@ from heckezero.stair_classes import (
 )
 from heckezero import stair_classes
 from heckezero.compositions import enumerate_maximal, hook_kind, is_maximal
+from heckezero.errors import InvariantError
 
 from oracles import compositions_of, invariant_class, perms_of_type
 
@@ -292,7 +293,7 @@ class TestCycleClass:
                             lambda n, sigma, q: sigma + (n,))
         cycle_class.cache_clear()
         try:
-            with pytest.raises(RuntimeError, match="expected 6"):
+            with pytest.raises(InvariantError, match="expected 6"):
                 cycle_class(5)
         finally:
             cycle_class.cache_clear()
@@ -369,11 +370,11 @@ class TestSigmaClass:
         assert len(got.elements) == 22
         assert got.elements == approx_class(stair_form((3, 3)))
 
-    def test_resource_guard(self):
+    def test_five_five_tail_has_664_elements(self):
         # 664 is the size the membership filter over S_10 found
         assert sigma_class((5, 5)).size == 664
 
-    def test_guard_gates_the_odd_tail_degree(self):
+    def test_even_part_keeps_the_non_hook_tail_size(self):
         got = sigma_class((2, 3, 3, 1, 1))
         assert got.size == 108 == sigma_class((3, 3, 1, 1)).size
         assert all(member_sigma_alpha(p, (2, 3, 3, 1, 1)) for p in got.elements)
