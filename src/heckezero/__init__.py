@@ -23,26 +23,20 @@ from .compositions import (
     enumerate_maximal, hook_kind, is_maximal, sort_to_partition,
     split_even_odd,
 )
-from .counting import (
-    dim_center, size_sigma_formula, size_sigma_n, size_sigma_odd_hook,
-)
+from .counting import dim_center, size_sigma_formula, size_sigma_n
 from .cyclic_shift import (
-    EquivClass, approx_class, arrow_closure, equiv_classes,
-    label_max_classes, min_representatives, one_step,
+    EquivClass, approx_class, equiv_classes, label_max_classes,
+    min_representatives, one_step,
 )
 from .errors import DegreeLimitError, InvariantError
 from .hecke import (
     HeckeElement, is_central, mul, order_ideal, t_basis, t_leq_sigma,
     verify_center_basis,
 )
-from .inductive_product import (
-    iprod, iprod_factor, iprod_length_law, orbit_partition_histogram,
-    sigma_star, stair_factorization,
-)
+from .inductive_product import iprod, iprod_length_law, orbit_partition_histogram
 from .permutations import (
-    bruhat_leq, compose, conj_adjacent, conj_w0, cycle_string, cycle_type,
-    cycles, even_orbits, from_cycles, identity, inverse, length,
-    longest_element, swap_values,
+    compose, conj_w0, cycle_string, cycle_type, cycles, even_orbits,
+    from_cycles, identity, inverse, length, longest_element,
 )
 from .stair_classes import (
     cycle_class, cycle_delete, cycle_insert, has_connected_intervals,
@@ -55,19 +49,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegreeLimitError", "EquivClass", "HeckeElement", "InvariantError",
-    "approx_class", "arrow_closure", "bruhat_leq", "compose", "conj_adjacent", "conj_w0", "cycle_class", "cycle_delete",
+    "approx_class", "compose", "conj_w0", "cycle_class", "cycle_delete",
     "cycle_insert", "cycle_string", "cycle_type", "cycles", "dim_center",
     "enumerate_maximal", "equiv_classes", "even_orbits", "from_cycles",
     "has_connected_intervals",
     "hook_kind", "hook_properties", "identity", "inverse", "iprod",
-    "iprod_factor", "iprod_length_law", "is_central", "is_maximal",
+    "iprod_length_law", "is_central", "is_maximal",
     "is_oscillating", "label_max_classes", "length",
     "lift_cycle_class", "longest_element", "lower_cycle_class",
     "member_sigma_alpha", "min_representatives", "mul", "odd_hook_embed",
     "one_step", "orbit_partition_histogram", "order_ideal", "sigma_class",
-    "sigma_star", "size_sigma_formula", "size_sigma_n",
-    "size_sigma_odd_hook", "sort_to_partition", "split_even_odd",
-    "stair_factorization", "stair_form", "swap_values", "t_basis",
-    "t_leq_sigma",
+    "size_sigma_formula", "size_sigma_n", "sort_to_partition",
+    "split_even_odd", "stair_form", "t_basis", "t_leq_sigma",
     "verify_center_basis",
 ]

@@ -142,7 +142,7 @@ def _basis_entry(alpha, n, force) -> dict:
 
 
 def _cmd_basis(args) -> int:
-    if args.alpha:
+    if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         if not is_maximal(alpha):
             raise _CliError(f"not a maximal composition: {alpha}")
@@ -174,12 +174,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="heckezero", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, force=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the JSON document to this file")
-        p.add_argument("--force", action="store_true",
-                       help="lift the practical degree bound on brute force")
+        if force:
+            p.add_argument("--force", action="store_true",
+                           help="lift the practical degree bound on brute force")
         return p
 
     p = add("classes", _cmd_classes, help="equivalence-class catalog of S_n")
@@ -190,10 +191,11 @@ def _build_parser() -> _Parser:
     p = add("sigma", _cmd_sigma, help="the class labelled by a composition")
     p.add_argument("--alpha", required=True, help='comma syntax, e.g. "3,1,1"')
 
-    p = add("stairform", _cmd_stairform, help="stair form of a composition")
+    p = add("stairform", _cmd_stairform, force=False,
+            help="stair form of a composition")
     p.add_argument("--alpha", required=True)
 
-    p = add("dim", _cmd_dim, help="dimension of the center")
+    p = add("dim", _cmd_dim, force=False, help="dimension of the center")
     p.add_argument("--n", type=int, required=True)
 
     p = add("count", _cmd_count, help="cardinality of a labelled class")

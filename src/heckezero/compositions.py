@@ -15,9 +15,9 @@ from typing import Iterator
 
 __all__ = [
     "Composition",
-    "check_composition", "is_partition", "is_maximal", "enumerate_maximal",
+    "check_composition", "is_maximal", "enumerate_maximal",
     "sort_to_partition", "split_even_odd", "hook_kind",
-    "partitions", "odd_partitions", "even_compositions",
+    "odd_partitions", "even_compositions",
 ]
 
 Composition = tuple[int, ...]
@@ -27,11 +27,6 @@ def check_composition(alpha: Composition) -> None:
     """Raise ValueError unless every part of `alpha` is a positive integer."""
     if any(not isinstance(a, int) or a < 1 for a in alpha):
         raise ValueError(f"not a composition: {alpha}")
-
-
-def is_partition(alpha: Composition) -> bool:
-    """Whether the parts of `alpha` are weakly decreasing."""
-    return all(a >= b for a, b in zip(alpha, alpha[1:]))
 
 
 def is_maximal(alpha: Composition) -> bool:
@@ -100,21 +95,6 @@ def hook_kind(alpha: Composition) -> str:
     if not alpha or any(a != 1 for a in alpha[1:]):
         return "not_hook"
     return "odd_hook" if alpha[0] % 2 == 1 else "even_hook"
-
-
-def partitions(n: int, max_part: int | None = None) -> Iterator[Composition]:
-    """All partitions of n, parts bounded by `max_part`, in decreasing
-    lexicographic order of largest-part-first tuples."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
 
 
 def odd_partitions(n: int, max_part: int | None = None) -> Iterator[Composition]:

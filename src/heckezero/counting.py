@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from .compositions import Composition, hook_kind, is_maximal, split_even_odd
 
-__all__ = [
-    "size_sigma_n", "size_sigma_odd_hook", "size_sigma_formula", "dim_center",
-]
+__all__ = ["size_sigma_n", "size_sigma_formula", "dim_center"]
 
 
 def size_sigma_n(n: int) -> int:
@@ -25,22 +23,6 @@ def size_sigma_n(n: int) -> int:
     if n <= 2:
         return 1
     return 2 * 3 ** ((n - 3) // 2)
-
-
-def size_sigma_odd_hook(alpha: Composition) -> int:
-    """Cardinality of the class of an odd hook (k, 1^{n-k}): 1 for k = 1,
-    else 2 * (n - k + 1) * 3^((k-3)/2).
-
-    >>> size_sigma_odd_hook((3, 1, 1))
-    6
-    """
-    if hook_kind(alpha) != "odd_hook":
-        raise ValueError(f"not an odd hook: {alpha}")
-    k = alpha[0]
-    n = sum(alpha)
-    if k == 1:
-        return 1
-    return 2 * (n - k + 1) * 3 ** ((k - 3) // 2)
 
 
 def size_sigma_formula(alpha: Composition) -> int:

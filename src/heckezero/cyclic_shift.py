@@ -20,7 +20,6 @@ soft limit lifted by `force=True`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -33,7 +32,7 @@ from .stair_classes import stair_form
 
 __all__ = [
     "TWISTS", "EquivClass", "make_equiv_class",
-    "one_step", "arrow_closure", "approx_class",
+    "one_step", "approx_class",
     "equiv_classes", "label_max_classes", "min_representatives",
     "DEGREE_SOFT_LIMIT",
 ]
@@ -120,9 +119,17 @@ def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
     return u if delta <= 0 else None
 
 
-def _search(w: Perm, twist: str, keep) -> frozenset[Perm]:
-    """Depth-first search from `w` along the steps whose length change
-    `delta` satisfies keep(delta, 0)."""
+def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
+    """The full equivalence class of `w` under mutual reachability.
+
+    Steps never increase length, so any round trip w -> ... -> w' -> ... -> w
+    keeps the length constant throughout, and a length-preserving step is
+    undone by the same step.  The class of `w` is therefore the connected
+    component of `w` under length-preserving steps alone, which this
+    depth-first search explores directly; it never touches the rest of S_n,
+    so it stays cheap even at degrees where n! is out of reach.
+    """
+    _check_twist(twist)
     n = len(w)
     seen = {w}
     stack = [w]
@@ -130,30 +137,10 @@ def _search(w: Perm, twist: str, keep) -> frozenset[Perm]:
         v = stack.pop()
         for i in range(1, n):
             u, delta = _step(v, i, twist)
-            if u not in seen and keep(delta, 0):
+            if delta == 0 and u not in seen:
                 seen.add(u)
                 stack.append(u)
     return frozenset(seen)
-
-
-def arrow_closure(w: Perm, twist: str = "id") -> frozenset[Perm]:
-    """All permutations reachable from `w` by cyclic-shift steps."""
-    _check_twist(twist)
-    return _search(w, twist, operator.le)
-
-
-def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
-    """The full equivalence class of `w` under mutual reachability.
-
-    Steps never increase length, so any round trip w -> ... -> w' -> ... -> w
-    keeps the length constant throughout, and a length-preserving step is
-    undone by the same step.  The class of `w` is therefore the connected
-    component of `w` under length-preserving steps alone, which this search
-    explores directly; it never touches the rest of S_n, so it stays cheap
-    even at degrees where n! is out of reach.
-    """
-    _check_twist(twist)
-    return _search(w, twist, operator.eq)
 
 
 def _check_degree(n: int, force: bool) -> None:

@@ -34,11 +34,11 @@ from typing import Iterable, Mapping, Sequence
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
 from .cyclic_shift import _check_degree
-from .permutations import Perm, identity, length
+from .permutations import Perm, length
 from .stair_classes import sigma_class, stair_form
 
 __all__ = [
-    "HeckeElement", "hecke_element", "t_basis", "t_one",
+    "HeckeElement", "t_basis",
     "left_mul_gen", "right_mul_gen", "mul", "reduced_word",
     "order_ideal", "t_leq_sigma", "is_central",
     "integer_matrix_rank", "CenterBasisReport", "verify_center_basis",
@@ -76,27 +76,11 @@ class HeckeElement:
         return f"HeckeElement(n={self.n}, {{{items}}})"
 
 
-def hecke_element(n: int, terms: Mapping[Perm, int]) -> HeckeElement:
-    """Build an element, dropping zero coefficients and checking degrees."""
-    clean = {}
-    for w, c in terms.items():
-        if len(w) != n:
-            raise ValueError(f"term {w} has degree {len(w)}, expected {n}")
-        if c:
-            clean[w] = c
-    return HeckeElement(n, clean)
-
-
 def t_basis(n: int, w: Perm) -> HeckeElement:
     """The basis vector T_w."""
     if len(w) != n:
         raise ValueError(f"degree mismatch: {len(w)} != {n}")
     return HeckeElement(n, {w: 1})
-
-
-def t_one(n: int) -> HeckeElement:
-    """The identity T_id."""
-    return HeckeElement(n, {identity(n): 1})
 
 
 def _check_gen(i: int, n: int) -> None:
@@ -210,37 +194,25 @@ def _covers_below(level: Iterable[Perm]) -> set[Perm]:
 def order_ideal(sigma) -> frozenset[Perm]:
     """The downward Bruhat closure of a set of permutations.
 
-    Accepts an EquivClass or any iterable of permutations.  Bruhat order
-    is graded by length, so the closure is walked down one length at a
-    time, each level emitting only its covers (`_covers_below`).  Each
-    level is seeded with the input elements of that length, so generating
-    sets of mixed length are closed correctly.
+    Accepts an EquivClass or any iterable of permutations, of any mix of
+    lengths; the closure is the one-ideal case of `_ideal_masks`.
 
     >>> sorted(order_ideal([(2, 3, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
     """
-    elements: Iterable[Perm] = getattr(sigma, "elements", sigma)
-    seeds: dict[int, set[Perm]] = {}
-    for w in elements:
-        seeds.setdefault(length(w), set()).add(w)
-    if not seeds:
-        return frozenset()
-    seen: set[Perm] = set()
-    level: set[Perm] = set()
-    for ell in range(max(seeds), -1, -1):
-        level |= seeds.get(ell, set())
-        seen |= level
-        level = _covers_below(level)
-    return frozenset(seen)
+    return frozenset(_ideal_masks([getattr(sigma, "elements", sigma)]))
 
 
 def _ideal_masks(seeds: Sequence[Iterable[Perm]]) -> dict[Perm, int]:
     """Every order ideal of `seeds` at once: bit r of the mask of w is set
-    exactly when w lies in `order_ideal(seeds[r])`.
+    exactly when w lies below some element of `seeds[r]`.
 
-    One downward sweep by length, as in `order_ideal`.  A level is grouped
-    by mask, and each group's covers receive its mask, so every element is
-    expanded once however many ideals hold it.
+    Bruhat order is graded by length, so the sweep walks down one length at
+    a time, each level emitting only its covers (`_covers_below`) and each
+    level seeded with the inputs of that length, so generating sets of
+    mixed length are closed correctly.  A level is grouped by mask, and
+    each group's covers receive its mask, so every element is expanded
+    once however many ideals hold it.
     """
     by_length: dict[int, dict[Perm, int]] = {}
     for r, elements in enumerate(seeds):
@@ -309,7 +281,7 @@ def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement
     The ideal can hold most of S_n, so n is gated by the brute-force soft
     limit `DEGREE_SOFT_LIMIT`, lifted by `force=True`.
 
-    >>> t_leq_sigma((1, 1, 1), 3) == t_one(3)
+    >>> t_leq_sigma((1, 1, 1), 3) == t_basis(3, (1, 2, 3))
     True
     """
     if not is_maximal(alpha):

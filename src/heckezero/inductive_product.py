@@ -21,15 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .compositions import Composition
-from .errors import InvariantError
-from .permutations import OrbitPartition, Perm, conj_w0, cycle_type, length, orbits
-from .stair_classes import sigma_class, stair_form
+from .permutations import OrbitPartition, Perm, cycle_type, length, orbits
 
-__all__ = [
-    "iprod", "iprod_factor", "iprod_length_law", "stair_factorization",
-    "sigma_star", "orbit_partition_histogram",
-]
+__all__ = ["iprod", "iprod_length_law", "orbit_partition_histogram"]
 
 
 def iprod(s1: Perm, s2: Perm) -> Perm:
@@ -55,30 +49,6 @@ def iprod(s1: Perm, s2: Perm) -> Perm:
     return tuple(img)
 
 
-def iprod_factor(p: Perm, n1: int, n2: int) -> tuple[Perm, Perm] | None:
-    """Factor `p` through the product on S_{n1} x S_{n2}, or None.
-
-    Succeeds exactly when `p` stabilizes both blocks N1 and N2 setwise, in
-    which case the factors are unique and `iprod` recomposes them.
-
-    >>> iprod_factor((3, 2, 1), 2, 1)
-    ((2, 1), (1,))
-    >>> iprod_factor((5, 6, 4, 1, 2, 3), 2, 4) is None
-    True
-    """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("degrees must be nonnegative")
-    if n1 + n2 != len(p):
-        raise ValueError(f"block sizes {n1}+{n2} do not sum to degree {len(p)}")
-    k = (n1 + 1) // 2
-    images = [p[(i if i <= k else i + n2) - 1] for i in range(1, n1 + 1)]
-    if any(k < v <= k + n2 for v in images):
-        return None
-    s1 = tuple(v if v <= k else v - n2 for v in images)
-    s2 = tuple(p[k + i - 1] - k for i in range(1, n2 + 1))
-    return s1, s2
-
-
 def iprod_length_law(s1: Perm, s2: Perm) -> int:
     """Length of `iprod(s1, s2)` for a full-cycle left factor, computed from
     the factors alone: length(s1) + length(s2) + (p + q) * n2, where p
@@ -93,34 +63,6 @@ def iprod_length_law(s1: Perm, s2: Perm) -> int:
     p = sum(1 for i in range(1, k + 1) if s1[i - 1] > k)
     q = sum(1 for i in range(k + 1, n1 + 1) if s1[i - 1] <= k)
     return length(s1) + length(s2) + (p + q) * n2
-
-
-def stair_factorization(alpha: Composition) -> tuple[Perm, Perm]:
-    """Split the stair form of `alpha` as a product: the full cycle of the
-    first part times a tail factor.  The tail factor is the stair form of
-    the remaining parts, conjugated by the longest element when the first
-    part is odd.  The factorization is verified before returning.
-
-    >>> head, tail = stair_factorization((6, 3))
-    >>> iprod(head, tail) == stair_form((6, 3))
-    True
-    """
-    if len(alpha) < 1:
-        raise ValueError("composition must have at least one part")
-    head = stair_form(alpha[:1])
-    rest = stair_form(alpha[1:])
-    tail = rest if alpha[0] % 2 == 0 else conj_w0(rest)
-    if iprod(head, tail) != stair_form(alpha):
-        raise InvariantError(f"stair factorization failed for {alpha}")
-    return head, tail
-
-
-def sigma_star(alpha: Composition) -> frozenset[Perm]:
-    """The members of the class of `alpha` whose full orbit partition equals
-    that of the stair form."""
-    base = orbits(stair_form(alpha))
-    cls = sigma_class(alpha)
-    return frozenset(w for w in cls.elements if orbits(w) == base)
 
 
 def orbit_partition_histogram(elements: Iterable[Perm]) -> dict[OrbitPartition, int]:

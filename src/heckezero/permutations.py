@@ -17,17 +17,15 @@ The degree-0 permutation is the empty tuple `()`.
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import permutations as _lex_permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 __all__ = [
     "Perm", "Cycle", "OrbitPartition",
-    "identity", "is_perm", "all_perms", "compose", "inverse", "length",
-    "left_descents", "right_descents", "longest_element",
-    "adjacent_transposition", "swap_values", "conj_adjacent", "conj_w0",
+    "identity", "all_perms", "compose", "inverse", "length",
+    "longest_element", "conj_w0",
     "cycles", "from_cycles", "cycle_type", "orbits", "even_orbits",
-    "bruhat_leq", "cycle_string",
+    "cycle_string",
 ]
 
 Perm = tuple[int, ...]
@@ -44,12 +42,6 @@ def identity(n: int) -> Perm:
     ()
     """
     return tuple(range(1, n + 1))
-
-
-def is_perm(seq: Sequence[int]) -> bool:
-    """Check that `seq` is a bijection on `1..len(seq)`."""
-    n = len(seq)
-    return sorted(seq) == list(range(1, n + 1))
 
 
 def all_perms(n: int) -> Iterator[Perm]:
@@ -93,16 +85,6 @@ def length(p: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-def right_descents(p: Perm) -> set[int]:
-    """Indices i with p(i) > p(i+1), i.e. generators s_i shortening p on the right."""
-    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
-
-
-def left_descents(p: Perm) -> set[int]:
-    """Indices i with p^-1(i) > p^-1(i+1): i+1 occurs left of i in one-line notation."""
-    return right_descents(inverse(p))
-
-
 def longest_element(n: int) -> Perm:
     """The longest element w0 of S_n, sending i to n-i+1.
 
@@ -110,44 +92,6 @@ def longest_element(n: int) -> Perm:
     (4, 3, 2, 1)
     """
     return tuple(range(n, 0, -1))
-
-
-def adjacent_transposition(n: int, i: int) -> Perm:
-    """The generator s_i = (i, i+1) of S_n."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for S_{n}")
-    out = list(range(1, n + 1))
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def swap_values(p: Perm, i: int) -> Perm:
-    """The product s_i * p: the values i and i+1 trade places in the
-    one-line word.  Raises ValueError when i or i+1 is not a value of `p`.
-
-    >>> swap_values((3, 1, 2), 1)
-    (3, 2, 1)
-    """
-    q = list(p)
-    q[p.index(i)] = i + 1
-    q[p.index(i + 1)] = i
-    return tuple(q)
-
-
-def conj_adjacent(p: Perm, i: int) -> Perm:
-    """Conjugate by s_i: returns s_i * p * s_i.
-
-    Equivalently, swaps the values i and i+1 in the cycle notation of p.
-
-    >>> conj_adjacent((2, 3, 1), 1)     # (1,2,3) -> (1,3,2)
-    (3, 1, 2)
-    """
-    n = len(p)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for S_{n}")
-    q = list(swap_values(p, i))
-    q[i - 1], q[i] = q[i], q[i - 1]
-    return tuple(q)
 
 
 def conj_w0(p: Perm) -> Perm:
@@ -231,31 +175,6 @@ def even_orbits(p: Perm) -> OrbitPartition:
     [[1, 2, 5, 6], [3, 4]]
     """
     return frozenset(b for b in orbits(p) if len(b) % 2 == 0)
-
-
-def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """Whether u <= w in Bruhat order on S_n.
-
-    Uses the sorted-prefix dominance criterion: for every k, the sorted set
-    {u(1), ..., u(k)} must be entrywise <= the sorted set {w(1), ..., w(k)}.
-
-    >>> bruhat_leq((1, 2, 3), (3, 1, 2))
-    True
-    >>> bruhat_leq((3, 1, 2), (2, 3, 1))
-    False
-    """
-    n = len(u)
-    if n != len(w):
-        raise ValueError(f"degree mismatch: {n} != {len(w)}")
-    su: list[int] = []
-    sw: list[int] = []
-    for k in range(n - 1):
-        insort(su, u[k])
-        insort(sw, w[k])
-        for a, b in zip(su, sw):
-            if a > b:
-                return False
-    return True
 
 
 def cycle_string(p: Perm, include_trivial: bool = True) -> str:

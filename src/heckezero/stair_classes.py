@@ -32,6 +32,7 @@ from .compositions import (
 )
 from .counting import size_sigma_n
 from .errors import InvariantError
+from .inductive_product import iprod
 from .permutations import (
     Cycle, Perm, cycle_string, cycle_type, cycles, even_orbits, from_cycles,
     identity, inverse, length,
@@ -401,7 +402,6 @@ def sigma_class(alpha: Composition):
     size.
     """
     from .cyclic_shift import approx_class, make_equiv_class
-    from .inductive_product import iprod
 
     evens, odds, _ = split_even_odd(alpha)
     if hook_kind(odds) == "odd_hook" and odds[0] >= 3:

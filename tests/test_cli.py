@@ -129,6 +129,14 @@ class TestDim:
         code, out, _ = run(capsys, "dim", "--n", "7")
         assert out.strip() == "16"
 
+    def test_force_is_not_an_option(self, capsys):
+        # neither dim nor stairform runs brute force, so neither takes --force
+        for argv in (("dim", "--n", "5"), ("stairform", "--alpha", "4,2")):
+            code, out, err = run(capsys, *argv, "--force")
+            assert code == 1
+            assert out == ""
+            assert "--force" in err
+
 
 class TestCount:
     def test_formula_and_enumeration(self, capsys):
@@ -193,6 +201,13 @@ class TestBasis:
     def test_alpha_degree_mismatch(self, capsys):
         code, _, err = run(capsys, "basis", "--n", "4", "--alpha", "3")
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["", ","])
+    def test_empty_alpha_is_rejected(self, capsys, text):
+        code, out, err = run(capsys, "basis", "--n", "3", "--alpha", text)
+        assert code == 1
+        assert out == ""
+        assert "|()| != 3" in err
 
 
 class TestVerify:

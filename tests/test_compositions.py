@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from heckezero.compositions import (
     enumerate_maximal, even_compositions, hook_kind, is_maximal,
-    odd_partitions, partitions, sort_to_partition, split_even_odd,
+    odd_partitions, sort_to_partition, split_even_odd,
 )
 from heckezero.counting import dim_center
 
@@ -108,9 +108,10 @@ class TestHookKind:
 
 class TestGenerators:
     def test_partitions_of_5(self):
-        assert list(partitions(5)) == [
-            (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1),
-            (1, 1, 1, 1, 1)]
+        # odd partitions come largest part first, in decreasing order
+        assert list(odd_partitions(5)) == [(5,), (3, 1, 1), (1, 1, 1, 1, 1)]
+        assert list(odd_partitions(7, 3)) == [
+            (3, 3, 1), (3, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1)]
 
     def test_odd_partitions(self):
         assert set(odd_partitions(6)) == {(5, 1), (3, 3), (3, 1, 1, 1),
@@ -121,8 +122,9 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", range(9))
     def test_partition_parts_decrease(self, n):
-        for lam in partitions(n):
+        for lam in odd_partitions(n):
             assert all(a >= b for a, b in zip(lam, lam[1:]))
+            assert all(a % 2 == 1 for a in lam)
             assert sum(lam) == n
 
 

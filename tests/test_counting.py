@@ -3,9 +3,7 @@
 import pytest
 
 from heckezero.compositions import enumerate_maximal, hook_kind
-from heckezero.counting import (
-    dim_center, size_sigma_formula, size_sigma_n, size_sigma_odd_hook,
-)
+from heckezero.counting import dim_center, size_sigma_formula, size_sigma_n
 from heckezero.cyclic_shift import equiv_classes, label_max_classes
 from heckezero.stair_classes import cycle_class, odd_hook_embed, sigma_class
 
@@ -28,18 +26,17 @@ class TestSizeSigmaN:
 
 
 class TestSizeSigmaOddHook:
+    """The closed count on odd hooks (k, 1^(n-k)): 1 for k = 1, else
+    2 * (n - k + 1) * 3^((k-3)/2)."""
+
     def test_all_ones(self):
-        assert size_sigma_odd_hook((1, 1, 1, 1)) == 1
+        assert size_sigma_formula((1, 1, 1, 1)) == 1
 
     def test_311(self):
-        assert size_sigma_odd_hook((3, 1, 1)) == 6
+        assert size_sigma_formula((3, 1, 1)) == 6
 
     def test_5111(self):
-        assert size_sigma_odd_hook((5, 1, 1, 1)) == 24
-
-    def test_rejects_even_hook(self):
-        with pytest.raises(ValueError):
-            size_sigma_odd_hook((4, 1, 1))
+        assert size_sigma_formula((5, 1, 1, 1)) == 24
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_embedding_image(self, n):
@@ -48,14 +45,14 @@ class TestSizeSigmaOddHook:
                 continue
             k = alpha[0]
             if k == 1:
-                assert size_sigma_odd_hook(alpha) == 1
+                assert size_sigma_formula(alpha) == 1
                 continue
             m = (k - 1) // 2
             image = {
                 odd_hook_embed(tau, j, alpha)
                 for tau in cycle_class(k) for j in range(m + 1, n - m + 1)
             }
-            assert size_sigma_odd_hook(alpha) == len(image)
+            assert size_sigma_formula(alpha) == len(image)
 
 
 class TestSizeSigmaFormula:

@@ -6,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "heckezero")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "heckezero").glob("*.py"))
+LIBRARY = [path for path in SOURCES if path.name != "__init__.py"]
+# outside the library, a public name is reached from a demo or an
+# acceptance test of a paper claim
+READERS = sorted((ROOT / "demos").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
 
 
 def _parse(path):
@@ -42,3 +47,43 @@ def test_every_import_is_used(path):
     unused = [name for name in names
               if not re.search(rf"\b{re.escape(name)}\b", rest)]
     assert unused == []
+
+
+def _reads(tree, skip=None):
+    """Every name that `tree` loads, bare or as an attribute, outside the
+    top-level definition named `skip`."""
+    tops = [node for node in tree.body
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name == skip)]
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for top in tops for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _public(tree):
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                == ["__all__"])
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_every_public_name_is_reached(path):
+    # the re-exports of __init__.py do not count as a use
+    _, tree = _parse(path)
+    elsewhere = set().union(*(_reads(_parse(other)[1])
+                              for other in LIBRARY + READERS if other != path))
+    unreached = [name for name in _public(tree)
+                 if name not in elsewhere and name not in _reads(tree, name)]
+    assert unreached == []
+
+
+def test_oracles_import_nothing_from_the_library():
+    # the oracles are the independent side of every comparison
+    _, tree = _parse(ROOT / "tests" / "oracles.py")
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "heckezero"] == []

@@ -1,15 +1,14 @@
 """The interleaving product: algebraic laws and class decompositions."""
 
+from math import factorial
+
 import pytest
 
-from heckezero import inductive_product
 from heckezero.compositions import enumerate_maximal
 from heckezero.cyclic_shift import approx_class, label_max_classes
 from heckezero.compositions import hook_kind, split_even_odd
-from heckezero.errors import InvariantError
 from heckezero.inductive_product import (
-    iprod, iprod_factor, iprod_length_law, orbit_partition_histogram,
-    sigma_star, stair_factorization,
+    iprod, iprod_length_law, orbit_partition_histogram,
 )
 from heckezero.permutations import (
     all_perms, conj_w0, cycle_type, from_cycles, identity, length, orbits,
@@ -77,37 +76,33 @@ class TestIprod:
 
 
 class TestIprodFactor:
+    """The product is injective, with image the permutations that stabilize
+    both blocks."""
+
     def test_identity(self):
-        assert iprod_factor(identity(5), 2, 3) == (identity(2), identity(3))
+        assert iprod(identity(2), identity(3)) == identity(5)
 
     def test_factor_recovers_stair_parts(self):
         p = stair_form((6, 3, 1))
-        assert iprod_factor(p, 6, 4) == (stair_form((6,)), stair_form((3, 1)))
+        factors = [(a, b) for a in all_perms(6) for b in all_perms(4)
+                   if iprod(a, b) == p]
+        assert factors == [(stair_form((6,)), stair_form((3, 1)))]
 
     def test_unstable_block_returns_none(self):
         p = perm((1, 5, 2, 6, 3, 4), n=6)
-        assert iprod_factor(p, 2, 4) is None
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            iprod_factor(identity(5), 2, 2)
+        assert p not in {iprod(a, b) for a in all_perms(2) for b in all_perms(4)}
 
     @pytest.mark.parametrize("n", range(7))
     def test_image_law_and_roundtrip(self, n):
         for n1 in range(n + 1):
             n2 = n - n1
             b1 = {phi1(n1, n2, i) for i in range(1, n1 + 1)}
-            products = set()
-            for s1 in all_perms(n1):
-                for s2 in all_perms(n2):
-                    p = iprod(s1, s2)
-                    products.add(p)
-                    assert iprod_factor(p, n1, n2) == (s1, s2)
+            products = {iprod(s1, s2)
+                        for s1 in all_perms(n1) for s2 in all_perms(n2)}
+            assert len(products) == factorial(n1) * factorial(n2)
             for p in all_perms(n):
                 stable = all(p[i - 1] in b1 for i in b1)
                 assert (p in products) == stable
-                if not stable:
-                    assert iprod_factor(p, n1, n2) is None
 
     @pytest.mark.parametrize("n", range(7))
     def test_orbit_law(self, n):
@@ -164,34 +159,26 @@ class TestOscTransport:
 
 
 class TestStairFactorization:
+    """The stair form of alpha is the product of the full cycle of its
+    first part with the stair form of the remaining parts, conjugated by the
+    longest element when the first part is odd."""
+
     def test_even_head(self):
-        head, tail = stair_factorization((6, 3))
-        assert head == stair_form((6,))
-        assert tail == stair_form((3,))
+        assert iprod(stair_form((6,)), stair_form((3,))) == stair_form((6, 3))
 
     def test_odd_head_conjugates_tail(self):
-        head, tail = stair_factorization((5, 3))
-        assert head == stair_form((5,))
-        assert tail == conj_w0(stair_form((3,)))
+        tail = conj_w0(stair_form((3,)))
+        assert iprod(stair_form((5,)), tail) == stair_form((5, 3))
 
     def test_single_part(self):
-        head, tail = stair_factorization((4,))
-        assert head == stair_form((4,)) and tail == ()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stair_factorization(())
-
-    def test_failed_check_is_an_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(inductive_product, "iprod", lambda a, b: a + b)
-        with pytest.raises(InvariantError, match="failed for \\(4, 2\\)"):
-            stair_factorization((4, 2))
+        assert iprod(stair_form((4,)), ()) == stair_form((4,))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_reproduces_stair_form(self, n):
         for alpha in enumerate_maximal(n):
-            head, tail = stair_factorization(alpha)
-            assert iprod(head, tail) == stair_form(alpha)
+            rest = stair_form(alpha[1:])
+            tail = rest if alpha[0] % 2 == 0 else conj_w0(rest)
+            assert iprod(stair_form(alpha[:1]), tail) == stair_form(alpha)
 
 
 class TestClassProduct:
@@ -216,6 +203,13 @@ class TestClassProduct:
             tail = label_max_classes(n - alpha[0])[alpha[1:]].elements
             product = {iprod(a, b) for a in cycle_class(alpha[0]) for b in tail}
             assert product == labelled[alpha].elements, alpha
+
+
+def sigma_star(alpha):
+    """The members of the class of `alpha` whose orbit partition equals
+    that of the stair form."""
+    base = orbits(stair_form(alpha))
+    return {w for w in sigma_class(alpha).elements if orbits(w) == base}
 
 
 class TestSigmaStar:

@@ -3,13 +3,15 @@
 import pytest
 
 from heckezero.permutations import (
-    all_perms, bruhat_leq, compose, conj_adjacent, conj_w0, cycle_string,
-    cycle_type, cycles, even_orbits, from_cycles, identity, inverse, length,
-    left_descents, longest_element, right_descents,
+    all_perms, compose, conj_w0, cycle_string, cycle_type, cycles,
+    even_orbits, from_cycles, identity, inverse, length, longest_element,
 )
-from heckezero.cyclic_shift import _step
+from heckezero.cyclic_shift import _step, one_step
+from heckezero.hecke import (
+    HeckeElement, left_mul_gen, order_ideal, right_mul_gen, t_basis,
+)
 
-from oracles import bruhat_leq_oracle
+from oracles import apply_gen_left, apply_gen_right, bruhat_leq_oracle
 
 
 def perm(*cycs, n):
@@ -62,37 +64,49 @@ class TestLength:
 
 
 class TestDescents:
+    """Descents as the Hecke generators see them: T_i * T_w = -T_w exactly
+    when i is a left descent of w, and T_w * T_i = -T_w exactly when i is a
+    right descent."""
+
+    @staticmethod
+    def flips(mul_gen, i, w):
+        return mul_gen(i, t_basis(len(w), w)) == HeckeElement(len(w), {w: -1})
+
     def test_identity_has_none(self):
-        assert left_descents(identity(5)) == set()
-        assert right_descents(identity(5)) == set()
+        e = identity(5)
+        assert not any(self.flips(left_mul_gen, i, e) for i in range(1, 5))
+        assert not any(self.flips(right_mul_gen, i, e) for i in range(1, 5))
 
     def test_longest_has_all(self):
-        assert right_descents(longest_element(3)) == {1, 2}
-        assert left_descents(longest_element(3)) == {1, 2}
+        w0 = longest_element(3)
+        assert all(self.flips(left_mul_gen, i, w0) for i in (1, 2))
+        assert all(self.flips(right_mul_gen, i, w0) for i in (1, 2))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_right_descent_iff_length_drop(self, n):
         for p in all_perms(n):
             lp = length(p)
             for i in range(1, n):
-                ps = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1:]
-                assert (i in right_descents(p)) == (length(ps) < lp)
+                drop = length(apply_gen_right(p, i)) < lp
+                assert self.flips(right_mul_gen, i, p) == drop
 
 
 class TestConjAdjacent:
+    """Conjugation by s_i, as the identity-twist step kernel computes it."""
+
     def test_fixes_identity(self):
-        assert conj_adjacent(identity(4), 2) == identity(4)
+        assert _step(identity(4), 2, "id")[0] == identity(4)
 
     def test_three_cycle(self):
-        assert conj_adjacent(perm((1, 2, 3), n=3), 1) == perm((1, 3, 2), n=3)
+        assert _step(perm((1, 2, 3), n=3), 1, "id")[0] == perm((1, 3, 2), n=3)
 
     def test_six_cycle(self):
         p = perm((1, 6, 2, 5, 3, 4), n=6)
-        assert conj_adjacent(p, 1) == perm((1, 5, 3, 4, 2, 6), n=6)
+        assert _step(p, 1, "id")[0] == perm((1, 5, 3, 4, 2, 6), n=6)
 
     def test_index_range(self):
         with pytest.raises(ValueError):
-            conj_adjacent(identity(3), 3)
+            one_step(identity(3), 3)
 
 
 class TestLengthDeltaConj:
@@ -113,7 +127,7 @@ class TestLengthDeltaConj:
             lp = length(p)
             for i in range(1, n):
                 q, delta = _step(p, i, "id")
-                assert q == conj_adjacent(p, i)
+                assert q == apply_gen_right(apply_gen_left(i, p), i)
                 assert delta in (-2, 0, 2)
                 assert delta == length(q) - lp
 
@@ -187,29 +201,34 @@ class TestEvenOrbits:
 
 
 class TestBruhat:
+    """Bruhat order as `order_ideal` decides it: u <= w iff u lies in the
+    ideal generated by w."""
+
     def test_identity_is_minimum(self):
         for w in all_perms(4):
-            assert bruhat_leq(identity(4), w)
+            assert identity(4) in order_ideal([w])
 
     def test_w0_is_maximum(self):
         for n in range(1, 6):
-            w0 = longest_element(n)
-            assert all(bruhat_leq(w, w0) for w in all_perms(n))
+            assert order_ideal([longest_element(n)]) == set(all_perms(n))
 
     def test_matches_reduced_word_oracle_s4(self):
-        for u in all_perms(4):
-            for w in all_perms(4):
-                assert bruhat_leq(u, w) == bruhat_leq_oracle(u, w)
+        for w in all_perms(4):
+            below = order_ideal([w])
+            for u in all_perms(4):
+                assert (u in below) == bruhat_leq_oracle(u, w)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_bruhat_symmetries(self, n):
+        # u <= w iff w w0 <= u w0 iff w0 w <= w0 u iff w0 u w0 <= w0 w w0
         w0 = longest_element(n)
-        for u in all_perms(n):
-            for w in all_perms(n):
-                ref = bruhat_leq(u, w)
-                assert ref == bruhat_leq(compose(w, w0), compose(u, w0))
-                assert ref == bruhat_leq(compose(w0, w), compose(w0, u))
-                assert ref == bruhat_leq(conj_w0(u), conj_w0(w))
+        below = {w: order_ideal([w]) for w in all_perms(n)}
+        for w in below:
+            for u in below:
+                ref = u in below[w]
+                assert ref == (compose(w, w0) in below[compose(u, w0)])
+                assert ref == (compose(w0, w) in below[compose(w0, u)])
+                assert ref == (conj_w0(u) in below[conj_w0(w)])
 
 
 class TestLengthProducts:

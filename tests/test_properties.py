@@ -5,15 +5,18 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from heckezero.cyclic_shift import _step, approx_class, one_step
-from heckezero.inductive_product import iprod, iprod_factor, iprod_length_law
+from heckezero.hecke import left_mul_gen, order_ideal, t_basis
+from heckezero.inductive_product import iprod, iprod_length_law
 from heckezero.permutations import (
-    adjacent_transposition, bruhat_leq, compose, conj_w0,
-    cycle_type, from_cycles, inverse, length, longest_element, swap_values,
+    compose, conj_w0, cycle_type, from_cycles, inverse, length,
+    longest_element,
 )
 from heckezero.stair_classes import (
     cycle_class, cycle_delete, cycle_insert, lift_cycle_class,
     lower_cycle_class,
 )
+
+from oracles import apply_gen_left, apply_gen_right, inv_count
 
 
 def perms(min_n=0, max_n=8):
@@ -67,8 +70,7 @@ def test_length_delta_matches_direct(p, data, twist):
     i = data.draw(st.integers(min_value=1, max_value=n - 1))
     j = i if twist == "id" else n - i
     q, delta = _step(p, i, twist)
-    assert q == compose(compose(adjacent_transposition(n, i), p),
-                        adjacent_transposition(n, j))
+    assert q == apply_gen_right(apply_gen_left(i, p), j)
     assert delta == length(q) - length(p)
 
 
@@ -76,7 +78,10 @@ def test_length_delta_matches_direct(p, data, twist):
 def test_swap_values_is_left_generator(p, data):
     n = len(p)
     i = data.draw(st.integers(min_value=1, max_value=n - 1))
-    assert swap_values(p, i) == compose(adjacent_transposition(n, i), p)
+    # T_i * T_p climbs to T_{s_i p}, the value swap, or flips the sign
+    sp = apply_gen_left(i, p)
+    expected = {sp: 1} if inv_count(sp) > inv_count(p) else {p: -1}
+    assert left_mul_gen(i, t_basis(n, p)).terms == expected
 
 
 @given(perm_pairs(min_n=6, max_n=7))
@@ -84,10 +89,10 @@ def test_bruhat_antiautomorphisms(pair):
     u, w = pair
     n = len(u)
     w0 = longest_element(n)
-    ref = bruhat_leq(u, w)
-    assert ref == bruhat_leq(compose(w, w0), compose(u, w0))
-    assert ref == bruhat_leq(compose(w0, w), compose(w0, u))
-    assert ref == bruhat_leq(conj_w0(u), conj_w0(w))
+    ref = u in order_ideal([w])
+    assert ref == (compose(w, w0) in order_ideal([compose(u, w0)]))
+    assert ref == (compose(w0, w) in order_ideal([compose(w0, u)]))
+    assert ref == (conj_w0(u) in order_ideal([conj_w0(w)]))
 
 
 @given(perms(min_n=2), st.data())
@@ -122,13 +127,6 @@ def test_lift_lower_roundtrip(n, data):
     lifted = (lift_cycle_class(n, sigma, q) if q is not None
               else lift_cycle_class(n, sigma))
     assert lower_cycle_class(lifted) == (sigma, q)
-
-
-@given(perm_pairs(min_n=0, max_n=5))
-def test_iprod_factor_roundtrip(pair):
-    s1, s2 = pair
-    p = iprod(s1, s2)
-    assert iprod_factor(p, len(s1), len(s2)) == (s1, s2)
 
 
 @given(full_cycle_perms(min_n=1, max_n=6), perms(min_n=0, max_n=5))
