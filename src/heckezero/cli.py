@@ -37,8 +37,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_alpha(text: str) -> tuple[int, ...]:
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
+        return ()
     try:
-        alpha = tuple(int(part) for part in text.split(",") if part.strip())
+        alpha = tuple(int(part) for part in parts)
     except ValueError:
         raise _CliError(f"cannot parse composition {text!r}")
     if any(a < 1 for a in alpha):
@@ -46,8 +49,52 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
     return alpha
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_INT_ONLY = {int}
+_STR_ONLY = {str}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`value` as `json.dumps` writes it with sorted keys and an indent of
+    two spaces.
+
+    The stdlib falls back to its pure-Python encoder whenever it indents,
+    so this writer builds the same text itself: a list of exact ints (no
+    bools) is joined in one C call, strings go through the C string
+    encoder, and dict keys must be `str`.  `indent` is the newline plus the
+    indentation of the line `value` starts on.
+    """
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _ENCODE_STR(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == _INT_ONLY:
+            body = ("," + inner).join(map(repr, value))
+        else:
+            body = ("," + inner).join([_json_text(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) != _STR_ONLY:
+            raise TypeError("JSON object keys must be str")
+        inner = indent + "  "
+        body = ("," + inner).join([
+            _ENCODE_STR(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)])
+        return "{" + inner + body + indent + "}"
+    if value is None or kind is bool or kind is float:
+        return json.dumps(value)
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def _emit(doc, args, summary: str) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = _json_text(doc)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -76,13 +76,21 @@ def inverse(p: Perm) -> Perm:
 def length(p: Perm) -> int:
     """Coxeter length of `p`: the number of inversions of the one-line word.
 
+    Reading left to right, the value v is inverted with every larger value
+    already seen; those are the bits above v in a bitmask of the seen
+    values, so each position costs one shift and one popcount.
+
     >>> length((3, 2, 1))
     3
     >>> length(identity(5))
     0
     """
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    seen = 0
+    inversions = 0
+    for v in p:
+        inversions += (seen >> v).bit_count()
+        seen |= 1 << v
+    return inversions
 
 
 def longest_element(n: int) -> Perm:

@@ -285,29 +285,47 @@ def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
         raise ValueError(f"expected a permutation of degree {n - 1}")
     if not _is_cycle_class_member(sigma):
         raise ValueError(f"{sigma} is not in the one-part class of degree {n - 1}")
-    return _lift(n, sigma, q)
-
-
-def _lift(n: int, sigma: Perm, q: int | None) -> Perm:
-    """The insertion step of `lift_cycle_class`, without its membership
-    check on `sigma`."""
-    c = _cycle_from_one(sigma)
     if n % 2 == 0:
         if q is not None:
             raise ValueError("q applies only to odd target degrees")
-        m = n // 2 + 1
-        half = n // 2
-        target = min(inverse(sigma)[half - 1], half)
-        pos = c.index(target) + 1
-        return cycle_insert(m, pos, sigma)
+        return _lifts(n, sigma)[0]
     if q not in (0, 1, 2):
         raise ValueError("odd target degree needs q in {0, 1, 2}")
-    m = (n + 1) // 2
-    pos = next(
-        r for r in range(1, n - 2)
-        if c[r - 1] not in (m - 1, m) and c[r] in (m - 1, m)
-    )
-    return cycle_insert(m, pos + q, sigma)
+    return _lifts(n, sigma)[q]
+
+
+def _lifts(n: int, sigma: Perm) -> tuple[Perm, ...]:
+    """Every lift of the full cycle `sigma` of degree n-1, without the
+    membership check of `lift_cycle_class`: the one lift for even n, the
+    branches q = 0, 1, 2 in that order for odd n.
+
+    A lift inserts m behind an anchor a of the cycle, a -> m -> sigma(a),
+    and raises every value >= m by one.  Its one-line form is the raised
+    one-line form of `sigma` with the two entries at a and m set.  The even
+    anchor is the lesser of n/2 and its preimage.  The odd anchors are the
+    preimage of, the first of and the second of the pair {m-1, m} on the
+    cycle read from 1, which one walk of the cycle finds.
+    """
+    if n % 2 == 0:
+        m = n // 2 + 1
+        anchors = (min(inverse(sigma)[m - 2], m - 1),)
+    else:
+        m = (n + 1) // 2
+        prev, x = 1, sigma[0]
+        while x != m - 1 and x != m:
+            if x == 1:
+                raise ValueError(f"not a full cycle: {sigma}")
+            prev, x = x, sigma[x - 1]
+        anchors = (prev, x, sigma[x - 1])
+    raised = [v + 1 if v >= m else v for v in sigma]
+    base = raised[:m - 1] + [0] + raised[m - 1:]
+    lifts = []
+    for a in anchors:
+        out = base.copy()
+        out[a if a >= m else a - 1] = m
+        out[m - 1] = raised[a - 1]
+        lifts.append(tuple(out))
+    return tuple(lifts)
 
 
 def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
@@ -353,11 +371,8 @@ def cycle_class(n: int) -> frozenset[Perm]:
         return frozenset([(2, 1)])
     if n == 3:
         return frozenset([from_cycles(3, [(1, 3, 2)]), from_cycles(3, [(1, 2, 3)])])
-    prev = cycle_class(n - 1)
-    if n % 2 == 0:
-        result = frozenset(_lift(n, s, None) for s in prev)
-    else:
-        result = frozenset(_lift(n, s, q) for s in prev for q in (0, 1, 2))
+    result = frozenset(
+        lift for sigma in cycle_class(n - 1) for lift in _lifts(n, sigma))
     if len(result) != size_sigma_n(n):
         raise InvariantError(
             f"the lift built {len(result)} full {n}-cycles, expected "

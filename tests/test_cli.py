@@ -4,6 +4,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heckezero import cli
 from heckezero.cli import main
@@ -101,6 +102,14 @@ class TestSigma:
     def test_rejects_garbage(self, capsys):
         code, _, err = run(capsys, "sigma", "--alpha", "2,x")
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["3,,1,1", "3,1,"])
+    def test_rejects_an_empty_part(self, capsys, text):
+        # read as (3, 1, 1), a typo would silently change the label
+        code, out, err = run(capsys, "sigma", "--alpha", text)
+        assert code == 1
+        assert out == ""
+        assert "cannot parse composition" in err
 
     def test_non_hook_tail_needs_no_gate(self, capsys):
         doc, _ = run_json(capsys, "sigma", "--alpha", "2,5,5")
@@ -233,6 +242,15 @@ class TestPlumbing:
         assert out == ""
         assert json.loads(target.read_text()) == 3
 
+    def test_out_file_bytes_equal_stdout(self, capsys, tmp_path):
+        target = tmp_path / "sigma.json"
+        code, out, _ = run(capsys, "sigma", "--alpha", "5")
+        assert code == 0
+        code, quiet, _ = run(capsys, "sigma", "--alpha", "5",
+                             "--out", str(target))
+        assert code == 0 and quiet == ""
+        assert target.read_bytes() == out.encode()
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
@@ -240,3 +258,31 @@ class TestPlumbing:
     def test_missing_required(self, capsys):
         code, _, err = run(capsys, "dim")
         assert code == 1
+
+
+_INTS = st.integers(min_value=-2**70, max_value=2**70)
+_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\n\t", "é", "\u2028", "\U0001f600"])
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _STRINGS
+_INT_LISTS = st.lists(_INTS) | st.lists(_INTS | st.booleans() | st.none())
+_TREES = st.recursive(
+    _SCALARS | _INT_LISTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=24)
+
+
+class TestJsonText:
+    @given(_TREES)
+    def test_matches_stdlib_indented_dump(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    def test_empty_containers_nested(self):
+        doc = {"": [[], {}, [[]]], "a": {"": {}}}
+        assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [{1: 2}, {"a": 1, None: 2}, (1, 2),
+                                     {"a": {3}}, [b"x"]])
+    def test_rejects_what_it_does_not_write(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)

@@ -11,7 +11,7 @@ from heckezero.hecke import (
     HeckeElement, left_mul_gen, order_ideal, right_mul_gen, t_basis,
 )
 
-from oracles import apply_gen_left, apply_gen_right, bruhat_leq_oracle
+from oracles import apply_gen_left, apply_gen_right, bruhat_leq_oracle, inv_count
 
 
 def perm(*cycs, n):
@@ -61,6 +61,10 @@ class TestLength:
     def test_longest_element(self):
         for n in range(11):
             assert length(longest_element(n)) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_inversion_count_exhaustive(self, n):
+        assert all(length(w) == inv_count(w) for w in all_perms(n))
 
 
 class TestDescents:

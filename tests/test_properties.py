@@ -24,6 +24,13 @@ def perms(min_n=0, max_n=8):
         lambda n: st.permutations(list(range(1, n + 1))).map(tuple))
 
 
+@given(perms(min_n=60, max_n=100))
+def test_length_is_inversion_count_beyond_one_word(w):
+    # values above 63 put the seen-value bitmask past one machine word;
+    # tests/test_permutations.py checks every permutation of degree <= 7
+    assert length(w) == inv_count(w)
+
+
 def perm_pairs(min_n=1, max_n=7):
     return st.integers(min_value=min_n, max_value=max_n).flatmap(
         lambda n: st.tuples(

@@ -288,9 +288,10 @@ class TestCycleClass:
         assert count == len(got)
 
     def test_count_check_catches_a_broken_lift(self, monkeypatch):
-        # appending a fixed point ignores q, so the odd step is not injective
-        monkeypatch.setattr(stair_classes, "_lift",
-                            lambda n, sigma, q: sigma + (n,))
+        # appending a fixed point ignores the branch, so the odd step is not
+        # injective
+        monkeypatch.setattr(stair_classes, "_lifts",
+                            lambda n, sigma: (sigma + (n,),) * (1 + 2 * (n % 2)))
         cycle_class.cache_clear()
         try:
             with pytest.raises(InvariantError, match="expected 6"):
