@@ -6,14 +6,16 @@ A full cycle belongs to the maximal class exactly when it is oscillating
 (entries alternate between the lower and upper half of 1..n) and has
 connected intervals (every centered interval [i, n-i+1] forms a
 contiguous arc).  Inserting the middle value of 1..n into a class member
-of degree n-1 gives a bijection onto the degree-n class, with three
-insertion slots when n is odd; so the counts go 1, 1, 2, 2, 6, 6, 18, ...
+of degree n-1 (`lift_cycle_class`) gives a bijection onto the degree-n
+class, with three insertion slots when n is odd; so the counts go 1, 1, 2,
+2, 6, 6, 18, ...  Deleting the middle value (`lower_cycle_class`) undoes
+the insertion and names the slot it used.
 """
 
-from heckezero import cycle_class, cycle_string, from_cycles, size_sigma_n
+from heckezero import cycle_class, cycle_string, size_sigma_n
 from heckezero.stair_classes import (
-    cycle_delete, cycle_insert, has_connected_intervals_cycle,
-    is_oscillating_cycle, lift_cycle_class, lower_cycle_class,
+    has_connected_intervals_cycle, is_oscillating_cycle, lift_cycle_class,
+    lower_cycle_class,
 )
 
 for n in range(1, 11):
@@ -30,14 +32,6 @@ for sigma in sorted(cycle_class(5)):
 sigma = sorted(cycle_class(5))[0]
 down, q = lower_cycle_class(sigma)
 assert lift_cycle_class(5, down, q) == sigma
-
-# The primitive moves of the bijection: inserting a value k behind an
-# entry of a cycle shifts the entries >= k up, and deleting k undoes it.
-start = from_cycles(3, [(1, 2, 3)])
-up = cycle_insert(3, 1, start)
-print(f"\ninsert 3 behind the first entry of {cycle_string(start)}: "
-      f"{cycle_string(up)}; delete it again: "
-      f"{cycle_string(cycle_delete(3, up))}")
 
 # The two predicates that characterize the class, on raw cycles:
 print("\npredicates on two 6-cycles:")

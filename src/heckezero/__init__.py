@@ -39,8 +39,7 @@ from .permutations import (
     from_cycles, identity, inverse, length, longest_element,
 )
 from .stair_classes import (
-    cycle_class, cycle_delete, cycle_insert, has_connected_intervals,
-    hook_properties, is_oscillating,
+    cycle_class, has_connected_intervals, hook_properties, is_oscillating,
     lift_cycle_class, lower_cycle_class, member_sigma_alpha, odd_hook_embed,
     sigma_class, stair_form,
 )
@@ -49,8 +48,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegreeLimitError", "EquivClass", "HeckeElement", "InvariantError",
-    "approx_class", "compose", "conj_w0", "cycle_class", "cycle_delete",
-    "cycle_insert", "cycle_string", "cycle_type", "cycles", "dim_center",
+    "approx_class", "compose", "conj_w0", "cycle_class", "cycle_string",
+    "cycle_type", "cycles", "dim_center",
     "enumerate_maximal", "equiv_classes", "even_orbits", "from_cycles",
     "has_connected_intervals",
     "hook_kind", "hook_properties", "identity", "inverse", "iprod",

@@ -17,7 +17,7 @@ import sys
 
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
 from .counting import dim_center, size_sigma_formula
-from .cyclic_shift import equiv_classes, label_max_classes
+from .cyclic_shift import _check_degree, equiv_classes, label_max_classes
 from .errors import InvariantError
 from .hecke import t_leq_sigma
 from .permutations import cycle_string
@@ -38,12 +38,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_alpha(text: str) -> tuple[int, ...]:
     parts = [part.strip() for part in text.split(",")]
-    if not any(parts):
-        return ()
-    try:
-        alpha = tuple(int(part) for part in parts)
-    except ValueError:
+    # int() alone would also read "1_1" as 11 and "+3" as 3
+    if not all(part.removeprefix("-").isdecimal() for part in parts):
         raise _CliError(f"cannot parse composition {text!r}")
+    alpha = tuple(map(int, parts))
     if any(a < 1 for a in alpha):
         raise _CliError(f"composition parts must be positive: {text!r}")
     return alpha
@@ -189,6 +187,7 @@ def _basis_entry(alpha, n, force) -> dict:
 
 
 def _cmd_basis(args) -> int:
+    _check_degree(args.n, args.force)
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         if not is_maximal(alpha):

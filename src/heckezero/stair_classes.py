@@ -9,11 +9,14 @@ cycle.
 Membership in a labelled class is decided by three invariants (cycle type,
 length, even-size orbits).  For a one-part label the class is exactly the
 set of full cycles that are *oscillating* with *connected intervals*, and
-it grows degree by degree through an insertion bijection.  `sigma_class` is
-the one constructive route to every labelled class: the even parts split off
-through the interleaving product, an odd tail shaped like a hook comes from
-the hook embedding, and any other odd tail is the cyclic-shift class of its
-stair form.
+it grows degree by degree through an insertion bijection.  One kernel,
+`_lifts`, inserts the middle value on one-line forms, `lower_cycle_class`
+is its inverse, and membership is tested by the two predicates on the one
+cycle, never by building the class.  `sigma_class` is the one constructive
+route to every labelled class: the even parts split off through the
+interleaving product, an odd tail shaped like a hook comes from the hook
+embedding, and any other odd tail is the cyclic-shift class of its stair
+form.
 
 >>> cycle_string(stair_form((4, 2)))
 '(1,6,2,5)(3,4)'
@@ -42,8 +45,8 @@ __all__ = [
     "stair_sequence", "stair_form", "member_sigma_alpha",
     "standardize_cycle", "is_oscillating_cycle", "has_connected_intervals_cycle",
     "is_oscillating", "has_connected_intervals", "hook_properties",
-    "cycle_insert", "cycle_delete", "lift_cycle_class", "lower_cycle_class",
-    "cycle_class", "odd_hook_embed", "sigma_class",
+    "lift_cycle_class", "lower_cycle_class", "cycle_class", "odd_hook_embed",
+    "sigma_class",
 ]
 
 
@@ -211,58 +214,13 @@ def hook_properties(p: Perm, alpha: Composition) -> bool:
     return True
 
 
-def _cycle_from_one(p: Perm) -> Cycle:
-    """The full cycle `p` written starting at entry 1."""
-    out = [1]
-    v = p[0]
-    while v != 1:
-        out.append(v)
-        v = p[v - 1]
-    if len(out) != len(p):
-        raise ValueError(f"not a full cycle: {p}")
-    return tuple(out)
-
-
-def cycle_insert(k: int, pos: int, sigma: Perm) -> Perm:
-    """Insert the value k into the full cycle `sigma`, written starting at 1,
-    behind its pos-th entry; entries >= k shift up by one.
-
-    >>> cycle_string(cycle_insert(3, 1, from_cycles(3, [(1, 2, 3)])))
-    '(1,3,2,4)'
-    """
-    n = len(sigma)
-    if not 2 <= k <= n + 1:
-        raise ValueError(f"insertion value {k} out of range 2..{n + 1}")
-    if not 1 <= pos <= n:
-        raise ValueError(f"insertion position {pos} out of range 1..{n}")
-    c = _cycle_from_one(sigma)
-    shifted = [v + 1 if v >= k else v for v in c]
-    new = shifted[:pos] + [k] + shifted[pos:]
-    return from_cycles(n + 1, [tuple(new)])
-
-
-def cycle_delete(k: int, sigma: Perm) -> Perm:
-    """Remove the value k from the full cycle `sigma`; entries > k shift
-    down by one.  Inverse to `cycle_insert`: deleting k after inserting it
-    recovers the original cycle.
-
-    >>> cycle_string(cycle_delete(3, from_cycles(5, [(1, 3, 4, 2, 5)])))
-    '(1,3,2,4)'
-    """
-    n = len(sigma)
-    if not 2 <= k <= n:
-        raise ValueError(f"deletion value {k} out of range 2..{n}")
-    c = _cycle_from_one(sigma)
-    new = [v - 1 if v > k else v for v in c if v != k]
-    return from_cycles(n - 1, [tuple(new)])
-
-
 def _is_cycle_class_member(sigma: Perm) -> bool:
-    n = len(sigma)
-    if n == 0 or cycle_type(sigma) != (n,):
-        return False
-    c = _cycle_from_one(sigma)
-    return is_oscillating_cycle(c) and has_connected_intervals_cycle(c)
+    """Whether `sigma` is in the one-part class of its degree: a single
+    cycle, which `cycles` writes from 1, oscillating with connected
+    intervals."""
+    cycs = cycles(sigma)
+    return (len(cycs) == 1 and is_oscillating_cycle(cycs[0])
+            and has_connected_intervals_cycle(cycs[0]))
 
 
 def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
@@ -332,6 +290,12 @@ def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
     """Inverse of `lift_cycle_class`: drop the middle value from a one-part
     class member of degree n >= 4, recovering the branch index for odd n.
 
+    The middle value m is n/2 + 1 for even n and (n+1)/2 for odd n.  Its
+    preimage is sent to sigma(m), position m is dropped and every value
+    above m goes down by one.  For odd n the branch is where m sits beside
+    the pair {m-1, m+1} on the cycle: before it (0), inside it (1) or after
+    it (2).
+
     >>> lower_cycle_class(from_cycles(5, [(1, 5, 2, 3, 4)]))[1]
     1
     """
@@ -340,15 +304,22 @@ def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
         raise ValueError("degree-lowering map needs n >= 4")
     if not _is_cycle_class_member(sigma):
         raise ValueError(f"{sigma} is not in the one-part class of degree {n}")
-    if n % 2 == 0:
-        return cycle_delete(n // 2 + 1, sigma), None
-    m = (n + 1) // 2
-    c = _cycle_from_one(sigma)
-    idxs = sorted(c.index(v) for v in (m - 1, m, m + 1))
-    if idxs[2] - idxs[0] != 2:
-        raise ValueError(f"{sigma} is not in the one-part class of degree {n}")
-    q = c.index(m) - idxs[0]
-    return cycle_delete(m, sigma), q
+    m = n // 2 + 1 if n % 2 == 0 else (n + 1) // 2
+    inv = inverse(sigma)
+    before, after = inv[m - 1], sigma[m - 1]
+    q = None
+    if n % 2:
+        arcs = ({after, sigma[after - 1]}, {before, after},
+                {before, inv[before - 1]})
+        q = next((b for b, arc in enumerate(arcs) if arc == {m - 1, m + 1}),
+                 None)
+        if q is None:
+            raise InvariantError(
+                f"{sigma} passed the class test but is the lift of no branch")
+    lowered = list(sigma)
+    lowered[before - 1] = after
+    del lowered[m - 1]
+    return tuple(v - 1 if v > m else v for v in lowered), q
 
 
 @lru_cache(maxsize=None)
@@ -398,21 +369,32 @@ def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
     m = (k - 1) // 2
     if not m + 1 <= j <= n - m:
         raise ValueError(f"free point {j} out of range {m + 1}..{n - m}")
-    if tau not in cycle_class(k):
+    if len(tau) != k or not _is_cycle_class_member(tau):
         raise ValueError(f"{tau} is not in the one-part class of degree {k}")
-    support = list(range(1, m + 1)) + [j] + list(range(n - m + 1, n + 1))
-    c = _cycle_from_one(tau)
-    return from_cycles(n, [tuple(support[t - 1] for t in c)])
+    return _embed(tau, j, n)
+
+
+def _embed(tau: Perm, j: int, n: int) -> Perm:
+    """`tau` written onto {1..m} | {j} | {n-m+1..n} of 1..n by the
+    increasing bijection, m = (len(tau)-1)/2, with every other point fixed;
+    the kernel of `odd_hook_embed`, without its checks."""
+    m = (len(tau) - 1) // 2
+    support = (*range(1, m + 1), j, *range(n - m + 1, n + 1))
+    out = list(range(1, n + 1))
+    for s, t in zip(support, tau):
+        out[s - 1] = support[t - 1]
+    return tuple(out)
 
 
 def sigma_class(alpha: Composition):
     """The full class labelled by the maximal composition `alpha`, as an
     EquivClass.
 
-    The odd tail is built first: the image of `odd_hook_embed` when it is a
-    hook with long part >= 3, and otherwise the cyclic-shift class of its
-    stair form, found by the reachability search (`approx_class`), which
-    visits only the class.  Each even part, right to left, then joins
+    The odd tail is built first: when it is a hook with long part k >= 3,
+    the hook embedding (`_embed`) of every full k-cycle class member onto
+    every free point, and otherwise the cyclic-shift class of its stair
+    form, found by the reachability search (`approx_class`), which visits
+    only the class.  Each even part, right to left, then joins
     through the interleaving product with the class of full cycles of that
     size.
     """
@@ -423,7 +405,7 @@ def sigma_class(alpha: Composition):
         n = sum(odds)
         m = (odds[0] - 1) // 2
         current = {
-            odd_hook_embed(tau, j, odds)
+            _embed(tau, j, n)
             for tau in cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
         }
     else:

@@ -160,26 +160,43 @@ def perms_of_type(n, lam):
 
 def invariant_class(alpha):
     """The permutations that share cycle type, inversion count and even-size
-    orbits with the stair form of alpha.  The stair form is rebuilt here:
-    deal 1..n alternately from the low and the high end, cut the sequence
-    into blocks of sizes alpha and close each block into a cycle."""
-    n = sum(alpha)
-    rest = list(range(1, n + 1))
-    seq = [rest.pop(0) if r % 2 == 0 else rest.pop() for r in range(n)]
-    img = list(range(1, n + 1))
-    start = 0
-    for part in alpha:
-        block = seq[start:start + part]
-        for t, v in enumerate(block):
-            img[v - 1] = block[(t + 1) % part]
-        start += part
-    stair = tuple(img)
+    orbits with the stair form of alpha."""
+    return invariant_classes([alpha])[alpha]
 
-    def even(p):
-        return {b for b in orbit_sets(p) if len(b) % 2 == 0}
 
-    return {p for p in perms_of_type(n, alpha)
-            if inv_count(p) == inv_count(stair) and even(p) == even(stair)}
+def invariant_classes(alphas):
+    """`invariant_class` of each label in `alphas`, all of one degree n,
+    from one pass over S_n.  The stair form is rebuilt here: deal 1..n
+    alternately from the low and the high end, cut the sequence into blocks
+    of sizes alpha and close each block into a cycle."""
+    n = sum(alphas[0])
+    targets = {}
+    for alpha in alphas:
+        rest = list(range(1, n + 1))
+        seq = [rest.pop(0) if r % 2 == 0 else rest.pop() for r in range(n)]
+        img = list(range(1, n + 1))
+        start = 0
+        for part in alpha:
+            block = seq[start:start + part]
+            for t, v in enumerate(block):
+                img[v - 1] = block[(t + 1) % part]
+            start += part
+        stair = tuple(img)
+        lam = tuple(sorted(alpha, reverse=True))
+        key = (inv_count(stair), _even(orbit_sets(stair)))
+        targets.setdefault(lam, {}).setdefault(key, []).append(alpha)
+    out = {alpha: set() for alpha in alphas}
+    for p in permutations(range(1, n + 1)):
+        orbits = orbit_sets(p)
+        by_key = targets.get(tuple(sorted(map(len, orbits), reverse=True)))
+        if by_key:
+            for alpha in by_key.get((inv_count(p), _even(orbits)), ()):
+                out[alpha].add(p)
+    return out
+
+
+def _even(orbits):
+    return frozenset(b for b in orbits if len(b) % 2 == 0)
 
 
 def compositions_of(n):

@@ -1,10 +1,13 @@
 """The command-line interface: subcommands, JSON schemas, exit codes."""
 
+import contextlib
+import io
 import json
+import signal
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heckezero import cli
 from heckezero.cli import main
@@ -103,13 +106,23 @@ class TestSigma:
         code, _, err = run(capsys, "sigma", "--alpha", "2,x")
         assert code == 1
 
-    @pytest.mark.parametrize("text", ["3,,1,1", "3,1,"])
-    def test_rejects_an_empty_part(self, capsys, text):
-        # read as (3, 1, 1), a typo would silently change the label
+    @pytest.mark.parametrize("text", ["1_1", "+3", "3-1"])
+    def test_rejects_what_int_would_misread(self, capsys, text):
+        # int() reads "1_1" as 11 and "+3" as 3
         code, out, err = run(capsys, "sigma", "--alpha", text)
         assert code == 1
         assert out == ""
         assert "cannot parse composition" in err
+
+    @pytest.mark.parametrize("text", ["3,,1,1", "3,1,", "", ","])
+    def test_rejects_an_empty_part(self, capsys, text):
+        # read as (3, 1, 1) or (), a typo or an empty shell variable would
+        # silently change the label
+        for command in ("sigma", "count", "stairform"):
+            code, out, err = run(capsys, command, "--alpha", text)
+            assert code == 1, command
+            assert out == ""
+            assert "cannot parse composition" in err
 
     def test_non_hook_tail_needs_no_gate(self, capsys):
         doc, _ = run_json(capsys, "sigma", "--alpha", "2,5,5")
@@ -211,12 +224,20 @@ class TestBasis:
         code, _, err = run(capsys, "basis", "--n", "4", "--alpha", "3")
         assert code == 1
 
+    def test_whole_basis_gate_comes_first(self):
+        # the gate used to wait for the first ideal, after enumerating the
+        # labels and the dimension; run_quietly fails a call past 1 s
+        code, out, err = run_quietly(["basis", "--n", "60"])
+        assert code == 1
+        assert out == ""
+        assert "force" in err
+
     @pytest.mark.parametrize("text", ["", ","])
     def test_empty_alpha_is_rejected(self, capsys, text):
         code, out, err = run(capsys, "basis", "--n", "3", "--alpha", text)
         assert code == 1
         assert out == ""
-        assert "|()| != 3" in err
+        assert "cannot parse composition" in err
 
 
 class TestVerify:
@@ -258,6 +279,72 @@ class TestPlumbing:
     def test_missing_required(self, capsys):
         code, _, err = run(capsys, "dim")
         assert code == 1
+
+
+def run_quietly(argv, limit=1.0):
+    """`main(argv)` with its stdout and stderr captured.  A call that runs
+    past `limit` seconds is interrupted by a TimeoutError, so an ungated
+    command fails the test before its work grows large."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{argv} ran past {limit} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+_PARTS = st.integers(min_value=1, max_value=9).map(str)
+_BAD_PARTS = (
+    st.tuples(st.from_regex(r"\A[0-9]{0,2}\Z"),
+              st.text(alphabet="abxyz.%/e_+-", min_size=1),
+              st.from_regex(r"\A[0-9]{0,2}\Z")).map("".join)
+    | st.just("")
+    | st.integers(max_value=0).map(str))
+
+
+@st.composite
+def _malformed_alphas(draw):
+    parts = draw(st.lists(_PARTS, max_size=4))
+    at = draw(st.integers(min_value=0, max_value=len(parts)))
+    return ",".join(parts[:at] + [draw(_BAD_PARTS)] + parts[at:])
+
+
+_REFUSED = (
+    st.tuples(st.sampled_from(["sigma", "count", "stairform"]),
+              _malformed_alphas()).map(lambda t: [t[0], "--alpha=" + t[1]])
+    | _malformed_alphas().map(lambda a: ["basis", "--n=3", "--alpha=" + a])
+    | st.tuples(st.sampled_from(["classes", "dim", "basis", "verify"]),
+                st.integers(max_value=-1)).map(
+                    lambda t: [t[0], f"--n={t[1]}"])
+    | st.tuples(st.integers(min_value=9, max_value=10**6),
+                st.sampled_from(["max", "min", "all"]),
+                st.sampled_from(["id", "nu"])).map(
+                    lambda t: ["classes", f"--n={t[0]}", "--stratum", t[1],
+                               "--twist", t[2]])
+    | st.integers(min_value=9, max_value=10**6).flatmap(
+        lambda n: st.sampled_from([["basis", f"--n={n}"],
+                                   ["basis", f"--n={n}", f"--alpha={n}"]]))
+    | st.tuples(st.integers(min_value=9, max_value=10**6),
+                st.sampled_from(["all", "classes", "hooks", "iprod",
+                                 "center"])).map(
+                    lambda t: ["verify", f"--n={t[0]}", "--suite", t[1]]))
+
+
+class TestArgvFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(_REFUSED)
+    def test_bad_or_ungated_argv_exits_1_at_once(self, argv):
+        code, out, err = run_quietly(argv)
+        assert code == 1, (argv, err)
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 _INTS = st.integers(min_value=-2**70, max_value=2**70)

@@ -12,8 +12,7 @@ from heckezero.permutations import (
     longest_element,
 )
 from heckezero.stair_classes import (
-    cycle_class, cycle_delete, cycle_insert, lift_cycle_class,
-    lower_cycle_class,
+    cycle_class, lift_cycle_class, lower_cycle_class,
 )
 
 from oracles import apply_gen_left, apply_gen_right, inv_count
@@ -115,14 +114,6 @@ def test_one_step_never_lengthens(p, data):
 def test_class_members_share_length_and_even_orbits_if_max(p):
     cls = approx_class(p)
     assert {length(w) for w in cls} == {length(p)}
-
-
-@given(full_cycle_perms(min_n=2, max_n=7), st.data())
-def test_insert_delete_roundtrip(sigma, data):
-    n = len(sigma)
-    k = data.draw(st.integers(min_value=2, max_value=n + 1))
-    pos = data.draw(st.integers(min_value=1, max_value=n))
-    assert cycle_delete(k, cycle_insert(k, pos, sigma)) == sigma
 
 
 @settings(max_examples=30)

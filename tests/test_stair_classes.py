@@ -1,5 +1,7 @@
 """Stair forms, class predicates, and the constructive bijections."""
 
+import time
+
 import pytest
 
 from heckezero.cyclic_shift import approx_class, label_max_classes
@@ -7,17 +9,21 @@ from heckezero.permutations import (
     all_perms, conj_w0, cycle_type, from_cycles, identity, inverse, length,
 )
 from heckezero.stair_classes import (
-    cycle_class, cycle_delete, cycle_insert, has_connected_intervals,
+    cycle_class, has_connected_intervals,
     has_connected_intervals_cycle, hook_properties, is_oscillating,
     is_oscillating_cycle, lift_cycle_class, lower_cycle_class,
     member_sigma_alpha, odd_hook_embed, sigma_class, stair_form,
     stair_sequence, standardize_cycle,
 )
 from heckezero import stair_classes
-from heckezero.compositions import enumerate_maximal, hook_kind, is_maximal
+from heckezero.compositions import (
+    enumerate_maximal, hook_kind, is_maximal, odd_partitions,
+)
 from heckezero.errors import InvariantError
 
-from oracles import compositions_of, invariant_class, perms_of_type
+from oracles import (
+    compositions_of, invariant_class, invariant_classes, perms_of_type,
+)
 
 
 def perm(*cycs, n):
@@ -202,23 +208,38 @@ class TestHookProperties:
 
 class TestInsertDelete:
     def test_figure_examples(self):
-        assert cycle_insert(3, 1, perm((1, 2, 3), n=3)) == perm((1, 3, 2, 4), n=4)
-        assert cycle_delete(3, perm((1, 3, 4, 2, 5), n=5)) == perm((1, 3, 2, 4), n=4)
-        assert cycle_insert(3, 3, perm((1, 3, 2), n=3)) == perm((1, 4, 2, 3), n=4)
+        # the figure's three moves: two insertions of 3 at degree 4, one
+        # deletion of 3 at degree 5
+        assert lift_cycle_class(4, perm((1, 2, 3), n=3)) == perm((1, 3, 2, 4), n=4)
+        assert lift_cycle_class(4, perm((1, 3, 2), n=3)) == perm((1, 4, 2, 3), n=4)
+        assert lower_cycle_class(perm((1, 3, 4, 2, 5), n=5)) == (
+            perm((1, 3, 2, 4), n=4), 0)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
-            cycle_insert(1, 1, perm((1, 2, 3), n=3))
+            lift_cycle_class(3, perm((2, 1), n=2))
         with pytest.raises(ValueError):
-            cycle_delete(5, perm((1, 2, 3, 4), n=4))
+            lower_cycle_class(perm((1, 3, 2), n=3))
+        with pytest.raises(ValueError):
+            odd_hook_embed(perm((1, 3, 2), n=3), 4, (5, 1, 1, 1))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_delete_insert_roundtrip_exhaustive(self, n):
+        # every full cycle of degree n, not only the class members: a member
+        # lifts and lowers back, a non-member is refused both ways
+        members = cycle_class(n)
+        branches = (0, 1, 2) if (n + 1) % 2 else (None,)
         for p in full_cycles(n):
-            for k in range(2, n + 2):
-                for pos in range(1, n + 1):
-                    q = cycle_insert(k, pos, p)
-                    assert cycle_delete(k, q) == p
+            if p not in members:
+                with pytest.raises(ValueError):
+                    lift_cycle_class(n + 1, p, branches[0])
+                with pytest.raises(ValueError):
+                    lower_cycle_class(p)
+            elif n >= 3:
+                for q in branches:
+                    assert lower_cycle_class(lift_cycle_class(n + 1, p, q)) == (p, q)
+                if n >= 4:
+                    assert lift_cycle_class(n, *lower_cycle_class(p)) == p
 
 
 class TestLiftLower:
@@ -244,6 +265,14 @@ class TestLiftLower:
         with pytest.raises(ValueError):
             lift_cycle_class(7, bad, 0)
 
+    def test_lower_refuses_what_no_branch_lifts(self, monkeypatch):
+        # (1,3,2,5,4) is a full 5-cycle with 3 beside neither 2 nor 4; a
+        # class test that admits it contradicts the bijection
+        monkeypatch.setattr(stair_classes, "_is_cycle_class_member",
+                            lambda sigma: True)
+        with pytest.raises(InvariantError):
+            lower_cycle_class(perm((1, 3, 2, 5, 4), n=5))
+
     def test_q_required_iff_odd(self):
         src = perm((1, 4, 2, 3), n=4)
         with pytest.raises(ValueError):
@@ -251,7 +280,7 @@ class TestLiftLower:
         with pytest.raises(ValueError):
             lift_cycle_class(6, cycle_class_pick(5), 1)  # extra q
 
-    @pytest.mark.parametrize("n", range(4, 10))
+    @pytest.mark.parametrize("n", range(4, 12))
     def test_bijectivity_and_inverse(self, n):
         src = sorted(cycle_class(n - 1))
         if n % 2 == 0:
@@ -330,6 +359,16 @@ class TestOddHookEmbed:
         with pytest.raises(ValueError):
             odd_hook_embed(perm((1, 3, 2), n=3), 1, (3, 1, 1))
 
+    def test_checks_membership_without_building_the_class(self):
+        # the class of full 41-cycles has 2 * 3**19 elements
+        cached = cycle_class.cache_info().currsize
+        start = time.perf_counter()
+        p = odd_hook_embed(stair_form((41,)), 21, (41, 1))
+        assert time.perf_counter() - start < 1
+        assert cycle_class.cache_info().currsize == cached
+        assert p[21] == 22
+        assert member_sigma_alpha(p, (41, 1))
+
 
 def _nontrivial_cycles(p):
     from heckezero.permutations import cycles
@@ -391,3 +430,37 @@ class TestSigmaClass:
     def test_rejects_non_maximal(self):
         with pytest.raises(ValueError):
             sigma_class((1, 2))
+
+
+# The size of every class whose label is an odd partition of n <= 12 and
+# not a hook.  The rows of n <= 9 are checked against the invariant oracle
+# below; the larger rows come from the class search (`approx_class`) alone.
+NON_HOOK_SIZES = {
+    (3, 3): 22, (3, 3, 1): 58, (5, 3): 80, (3, 3, 1, 1): 108,
+    (5, 3, 1): 216, (3, 3, 3): 528, (3, 3, 1, 1, 1): 172,
+    (7, 3): 240, (5, 5): 664, (5, 3, 1, 1): 408, (3, 3, 3, 1): 1664,
+    (3, 3, 1, 1, 1, 1): 250,
+    (7, 3, 1): 648, (5, 5, 1): 1752, (5, 3, 3): 2134, (5, 3, 1, 1, 1): 656,
+    (3, 3, 3, 1, 1): 3604, (3, 3, 1, 1, 1, 1, 1): 342,
+    (9, 3): 720, (7, 5): 2156, (7, 3, 1, 1): 1224, (5, 5, 1, 1): 3264,
+    (5, 3, 3, 1): 6864, (5, 3, 1, 1, 1, 1): 960, (3, 3, 3, 3): 21206,
+    (3, 3, 3, 1, 1, 1): 6544, (3, 3, 1, 1, 1, 1, 1, 1): 448,
+}
+
+
+class TestNonHookSizes:
+    def test_size_table(self):
+        got = {
+            lam: sigma_class(lam).size
+            for n in range(1, 13) for lam in odd_partitions(n)
+            if hook_kind(lam) == "not_hook"
+        }
+        assert got == NON_HOOK_SIZES
+
+    @pytest.mark.parametrize("n", range(6, 10))
+    def test_small_rows_match_invariant_oracle(self, n):
+        rows = [lam for lam in NON_HOOK_SIZES if sum(lam) == n]
+        oracle = invariant_classes(rows)
+        for lam in rows:
+            assert len(oracle[lam]) == NON_HOOK_SIZES[lam]
+            assert sigma_class(lam).elements == oracle[lam], lam
