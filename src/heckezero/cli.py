@@ -94,8 +94,11 @@ def _json_text(value, indent: str = "\n") -> str:
 def _emit(doc, args, summary: str) -> None:
     text = _json_text(doc)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text + "\n")
     print(summary, file=sys.stderr)

@@ -12,8 +12,9 @@ or flips a sign:
 The center has a basis of indicator sums over Bruhat order ideals
 generated by the maximal cyclic-shift classes.  `verify_center_basis`
 checks centrality, linear independence and the dimension count from one
-downward sweep of S_n that gives each permutation a bitmask of the ideals
-holding it.  For a lower ideal I, T_i times the indicator sum of I is the
+walk over the one-line prefixes of S_n, which decides Bruhat order by the
+tableau criterion and gives each permutation, built once, a bitmask of the
+ideals holding it.  For a lower ideal I, T_i times the indicator sum of I is the
 indicator sum of its upper boundary {z : s_i z < z, s_i z in I, z not in I},
 and the right product is the same with z s_i, so centrality is a comparison
 of boundaries, made for every ideal at once by XOR.  Independence is
@@ -163,36 +164,21 @@ def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return HeckeElement(a.n, {w: c for w, c in acc.items() if c})
 
 
-def _covers_below(level: Iterable[Perm]) -> set[Perm]:
-    """Every Bruhat cover below some element of `level`.
-
-    The covers of w are the w * (i, j) with w(i) > w(j) and no value
-    strictly between them at a position strictly between them
-    (Bjorner-Brenti, GTM 231, §2.1).  For each i the scan steps j
-    rightwards keeping the largest value below w(i) seen so far; w(j) gives
-    a cover exactly when it exceeds that value.  Each cover is written into
-    one working copy of w and swapped back after it is recorded.
-    """
-    below: set[Perm] = set()
-    add = below.add
-    for w in level:
-        n = len(w)
-        v = list(w)
-        for i in range(n - 1):
-            wi = w[i]
-            best = 0
-            for j in range(i + 1, n):
-                wj = w[j]
-                if best < wj < wi:
-                    best = wj
-                    v[i], v[j] = wj, wi
-                    add(tuple(v))
-                    v[i], v[j] = wi, wj
-    return below
+def _gale_leq(s: int, p: int) -> bool:
+    """Whether the value set `s` lies below `p` in Gale order, both given
+    as bitmasks of one size: the i-th largest value of s is at most the
+    i-th largest value of p, for every i."""
+    while s:
+        top = s.bit_length()
+        if top > p.bit_length():
+            return False
+        s ^= 1 << top - 1
+        p ^= 1 << p.bit_length() - 1
+    return True
 
 
 def order_ideal(sigma) -> frozenset[Perm]:
-    """The downward Bruhat closure of a set of permutations.
+    """The downward Bruhat closure of a set of permutations of one degree.
 
     Accepts an EquivClass or any iterable of permutations, of any mix of
     lengths; the closure is the one-ideal case of `_ideal_masks`.
@@ -205,34 +191,73 @@ def order_ideal(sigma) -> frozenset[Perm]:
 
 def _ideal_masks(seeds: Sequence[Iterable[Perm]]) -> dict[Perm, int]:
     """Every order ideal of `seeds` at once: bit r of the mask of w is set
-    exactly when w lies below some element of `seeds[r]`.
+    exactly when w lies below some element of `seeds[r]`.  The seeds must
+    share one degree; the keys come out in lexicographic order.
 
-    Bruhat order is graded by length, so the sweep walks down one length at
-    a time, each level emitting only its covers (`_covers_below`) and each
-    level seeded with the inputs of that length, so generating sets of
-    mixed length are closed correctly.  A level is grouped by mask, and
-    each group's covers receive its mask, so every element is expanded
-    once however many ideals hold it.
+    By the tableau criterion (Bjorner-Brenti, GTM 231, Thm 2.1.5), x <= w
+    exactly when, for every k, the set of the first k values of x lies
+    below that of w in Gale order (`_gale_leq`).  The sweep walks one-line
+    prefixes depth first, smallest value first, carrying the bitmask of
+    the generators whose prefixes stay above; a prefix with none left is
+    pruned, and the last position is forced.  Each element is built once,
+    as a leaf, and a prefix set is tested against each distinct generator
+    prefix once, on first reaching it.  The generator bits lie label by
+    label, each block topped by a zero guard bit, so one addition carries
+    into the guard of every label with a generator left.
     """
-    by_length: dict[int, dict[Perm, int]] = {}
-    for r, elements in enumerate(seeds):
-        for w in elements:
-            at = by_length.setdefault(length(w), {})
-            at[w] = at.get(w, 0) | 1 << r
+    blocks = [set(elements) for elements in seeds]
+    degrees = {len(w) for block in blocks for w in block}
+    if len(degrees) > 1:
+        raise ValueError(
+            f"seeds of mixed degrees {min(degrees)} and {max(degrees)}")
+    if not degrees:
+        return {}
+    n = degrees.pop()
+    if n == 0:
+        return {(): sum(1 << r for r, block in enumerate(blocks) if block)}
+    # tops[k] maps a set of first k values to the generators that have it
+    tops: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    ones = guards = pos = 0
+    guard_labels = []
+    for r, block in enumerate(blocks):
+        if not block:
+            continue
+        for w in block:
+            prefix = 0
+            for k, v in enumerate(w, 1):
+                prefix |= 1 << v - 1
+                tops[k][prefix] = tops[k].get(prefix, 0) | 1 << pos
+            pos += 1
+        ones |= (1 << len(block)) - 1 << pos - len(block)
+        guards |= 1 << pos
+        guard_labels.append((1 << pos, 1 << r))
+        pos += 1
+
+    full = (1 << n) - 1
+    below: dict[int, int] = {}
+    labels: dict[int, int] = {}
     masks: dict[Perm, int] = {}
-    level: dict[Perm, int] = {}
-    for ell in range(max(by_length, default=-1), -1, -1):
-        for w, m in by_length.get(ell, {}).items():
-            level[w] = level.get(w, 0) | m
-        masks.update(level)
-        groups: dict[int, list[Perm]] = {}
-        for w, m in level.items():
-            groups.setdefault(m, []).append(w)
-        below: dict[Perm, int] = {}
-        for m, group in groups.items():
-            for v in _covers_below(group):
-                below[v] = below.get(v, 0) | m
-        level = below
+    stack: list[tuple[Perm, int, int]] = [((), 0, ones)]
+    while stack:
+        prefix, s, alive = stack.pop()
+        free = full ^ s
+        if len(prefix) == n - 1:
+            hit = alive + ones & guards
+            if hit not in labels:
+                labels[hit] = sum(label for g, label in guard_labels if hit & g)
+            masks[prefix + (free.bit_length(),)] = labels[hit]
+            continue
+        # largest value first, so the smallest prefix is popped next
+        while free:
+            v = free.bit_length()
+            free ^= 1 << v - 1
+            t = s | 1 << v - 1
+            if t not in below:
+                below[t] = sum(gens for p, gens in tops[len(prefix) + 1].items()
+                               if _gale_leq(t, p))
+            live = below[t] & alive
+            if live:
+                stack.append((prefix + (v,), t, live))
     return masks
 
 
@@ -289,8 +314,9 @@ def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement
     if sum(alpha) != n:
         raise ValueError(f"|{alpha}| != {n}")
     _check_degree(n, force)
-    ideal = order_ideal(sigma_class(alpha))
-    return HeckeElement(n, {w: 1 for w in ideal})
+    # the walk yields the ideal in lexicographic order, so the terms are sorted
+    ideal = _ideal_masks([sigma_class(alpha).elements])
+    return HeckeElement(n, dict.fromkeys(ideal, 1))
 
 
 def is_central(x: HeckeElement) -> bool:
@@ -398,7 +424,7 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     central, linearly independent, and as many as the center dimension.
 
     The degree is gated by `DEGREE_SOFT_LIMIT` before any work, lifted by
-    `force=True`.  One downward Bruhat sweep (`_ideal_masks`) builds every
+    `force=True`.  One prefix walk (`_ideal_masks`) builds every
     ideal at once as label bitmasks.  Centrality is read off the upper
     boundaries of the ideals (`_noncentral_bits`), with no Hecke product.
     Independence is decided by a certificate: the minor on the stair-form

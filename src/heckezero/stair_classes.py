@@ -392,7 +392,8 @@ def sigma_class(alpha: Composition):
 
     The odd tail is built first: when it is a hook with long part k >= 3,
     the hook embedding (`_embed`) of every full k-cycle class member onto
-    every free point, and otherwise the cyclic-shift class of its stair
+    every free point (the full k-cycle class itself when the tail is (k,)),
+    and otherwise the cyclic-shift class of its stair
     form, found by the reachability search (`approx_class`), which visits
     only the class.  Each even part, right to left, then joins
     through the interleaving product with the class of full cycles of that
@@ -404,10 +405,14 @@ def sigma_class(alpha: Composition):
     if hook_kind(odds) == "odd_hook" and odds[0] >= 3:
         n = sum(odds)
         m = (odds[0] - 1) // 2
-        current = {
-            _embed(tau, j, n)
-            for tau in cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
-        }
+        if n == odds[0]:
+            # one part: the support is all of 1..n, so the embedding is the identity
+            current = cycle_class(n)
+        else:
+            current = {
+                _embed(tau, j, n)
+                for tau in cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
+            }
     else:
         current = approx_class(stair_form(odds))
     for part in reversed(evens):

@@ -272,6 +272,15 @@ class TestPlumbing:
         assert code == 0 and quiet == ""
         assert target.read_bytes() == out.encode()
 
+    def test_out_file_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "sigma.json"
+        code, out, err = run(capsys, "sigma", "--alpha", "3",
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1

@@ -167,16 +167,67 @@ class TestOrderIdeal:
         gens = {(2, 3, 1, 4), (1, 2, 4, 3)}
         assert order_ideal(gens) == oracles.ideal_by_inversions(gens)
 
+    def test_mixed_degrees_rejected(self):
+        with pytest.raises(ValueError, match="degrees 2 and 3"):
+            order_ideal([(2, 1), (1, 3, 2)])
+        with pytest.raises(ValueError, match="degrees 2 and 3"):
+            hecke._ideal_masks([[(2, 1)], [(1, 3, 2)]])
+
+    def test_degrees_zero_and_one(self):
+        assert hecke._ideal_masks([[()], [], [()]]) == {(): 0b101}
+        assert hecke._ideal_masks([[], [(1,)]]) == {(1,): 0b10}
+        assert order_ideal([()]) == {()}
+
+    def test_empty_seed_group_sets_no_bit(self):
+        masks = hecke._ideal_masks([[], [(2, 1, 3)], [], [(1, 3, 2)], []])
+        assert masks == {(1, 2, 3): 0b1010, (1, 3, 2): 0b1000,
+                         (2, 1, 3): 0b0010}
+
+    def test_small_ideal_at_high_degree(self):
+        # the walk prunes every prefix no generator stays above
+        w = (3, 2, 1) + tuple(range(4, 101))
+        start = time.perf_counter()
+        ideal = order_ideal([w])
+        assert time.perf_counter() - start < 1.0
+        assert ideal == {p + w[3:] for p in all_perms(3)}
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_inversion_closure_every_label(self, n):
-        # the one-sweep masks hold every label's ideal as one bit
+        # the one-sweep masks hold every label's ideal as one bit, and
+        # every walk yields its keys in lexicographic order
         alphas = enumerate_maximal(n)
         masks = hecke._ideal_masks([sigma_class(a).elements for a in alphas])
+        assert list(masks) == sorted(masks)
         for r, alpha in enumerate(alphas):
             gens = sigma_class(alpha).elements
             expected = oracles.ideal_by_inversions(gens)
+            one = hecke._ideal_masks([gens])
+            assert list(one) == sorted(expected), alpha
             assert order_ideal(gens) == expected, alpha
             assert {w for w, m in masks.items() if m >> r & 1} == expected, alpha
+
+    def test_ideal_sizes_at_n8(self):
+        # sizes recorded from the level-by-level cover walk that built the
+        # ideals before the prefix walk (commit d5f4091), one sweep over S_8
+        expected = {
+            (1, 1, 1, 1, 1, 1, 1, 1): 1, (2, 1, 1, 1, 1, 1, 1): 2704,
+            (2, 2, 1, 1, 1, 1): 25668, (2, 2, 2, 1, 1): 39744,
+            (2, 2, 2, 2): 40320, (2, 2, 3, 1): 39708, (2, 2, 4): 40248,
+            (2, 3, 1, 1, 1): 25664, (2, 3, 3): 37920, (2, 4, 1, 1): 39664,
+            (2, 4, 2): 40224, (2, 5, 1): 39632, (2, 6): 40160,
+            (3, 1, 1, 1, 1, 1): 2703, (3, 3, 1, 1): 24041,
+            (4, 1, 1, 1, 1): 25436, (4, 2, 1, 1): 39060, (4, 2, 2): 39600,
+            (4, 3, 1): 39028, (4, 4): 39536, (5, 1, 1, 1): 25433,
+            (5, 3): 37375, (6, 1, 1): 39000, (6, 2): 39528, (7, 1): 38971,
+            (8,): 39470,
+        }
+        alphas = enumerate_maximal(8)
+        assert set(alphas) == set(expected)
+        masks = hecke._ideal_masks([sigma_class(a).elements for a in alphas])
+        assert list(masks) == sorted(masks)
+        sizes = {a: sum(m >> r & 1 for m in masks.values())
+                 for r, a in enumerate(alphas)}
+        assert sizes == expected
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_bruhat_filter_and_is_downward_closed(self, n):
