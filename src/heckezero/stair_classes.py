@@ -393,11 +393,10 @@ def sigma_class(alpha: Composition):
     The odd tail is built first: when it is a hook with long part k >= 3,
     the hook embedding (`_embed`) of every full k-cycle class member onto
     every free point (the full k-cycle class itself when the tail is (k,)),
-    and otherwise the cyclic-shift class of its stair
-    form, found by the reachability search (`approx_class`), which visits
-    only the class.  Each even part, right to left, then joins
-    through the interleaving product with the class of full cycles of that
-    size.
+    and otherwise the cyclic-shift class of its stair form, found by the
+    reachability search (`approx_class`), which visits only the class.
+    Each even part, right to left, then joins through the interleaving
+    product with the class of full cycles of that size.
     """
     from .cyclic_shift import approx_class, make_equiv_class
 
@@ -406,7 +405,7 @@ def sigma_class(alpha: Composition):
         n = sum(odds)
         m = (odds[0] - 1) // 2
         if n == odds[0]:
-            # one part: the support is all of 1..n, so the embedding is the identity
+            # one part: the support is 1..n and the embedding the identity
             current = cycle_class(n)
         else:
             current = {
