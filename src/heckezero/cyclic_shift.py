@@ -12,10 +12,11 @@ Steps never increase length, so a round trip keeps the length constant,
 and the same step undoes a length-preserving step.  The classes are
 therefore the connected components of the length-preserving steps, found
 by one search per class from its least member.  The step kernel decides
-the length change of each step from two comparisons and computes no
-length.  Enumerations materialize S_n in lexicographic one-line order, so
-everything here is deterministic; the practical degree bound n <= 8 is a
-soft limit lifted by `force=True`.
+the length change of each step from two comparisons, computes no length,
+and builds a neighbour only for the steps it keeps.  Enumerations
+materialize S_n in lexicographic one-line order, so everything here is
+deterministic; the practical degree bound n <= 8 is a soft limit lifted
+by `force=True`.
 """
 
 from __future__ import annotations
@@ -84,24 +85,29 @@ def _check_twist(twist: str) -> None:
         raise ValueError(f"unknown twist {twist!r}; expected one of {TWISTS}")
 
 
-def _step(w: Perm, i: int, twist: str) -> tuple[Perm, int]:
-    """The permutation s_i * w * delta(s_i) and its length minus length(w).
+def _step(w: Perm, i: int, j: int, lower: bool = False) -> Perm | None:
+    """The permutation s_i * w * s_j if it has the length of w (with
+    `lower`, also if it is shorter), else None.
 
     The left factor swaps the values i and i+1, which lengthens w exactly
-    when i stands left of i+1; the right factor s_j (j = i, or n-i under
-    the `nu` twist) swaps the positions j and j+1, which lengthens exactly
-    when they ascend.  Each factor moves the length by one, so the
-    difference is -2, 0 or +2 and no length is computed.  `twist` is
-    assumed valid; the public entry points check it.
+    when i stands left of i+1; the right factor swaps the positions j and
+    j+1, which lengthens exactly when they ascend, and the left swap keeps
+    that comparison unless the two factors swap the same two entries and
+    cancel.  Each factor moves the length by one, so two comparisons decide
+    the change (-2, 0 or +2), no length is computed, and the neighbour is
+    built only when it is returned.
     """
-    j = i if twist == "id" else len(w) - i
     a = w.index(i)
     b = w.index(i + 1)
+    up = a < b
+    if (up == (w[j - 1] < w[j]) and (up or not lower)
+            and (a + b != 2 * j - 1 or j != a and j != b)):
+        return None
     q = list(w)
-    q[a], q[b] = i + 1, i
-    delta = (1 if a < b else -1) + (1 if q[j - 1] < q[j] else -1)
+    q[a] = i + 1
+    q[b] = i
     q[j - 1], q[j] = q[j], q[j - 1]
-    return tuple(q), delta
+    return tuple(q)
 
 
 def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
@@ -115,8 +121,7 @@ def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
     n = len(w)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for S_{n}")
-    u, delta = _step(w, i, twist)
-    return u if delta <= 0 else None
+    return _step(w, i, i if twist == "id" else n - i, lower=True)
 
 
 def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
@@ -131,13 +136,14 @@ def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
     """
     _check_twist(twist)
     n = len(w)
+    gens = [(i, i if twist == "id" else n - i) for i in range(1, n)]
     seen = {w}
     stack = [w]
     while stack:
         v = stack.pop()
-        for i in range(1, n):
-            u, delta = _step(v, i, twist)
-            if delta == 0 and u not in seen:
+        for i, j in gens:
+            u = _step(v, i, j)
+            if u is not None and u not in seen:
                 seen.add(u)
                 stack.append(u)
     return frozenset(seen)

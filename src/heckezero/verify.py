@@ -8,13 +8,15 @@ mirror what the test suite pins at fixed degrees.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .compositions import enumerate_maximal, hook_kind, sort_to_partition
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import label_max_classes
 from .hecke import verify_center_basis
 from .inductive_product import iprod, iprod_length_law
 from .permutations import (
-    all_perms, conj_w0, cycle_type, even_orbits, length,
+    Perm, all_perms, conj_w0, cycle_type, cycles, length,
 )
 from .stair_classes import (
     cycle_class, hook_properties, member_sigma_alpha, sigma_class, stair_form,
@@ -24,28 +26,43 @@ __all__ = ["SUITES", "suite_classes", "suite_hooks", "suite_iprod",
            "suite_center", "run_suites"]
 
 
+def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
+    """The cycle type and the even-size orbits of `p`, both read off one
+    call of `cycles`."""
+    cycs = cycles(p)
+    ctype = tuple(sorted(map(len, cycs), reverse=True))
+    return ctype, tuple(frozenset(c) for c in cycs if not len(c) % 2)
+
+
+@lru_cache(maxsize=1)
+def _census(n: int) -> dict[tuple[int, ...], dict[tuple, list[Perm]]]:
+    """All of S_n in one walk, bucketed by cycle type and then by even-size
+    orbits.  Shared by the suites run at one degree; callers must not
+    mutate it."""
+    buckets: dict[tuple[int, ...], dict[tuple, list[Perm]]] = {}
+    for p in all_perms(n):
+        ctype, evens = _invariants(p)
+        buckets.setdefault(ctype, {}).setdefault(evens, []).append(p)
+    return buckets
+
+
 def suite_classes(n: int, force: bool = False) -> dict:
     """Labelled brute-force classes vs. the membership predicate and the
     constructive generator, plus the dimension count and stability under
     conjugation by the longest element."""
     labelled = label_max_classes(n, force=force)
-    alphas = enumerate_maximal(n)
-
-    # one pass: bucket all of S_n by the three membership invariants
-    buckets: dict[tuple, set] = {}
-    for p in all_perms(n):
-        key = (cycle_type(p), length(p), even_orbits(p))
-        buckets.setdefault(key, set()).add(p)
-
+    census = _census(n)
     checks = []
     ok = True
-    for alpha in alphas:
+    for alpha in enumerate_maximal(n):
         brute = labelled[alpha].elements
         sf = stair_form(alpha)
-        key = (cycle_type(sf), length(sf), even_orbits(sf))
-        predicate = frozenset(buckets.get(key, ()))
-        # the bucketing must equal brute force and, on a sample, agree
-        # with the public predicate
+        ctype, evens = _invariants(sf)
+        lsf = length(sf)
+        predicate = frozenset(
+            p for p in census[ctype].get(evens, ()) if length(p) == lsf)
+        # the three membership invariants must cut out the brute-force
+        # class and, on a sample, agree with the public predicate
         predicate_ok = predicate == brute and all(
             member_sigma_alpha(p, alpha) for p in list(predicate)[:20]
         )
@@ -78,24 +95,28 @@ def suite_classes(n: int, force: bool = False) -> dict:
 
 
 def suite_hooks(n: int, force: bool = False) -> dict:
-    """Hook-property filtering vs. brute force for every hook shape of n."""
+    """Hook-property filtering vs. brute force for every hook shape of n.
+
+    The filter runs over every member of the census buckets of the label's
+    cycle type, which hold all of S_n of that type."""
     labelled = label_max_classes(n, force=force)
+    census = _census(n)
     checks = []
     ok = True
     for alpha in enumerate_maximal(n):
-        if hook_kind(alpha) == "not_hook":
+        kind = hook_kind(alpha)
+        if kind == "not_hook":
             continue
         brute = labelled[alpha].elements
-        target = sort_to_partition(alpha)
         filtered = frozenset(
-            p for p in all_perms(n)
-            if cycle_type(p) == target and hook_properties(p, alpha)
+            p for members in census[sort_to_partition(alpha)].values()
+            for p in members if hook_properties(p, alpha)
         )
         good = filtered == brute
         ok = ok and good
         checks.append({
             "alpha": list(alpha),
-            "kind": hook_kind(alpha),
+            "kind": kind,
             "size": len(brute),
             "ok": good,
         })
@@ -122,7 +143,7 @@ def suite_iprod(n: int, force: bool = False) -> dict:
         good = product == brute
         ok = ok and good
         checks.append({"alpha": list(alpha), "size": len(brute), "ok": good})
-        if hook_kind(alpha[1:]) != "not_hook" or not alpha[1:]:
+        if hook_kind(alpha[1:]) != "not_hook":
             formula = size_sigma_formula(alpha)
             good = formula == len(brute)
             ok = ok and good
@@ -135,8 +156,9 @@ def suite_iprod(n: int, force: bool = False) -> dict:
         full_cycles = [
             p for p in all_perms(n1) if cycle_type(p) == (n1,)
         ]
+        perms2 = list(all_perms(n2))
         for s1 in full_cycles:
-            for s2 in all_perms(n2):
+            for s2 in perms2:
                 if iprod_length_law(s1, s2) != length(iprod(s1, s2)):
                     law_ok = False
     ok = ok and law_ok
@@ -161,11 +183,13 @@ def suite_center(n: int, force: bool = False) -> dict:
     }
 
 
+# The center suite runs first: it shares nothing with the others, and what
+# it builds is freed before they build the class partition and the census.
 SUITES = {
+    "center": suite_center,
     "classes": suite_classes,
     "hooks": suite_hooks,
     "iprod": suite_iprod,
-    "center": suite_center,
 }
 
 

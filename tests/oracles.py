@@ -100,9 +100,11 @@ def twisted_image(i, n, twist):
     return i if twist == "id" else n - i
 
 
-def reach_set(w, twist="id"):
+def reach_set(w, twist="id", backward=False):
     """All w' reachable from w by steps s_i * w * delta(s_i) that do not
-    increase the inversion count."""
+    increase the inversion count; with `backward`, all w' from which w is
+    reachable (a step is an involution, so it is walked in reverse by
+    requiring that it not decrease the inversion count)."""
     n = len(w)
     seen = {w}
     frontier = [w]
@@ -112,11 +114,19 @@ def reach_set(w, twist="id"):
             for i in range(1, n):
                 u = apply_gen_right(apply_gen_left(i, v),
                                     twisted_image(i, n, twist))
-                if u not in seen and inv_count(u) <= inv_count(v):
+                if u in seen:
+                    continue
+                if (inv_count(u) >= inv_count(v) if backward
+                        else inv_count(u) <= inv_count(v)):
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
     return seen
+
+
+def mutual_class(w, twist="id"):
+    """The permutations that w reaches and that reach w."""
+    return reach_set(w, twist) & reach_set(w, twist, backward=True)
 
 
 def mutual_classes(n, twist="id"):

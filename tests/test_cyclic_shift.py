@@ -66,9 +66,11 @@ class TestStepKernel:
         for w in all_perms(n):
             lw = inv_count(w)
             for i in range(1, n):
-                u = apply_gen_right(apply_gen_left(i, w),
-                                    twisted_image(i, n, twist))
-                assert _step(w, i, twist) == (u, inv_count(u) - lw)
+                j = twisted_image(i, n, twist)
+                u = apply_gen_right(apply_gen_left(i, w), j)
+                delta = inv_count(u) - lw
+                assert _step(w, i, j) == (u if delta == 0 else None)
+                assert _step(w, i, j, lower=True) == (u if delta <= 0 else None)
 
     def test_public_entry_points_reject_unknown_twist(self):
         w = (2, 1, 3)
@@ -314,7 +316,7 @@ class TestTwistedConjugacyKey:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_nu_classes_match_twisted_conjugation_orbits(self, n):
         # orbits of w -> s_i w s_{n-i} (any length) vs the w*w0 invariant
-        from heckezero.cyclic_shift import _delta_class_key, _step
+        from heckezero.cyclic_shift import _delta_class_key
 
         w0 = longest_element(n)
         seen = set()
@@ -327,7 +329,7 @@ class TestTwistedConjugacyKey:
             while stack:
                 v = stack.pop()
                 for i in range(1, n):
-                    u = _step(v, i, "nu")[0]
+                    u = apply_gen_right(apply_gen_left(i, v), n - i)
                     if u not in orbit:
                         orbit.add(u)
                         stack.append(u)

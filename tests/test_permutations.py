@@ -99,14 +99,14 @@ class TestConjAdjacent:
     """Conjugation by s_i, as the identity-twist step kernel computes it."""
 
     def test_fixes_identity(self):
-        assert _step(identity(4), 2, "id")[0] == identity(4)
+        assert _step(identity(4), 2, 2) == identity(4)
 
     def test_three_cycle(self):
-        assert _step(perm((1, 2, 3), n=3), 1, "id")[0] == perm((1, 3, 2), n=3)
+        assert _step(perm((1, 2, 3), n=3), 1, 1) == perm((1, 3, 2), n=3)
 
     def test_six_cycle(self):
         p = perm((1, 6, 2, 5, 3, 4), n=6)
-        assert _step(p, 1, "id")[0] == perm((1, 5, 3, 4, 2, 6), n=6)
+        assert _step(p, 1, 1) == perm((1, 5, 3, 4, 2, 6), n=6)
 
     def test_index_range(self):
         with pytest.raises(ValueError):
@@ -119,21 +119,24 @@ class TestLengthDeltaConj:
 
     def test_identity_case(self):
         for i in range(1, 4):
-            assert _step(identity(4), i, "id") == (identity(4), 0)
+            assert _step(identity(4), i, i) == identity(4)
 
     def test_stair_six(self):
         p = perm((1, 6, 2, 5, 3, 4), n=6)
-        assert _step(p, 2, "id")[1] == -2
+        # absent from the level steps, present among the lowering ones
+        assert _step(p, 2, 2) is None
+        assert _step(p, 2, 2, lower=True) == perm((1, 6, 3, 5, 2, 4), n=6)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_direct_computation(self, n):
         for p in all_perms(n):
             lp = length(p)
             for i in range(1, n):
-                q, delta = _step(p, i, "id")
-                assert q == apply_gen_right(apply_gen_left(i, p), i)
+                q = apply_gen_right(apply_gen_left(i, p), i)
+                delta = length(q) - lp
                 assert delta in (-2, 0, 2)
-                assert delta == length(q) - lp
+                assert _step(p, i, i) == (q if delta == 0 else None)
+                assert _step(p, i, i, lower=True) == (q if delta <= 0 else None)
 
 
 class TestConjW0:

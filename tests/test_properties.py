@@ -15,7 +15,7 @@ from heckezero.stair_classes import (
     cycle_class, lift_cycle_class, lower_cycle_class,
 )
 
-from oracles import apply_gen_left, apply_gen_right, inv_count
+from oracles import apply_gen_left, apply_gen_right, inv_count, mutual_class
 
 
 def perms(min_n=0, max_n=8):
@@ -75,9 +75,10 @@ def test_length_delta_matches_direct(p, data, twist):
     n = len(p)
     i = data.draw(st.integers(min_value=1, max_value=n - 1))
     j = i if twist == "id" else n - i
-    q, delta = _step(p, i, twist)
-    assert q == apply_gen_right(apply_gen_left(i, p), j)
-    assert delta == length(q) - length(p)
+    q = apply_gen_right(apply_gen_left(i, p), j)
+    delta = length(q) - length(p)
+    assert _step(p, i, j) == (q if delta == 0 else None)
+    assert _step(p, i, j, lower=True) == (q if delta <= 0 else None)
 
 
 @given(perms(min_n=2), st.data())
@@ -114,6 +115,13 @@ def test_one_step_never_lengthens(p, data):
 def test_class_members_share_length_and_even_orbits_if_max(p):
     cls = approx_class(p)
     assert {length(w) for w in cls} == {length(p)}
+
+
+@settings(max_examples=50)
+@given(perms(min_n=7, max_n=7))
+def test_approx_class_is_mutual_reachability(w):
+    for twist in ("id", "nu"):
+        assert approx_class(w, twist) == mutual_class(w, twist)
 
 
 @settings(max_examples=30)

@@ -8,6 +8,8 @@ from heckezero import (
     inductive_product, permutations, stair_classes, verify,
 )
 
+from oracles import perms_of_type
+
 
 def test_predicate_mismatch_fails_the_suite(monkeypatch):
     monkeypatch.setattr(verify, "member_sigma_alpha", lambda p, alpha: False)
@@ -24,6 +26,42 @@ def test_construction_fault_fails_the_suite(monkeypatch):
     report = verify.suite_classes(4)
     assert report["ok"] is False
     assert all(c["constructive_matches"] is False for c in report["checks"])
+
+
+def test_hook_filter_rejecting_all_fails_the_suite(monkeypatch):
+    monkeypatch.setattr(verify, "hook_properties", lambda p, alpha: False)
+    report = verify.suite_hooks(5)
+    assert report["ok"] is False
+    assert report["checks"]
+    assert not any(c["ok"] for c in report["checks"])
+
+
+def test_hook_filter_accepting_all_fails_the_suite(monkeypatch):
+    monkeypatch.setattr(verify, "hook_properties", lambda p, alpha: True)
+    report = verify.suite_hooks(5)
+    assert report["ok"] is False
+    # the filter now returns the whole conjugacy class, which is the
+    # label's class only when the two have the same size
+    for c in report["checks"]:
+        assert c["ok"] is (c["size"] == len(perms_of_type(5, c["alpha"])))
+    assert not all(c["ok"] for c in report["checks"])
+
+
+def test_all_suites_walk_the_degree_once(monkeypatch):
+    walked = []
+
+    def counting_all_perms(n):
+        walked.append(n)
+        return permutations.all_perms(n)
+
+    verify._census.cache_clear()
+    monkeypatch.setattr(verify, "all_perms", counting_all_perms)
+    try:
+        assert verify.run_suites(6, "all")["ok"] is True
+    finally:
+        verify._census.cache_clear()
+    # the length law walks lower degrees, never S_6 itself
+    assert walked.count(6) == 1
 
 
 @pytest.mark.parametrize("module", [
