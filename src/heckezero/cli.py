@@ -35,6 +35,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for name, value in vars(parsed).items():
+            if value == []:
+                # argparse before Python 3.12 turns the inline value "--"
+                # (as in --n=--) into [], past `type` and `choices`
+                self.error(f"argument --{name}: expected one argument")
+        return parsed
+
 
 def _parse_alpha(text: str) -> tuple[int, ...]:
     parts = [part.strip() for part in text.split(",")]

@@ -355,6 +355,16 @@ class TestArgvFuzz:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--n=3", "--alpha=--"], ["stairform", "--alpha=--"],
+        ["sigma", "--alpha=--"], ["dim", "--n=--"], ["verify", "--n=--"],
+        ["classes", "--n=3", "--twist=--"], ["verify", "--n=3", "--suite=--"],
+    ])
+    def test_double_dash_value_exits_1(self, argv):
+        code, out, err = run_quietly(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --") and "Traceback" not in err
+
 
 _INTS = st.integers(min_value=-2**70, max_value=2**70)
 _STRINGS = st.text() | st.sampled_from(
