@@ -16,8 +16,9 @@ hook) and then splits the even parts off one product at a time.
 """
 
 from heckezero import (
-    approx_class, cycle_class, cycle_string, iprod, odd_hook_embed,
-    sigma_class, size_sigma_formula, stair_form,
+    approx_class, cycle_class, cycle_string, from_cycles,
+    has_connected_intervals, hook_properties, iprod, is_oscillating,
+    odd_hook_embed, sigma_class, size_sigma_formula, stair_form,
 )
 
 # The interleaving product relabels the left factor onto the outer block
@@ -34,6 +35,17 @@ for tau in sorted(cycle_class(3)):
     row = [cycle_string(odd_hook_embed(tau, j, (3, 1, 1)),
                         include_trivial=False) for j in (2, 3, 4)]
     print(f"  {cycle_string(tau):10} -> {' '.join(row)}")
+
+# Within its cycle type, a hook class is cut out by three properties: the
+# cycles oscillate, they have connected intervals, and the long cycle holds
+# 1..m and the matching top values.  The 3-cycle (2,5,3) has the first two
+# and lacks the third.
+print("\nhook properties for (3,1,1):")
+for w in (stair_form((3, 1, 1)), from_cycles(5, [(2, 5, 3)])):
+    print(f"  {cycle_string(w, include_trivial=False):10} "
+          f"oscillating={is_oscillating(w)}, "
+          f"connected intervals={has_connected_intervals(w)}, "
+          f"all three={hook_properties(w, (3, 1, 1))}")
 
 # Assembling (2,4,3,1,1): split the even parts off one at a time.
 alpha = (2, 4, 3, 1, 1)

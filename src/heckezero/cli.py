@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
 from .counting import dim_center, size_sigma_formula
@@ -61,9 +62,33 @@ _INT_ONLY = {int}
 _STR_ONLY = {str}
 
 
-def _json_text(value, indent: str = "\n") -> str:
+class _Terms(list):
+    """The sorted (w, c) terms of a Hecke element, written as the list of
+    objects {"c": c, "w": w} without building them."""
+
+
+def _term_rows(terms: _Terms, indent: str) -> Iterator[str]:
+    """`terms` as `_json_chunks` writes its list of objects, one piece per
+    term."""
+    if not terms:
+        yield "[]"
+        return
+    inner = indent + "  "       # the lines of the term objects
+    member = inner + "  "       # their "c" and "w" lines
+    entry = member + "  "       # the values of w
+    head, word, comma = "{" + member + '"c": ', "," + member + '"w": ', "," + entry
+    sep = "[" + inner
+    for w, c in terms:
+        values = "[" + entry + comma.join(map(repr, w)) + member + "]" if w else "[]"
+        yield sep + head + repr(c) + word + values + inner + "}"
+        sep = "," + inner
+    yield indent + "]"
+
+
+def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     """`value` as `json.dumps` writes it with sorted keys and an indent of
-    two spaces.
+    two spaces, in pieces: one per member of a dict or of a list that
+    holds more than ints, one per term of a `_Terms` list.
 
     The stdlib falls back to its pure-Python encoder whenever it indents,
     so this writer builds the same text itself: a list of exact ints (no
@@ -72,44 +97,59 @@ def _json_text(value, indent: str = "\n") -> str:
     indentation of the line `value` starts on.
     """
     kind = type(value)
+    inner = indent + "  "
     if kind is int:
-        return repr(value)
-    if kind is str:
-        return _ENCODE_STR(value)
-    if kind is list:
+        yield repr(value)
+    elif kind is str:
+        yield _ENCODE_STR(value)
+    elif kind is _Terms:
+        yield from _term_rows(value, indent)
+    elif kind is list:
         if not value:
-            return "[]"
-        inner = indent + "  "
-        if set(map(type, value)) == _INT_ONLY:
-            body = ("," + inner).join(map(repr, value))
+            yield "[]"
+        elif set(map(type, value)) == _INT_ONLY:
+            yield "[" + inner + ("," + inner).join(map(repr, value)) + indent + "]"
         else:
-            body = ("," + inner).join([_json_text(v, inner) for v in value])
-        return "[" + inner + body + indent + "]"
-    if kind is dict:
+            sep = "[" + inner
+            for item in value:
+                yield sep
+                yield from _json_chunks(item, inner)
+                sep = "," + inner
+            yield indent + "]"
+    elif kind is dict:
         if not value:
-            return "{}"
+            yield "{}"
+            return
         if set(map(type, value)) != _STR_ONLY:
             raise TypeError("JSON object keys must be str")
-        inner = indent + "  "
-        body = ("," + inner).join([
-            _ENCODE_STR(key) + ": " + _json_text(value[key], inner)
-            for key in sorted(value)])
-        return "{" + inner + body + indent + "}"
-    if value is None or kind is bool or kind is float:
-        return json.dumps(value)
-    raise TypeError(f"cannot write {kind.__name__} as JSON")
+        sep = "{" + inner
+        for key in sorted(value):
+            yield sep + _ENCODE_STR(key) + ": "
+            yield from _json_chunks(value[key], inner)
+            sep = "," + inner
+        yield indent + "}"
+    elif value is None or kind is bool or kind is float:
+        yield json.dumps(value)
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _json_text(value) -> str:
+    return "".join(_json_chunks(value))
 
 
 def _emit(doc, args, summary: str) -> None:
-    text = _json_text(doc)
+    """Write `doc` as JSON, piece by piece, to `--out` or stdout."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                fh.writelines(_json_chunks(doc))
+                fh.write("\n")
         except OSError as exc:
             raise _CliError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(_json_chunks(doc))
+        sys.stdout.write("\n")
     print(summary, file=sys.stderr)
 
 
@@ -190,11 +230,10 @@ def _cmd_count(args) -> int:
 
 def _basis_entry(alpha, n, force) -> dict:
     element = t_leq_sigma(alpha, n, force=force)
-    terms = [{"w": list(w), "c": c} for w, c in sorted(element.terms.items())]
     return {
         "alpha": list(alpha),
         "ideal_size": element.support_size(),
-        "terms": terms,
+        "terms": _Terms(sorted(element.terms.items())),
     }
 
 

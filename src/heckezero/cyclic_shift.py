@@ -200,19 +200,28 @@ def equiv_classes(
     _check_degree(n, force)
     if stratum not in ("all", "min", "max"):
         raise ValueError(f"unknown stratum {stratum!r}")
+    return list(_stratum(n, twist, stratum))
+
+
+@lru_cache(maxsize=None)
+def _stratum(n: int, twist: str, stratum: str) -> tuple[EquivClass, ...]:
+    """The classes of `equiv_classes`, kept as a tuple of frozen classes.
+
+    The search only takes length-preserving steps, so one member gives the
+    length of its whole class, and one member decides its conjugacy class.
+    """
     comps = _classes(n, twist)
-    if stratum != "all":
-        w0 = longest_element(n)
-        better = min if stratum == "min" else max
-        keyed = []
-        extreme: dict[tuple, int] = {}
-        for comp in comps:
-            w = next(iter(comp))
-            key, lw = _delta_class_key(w, twist, w0), length(w)
-            extreme[key] = better(extreme.get(key, lw), lw)
-            keyed.append((key, lw, comp))
-        comps = [comp for key, lw, comp in keyed if lw == extreme[key]]
-    return [make_equiv_class(comp) for comp in comps]
+    lengths = [length(next(iter(comp))) for comp in comps]
+    if stratum == "all":
+        return tuple(map(EquivClass, comps, lengths))
+    w0 = longest_element(n)
+    better = min if stratum == "min" else max
+    keys = [_delta_class_key(next(iter(comp)), twist, w0) for comp in comps]
+    extreme: dict[tuple, int] = {}
+    for key, lw in zip(keys, lengths):
+        extreme[key] = better(extreme.get(key, lw), lw)
+    return tuple(EquivClass(comp, lw) for comp, lw, key
+                 in zip(comps, lengths, keys) if lw == extreme[key])
 
 
 def _match_representatives(
@@ -223,10 +232,10 @@ def _match_representatives(
     Raises InvariantError unless the representatives hit every class exactly
     once; any failure would indicate a bug.
     """
-    of_elem = {w: idx for idx, cls in enumerate(classes) for w in cls.elements}
     hit: dict[int, Composition] = {}
     for alpha, rep in reps.items():
-        idx = of_elem.get(rep)
+        idx = next((idx for idx, cls in enumerate(classes)
+                    if rep in cls.elements), None)
         if idx is None:
             raise InvariantError(f"{what} of {alpha} is not in {where}")
         if idx in hit:

@@ -13,15 +13,18 @@ The center has a basis of indicator sums over Bruhat order ideals
 generated by the maximal cyclic-shift classes.  `verify_center_basis`
 checks centrality, linear independence and the dimension count from one
 walk over the one-line prefixes of S_n, which decides Bruhat order by the
-tableau criterion and gives each permutation, built once, a bitmask of the
-ideals holding it.  For a lower ideal I, T_i times the indicator sum of I is the
-indicator sum of its upper boundary {z : s_i z < z, s_i z in I, z not in I},
-and the right product is the same with z s_i, so centrality is a comparison
-of boundaries, made for every ideal at once by XOR.  Independence is
-certified by the unitriangular minor on the stair-form columns, with exact
-Bareiss elimination as the fallback when that pattern fails.  The sparse
-products and `is_central` stay as the algebra API and as the reference the
-sweep is tested against.
+tableau criterion.  The walk writes one byte per permutation, indexed by
+its lexicographic rank: the id of the set of ideals holding it, with
+whole subtrees of one set written by one slice.  For a lower ideal I, T_i
+times the indicator sum of I is the indicator sum of its upper boundary
+{z : s_i z < z, s_i z in I, z not in I}, and the right product is the same
+with z s_i, so centrality is a comparison of boundaries.  With each ideal
+held as one integer whose bit r stands for rank r, both products move
+ranks by fixed shifts on fixed sets of ranks, so each comparison is a few
+big-integer operations.  Independence is certified by the unitriangular
+minor on the stair-form columns, with exact Bareiss elimination as the
+fallback when that pattern fails.  The sparse products and `is_central`
+stay as the algebra API and as the reference the check is tested against.
 
 Integer coefficients suffice throughout: all structure constants are
 integral, so any field case follows by extension of scalars.
@@ -30,6 +33,7 @@ integral, so any field case follows by extension of scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition, enumerate_maximal, is_maximal
@@ -189,10 +193,14 @@ def order_ideal(sigma) -> frozenset[Perm]:
     return frozenset(_ideal_masks([getattr(sigma, "elements", sigma)]))
 
 
-def _ideal_masks(seeds: Sequence[Iterable[Perm]]) -> dict[Perm, int]:
+def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
     """Every order ideal of `seeds` at once: bit r of the mask of w is set
     exactly when w lies below some element of `seeds[r]`.  The seeds must
-    share one degree; the keys come out in lexicographic order.
+    share one degree n.  Returns a dict from each w with a nonzero mask to
+    its mask, with the keys in lexicographic order; with `by_rank`, a pair
+    (ids, table): `ids` holds one byte per permutation, indexed by its lex
+    rank, and `table[ids[rank]]` is the mask, with id 0 for mask 0.  A
+    family with more than 256 distinct masks raises ValueError.
 
     By the tableau criterion (Bjorner-Brenti, GTM 231, Thm 2.1.5), x <= w
     exactly when, for every k, the set of the first k values of x lies
@@ -204,17 +212,31 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]]) -> dict[Perm, int]:
     prefix once, on first reaching it.  The generator bits lie label by
     label, each block topped by a zero guard bit, so one addition carries
     into the guard of every label with a generator left.
+
+    The rank walk carries the lex rank offset of each prefix instead of
+    the prefix: the sum of its Lehmer digits times (n - 1 - position)!.
+    The completions of a prefix p with value set s form the Bruhat
+    interval from p followed by the rest increasing to p followed by the
+    rest decreasing, the top of p; for k >= |s| its first k values are s
+    and the largest k - |s| values of the rest.  When, for every label
+    with a generator left, the top of p lies below one of that label's
+    generators, every completion has that label set: the subtree takes its
+    id by one slice assignment and is not walked.  The generators above
+    the top of p depend only on s and are memoised on it.  Each child is
+    tested as it is reached, and at the last position the test always
+    holds, so no leaf is pushed.
     """
     blocks = [set(elements) for elements in seeds]
     degrees = {len(w) for block in blocks for w in block}
     if len(degrees) > 1:
         raise ValueError(
             f"seeds of mixed degrees {min(degrees)} and {max(degrees)}")
-    if not degrees:
-        return {}
-    n = degrees.pop()
+    n = degrees.pop() if degrees else 0
     if n == 0:
-        return {(): sum(1 << r for r, block in enumerate(blocks) if block)}
+        mask = sum(1 << r for r, block in enumerate(blocks) if block)
+        if by_rank:
+            return bytearray([1 if mask else 0]), [0, mask] if mask else [0]
+        return {(): mask} if mask else {}
     # tops[k] maps a set of first k values to the generators that have it
     tops: list[dict[int, int]] = [{} for _ in range(n + 1)]
     ones = guards = pos = 0
@@ -233,19 +255,38 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]]) -> dict[Perm, int]:
         guard_labels.append((1 << pos, 1 << r))
         pos += 1
 
+    def gale_below(t: int) -> int:
+        return sum(gens for p, gens in tops[t.bit_count()].items()
+                   if _gale_leq(t, p))
+
     full = (1 << n) - 1
     below: dict[int, int] = {}
     labels: dict[int, int] = {}
     masks: dict[Perm, int] = {}
-    stack: list[tuple[Perm, int, int]] = [((), 0, ones)]
+    if by_rank:
+        fact = [factorial(k) for k in range(n + 1)]
+        ids = bytearray(fact[n])
+        table = [0]
+        cover = {full: ones}
+
+        def covered(t: int) -> int:
+            """The generators above t topped up by the largest values."""
+            if t not in cover:
+                if t not in below:
+                    below[t] = gale_below(t)
+                cover[t] = below[t] & covered(t | 1 << (full ^ t).bit_length() - 1)
+            return cover[t]
+    stack: list[tuple] = [(0 if by_rank else (), 0, ones)]
     while stack:
-        prefix, s, alive = stack.pop()
+        key, s, alive = stack.pop()
         free = full ^ s
-        if len(prefix) == n - 1:
+        if by_rank:
+            step = fact[free.bit_count() - 1]
+        elif len(key) == n - 1:
             hit = alive + ones & guards
             if hit not in labels:
                 labels[hit] = sum(label for g, label in guard_labels if hit & g)
-            masks[prefix + (free.bit_length(),)] = labels[hit]
+            masks[key + (free.bit_length(),)] = labels[hit]
             continue
         # largest value first, so the smallest prefix is popped next
         while free:
@@ -253,49 +294,122 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]]) -> dict[Perm, int]:
             free ^= 1 << v - 1
             t = s | 1 << v - 1
             if t not in below:
-                below[t] = sum(gens for p, gens in tops[len(prefix) + 1].items()
-                               if _gale_leq(t, p))
+                below[t] = gale_below(t)
             live = below[t] & alive
-            if live:
-                stack.append((prefix + (v,), t, live))
-    return masks
+            if not live:
+                continue
+            if not by_rank:
+                stack.append((key + (v,), t, live))
+                continue
+            # the values left in `free` are the ones below v
+            child = key + free.bit_count() * step
+            hit = live + ones & guards
+            if (live & covered(t)) + ones & guards != hit:
+                stack.append((child, t, live))
+                continue
+            j = labels.get(hit)
+            if j is None:
+                if len(table) == 256:
+                    raise ValueError("more than 256 distinct ideal masks")
+                j = labels[hit] = len(table)
+                table.append(sum(label for g, label in guard_labels if hit & g))
+            if step == 1:
+                ids[child] = j
+            else:
+                ids[child:child + step] = bytes((j,)) * step
+    return (ids, table) if by_rank else masks
 
 
-def _noncentral_bits(masks: Mapping[Perm, int], n: int) -> int:
+def _tile(pattern: int, period: int, count: int) -> int:
+    """`count` copies of the `period`-bit `pattern`, side by side."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= pattern << shift
+            shift += period
+        pattern |= pattern << period
+        period *= 2
+        count >>= 1
+    return out
+
+
+def _climb_sets(m: int, i: int, memo: dict) -> list[int]:
+    """Entry a is the bitset of the lex ranks r of S_m whose permutation
+    has i at position a (from 0) and i+1 to its right, for a < m - 1.
+
+    By its first value v, S_m splits into m blocks of (m-1)! ranks; the
+    rest of the word, relabelled in order, runs over S_{m-1} in lex order.
+    Block v = i holds position a = 0, and for a > 0 block v (not i or i+1)
+    is the set of S_{m-1} for position a - 1 and the relabelled i.  The
+    sets of degree m - 1 are kept in `memo`.
+    """
+    width = factorial(m - 1)
+    sets = [(1 << width) - 1 << (i - 1) * width]
+    if m > 2:
+        lower = []
+        for j in (i - 1, i):
+            if 1 <= j <= m - 2 and (m - 1, j) not in memo:
+                memo[m - 1, j] = _climb_sets(m - 1, j, memo)
+            lower.append(memo.get((m - 1, j)))
+        for a in range(1, m - 1):
+            total = 0
+            for v in range(1, m + 1):
+                if v < i or v > i + 1:
+                    total |= lower[v > i][a - 1] << (v - 1) * width
+            sets.append(total)
+    return sets
+
+
+def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int) -> int:
     """The bits r whose ideal sum chi_r = sum of T_w over the w with bit r
-    set fails to commute with some generator; the masks must describe
-    lower ideals, as `_ideal_masks` builds them.
+    set fails to commute with some generator, from the rank array and
+    mask table of `_ideal_masks(..., by_rank=True)`; the masks must
+    describe lower ideals.
 
     For a lower ideal I the terms of T_i * chi_I from each pair {y, s_i y}
     inside I cancel, so the coefficient of T_z is [s_i z < z, s_i z in I,
     z not in I]: the upper boundary of I along left multiplication by s_i.
     The product chi_I * T_i is the same with z s_i in place of s_i z.  So
     chi_I is central exactly when, for every i, the left and right
-    boundaries agree, and one XOR of boundary masks tests every ideal.
-    Climbs are decided by position, as in `left_mul_gen` and
-    `right_mul_gen`; no length is computed.
+    boundaries agree outside I.
+
+    Each ideal is one int with bit r set for lex rank r, and both climbs
+    move ranks by shifts.  s_i y swaps the values i and i+1; with i at
+    position a left of i+1 it raises the Lehmer digit at a by one, so the
+    rank by (n-1-a)!.  y s_i swaps positions i-1 and i (from 0); at an
+    ascent the digits there are c and c + e with e >= 0, and afterwards
+    c + e + 1 and c, so the rank rises by (e+1)(n-i)! - e(n-i-1)!.  The
+    ranks with a given e repeat with period (n-i+1)!.
     """
+    fact = [factorial(k) for k in range(n + 1)]
+    flipped = ids[::-1]
+    ideals = []
+    for r in range(max(table).bit_length()):
+        ones = bytes(0x30 | m >> r & 1 for m in table).ljust(256, b"0")
+        ideals.append(int(flipped.translate(ones), 2))
     bad = 0
+    memo: dict = {}
     for i in range(1, n):
-        left: dict[Perm, int] = {}
-        right: dict[Perm, int] = {}
-        for y, m in masks.items():
-            a = y.index(i)
-            b = y.index(i + 1)
-            if a < b:
-                v = list(y)
-                v[a], v[b] = i + 1, i
-                z = tuple(v)
-                out = m & ~masks.get(z, 0)
-                if out:
-                    left[z] = out
-            if y[i - 1] < y[i]:
-                z = y[: i - 1] + (y[i], y[i - 1]) + y[i + 1:]
-                out = m & ~masks.get(z, 0)
-                if out:
-                    right[z] = out
-        for z in left.keys() | right.keys():
-            bad |= left.get(z, 0) ^ right.get(z, 0)
+        left = [(climbs, fact[n - 1 - a])
+                for a, climbs in enumerate(_climb_sets(n, i, memo))]
+        block = (1 << fact[n - i - 1]) - 1
+        right = []
+        for e in range(n - i):
+            pattern = 0
+            for c in range(n - i - e):
+                pattern |= block << (c * (n - i + 1) + e) * fact[n - i - 1]
+            right.append((_tile(pattern, fact[n - i + 1], fact[n] // fact[n - i + 1]),
+                          (e + 1) * fact[n - i] - e * fact[n - i - 1]))
+        for r, ideal in enumerate(ideals):
+            if bad >> r & 1:
+                continue
+            moved = 0
+            for climbs, shift in left:
+                moved ^= (ideal & climbs) << shift
+            for ascents, shift in right:
+                moved ^= (ideal & ascents) << shift
+            if moved | ideal != ideal:
+                bad |= 1 << r
     return bad
 
 
@@ -393,6 +507,17 @@ class CenterBasisReport:
         return self.all_central and self.independent and self.size_matches
 
 
+def _lex_rank(w: Perm) -> int:
+    """The position of `w` in the lexicographic order of its S_n: the sum
+    of its Lehmer digits times (n - 1 - position)!."""
+    rank = seen = 0
+    for k, v in enumerate(w, 1):
+        smaller = v - 1 - (seen & (1 << v - 1) - 1).bit_count()
+        rank += smaller * factorial(len(w) - k)
+        seen |= 1 << v - 1
+    return rank
+
+
 def _stair_minor_is_unitriangular(
     alphas: Sequence[Composition], masks: Mapping[Perm, int]
 ) -> bool:
@@ -424,29 +549,33 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     central, linearly independent, and as many as the center dimension.
 
     The degree is gated by `DEGREE_SOFT_LIMIT` before any work, lifted by
-    `force=True`.  One prefix walk (`_ideal_masks`) builds every
-    ideal at once as label bitmasks.  Centrality is read off the upper
-    boundaries of the ideals (`_noncentral_bits`), with no Hecke product.
+    `force=True`.  One prefix walk (`_ideal_masks` by rank) builds every
+    ideal at once, as one mask id per permutation in lex rank order.
+    Centrality is read off the upper boundaries of the ideals by
+    big-integer shifts (`_noncentral_labels`), with no Hecke product.
     Independence is decided by a certificate: the minor on the stair-form
-    columns is checked to be unitriangular, which proves rank k.  If that
-    pattern fails, the rank of the k rows over S_n is computed by Bareiss
-    elimination instead and reported as it is; the failed pattern never
-    counts as a pass.
+    columns, read at the lex rank of each stair form, is checked to be
+    unitriangular, which proves rank k.  If that pattern fails, the rank
+    of the k rows over the ranks is computed by Bareiss elimination
+    instead and reported as it is; the failed pattern never counts as a
+    pass.
 
     Returns a report rather than raising, so callers can surface every
     failing assertion at once.
     """
     _check_degree(n, force)
     alphas = tuple(enumerate_maximal(n))
-    masks = _ideal_masks([sigma_class(alpha).elements for alpha in alphas])
-    bad = _noncentral_bits(masks, n)
+    ids, table = _ideal_masks(
+        [sigma_class(alpha).elements for alpha in alphas], by_rank=True)
+    bad = _noncentral_labels(ids, table, n)
     central = tuple(not bad >> r & 1 for r in range(len(alphas)))
 
-    if _stair_minor_is_unitriangular(alphas, masks):
+    stairs = {sf: table[ids[_lex_rank(sf)]] for sf in map(stair_form, alphas)}
+    if _stair_minor_is_unitriangular(alphas, stairs):
         certificate, rank = "unitriangular", len(alphas)
     else:
         # permutations outside every ideal give zero columns, left out
-        columns = [masks[w] for w in sorted(masks)]
+        columns = [table[j] for j in ids if j]
         rows = [[m >> r & 1 for m in columns] for r in range(len(alphas))]
         certificate, rank = "bareiss", integer_matrix_rank(rows)
     dim = dim_center(n)

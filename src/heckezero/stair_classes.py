@@ -201,17 +201,23 @@ def hook_properties(p: Perm, alpha: Composition) -> bool:
         raise ValueError(f"not a hook: {alpha}")
     if cycle_type(p) != sort_to_partition(alpha):
         raise ValueError(f"cycle type of {p} does not match {alpha}")
-    k = alpha[0]
-    if not (is_oscillating(p) and has_connected_intervals(p)):
-        return False
-    if k > 1:
-        n = len(p)
-        m = (k - 1) // 2 if k % 2 else k // 2
-        support = next(set(c) for c in cycles(p) if len(c) == k)
-        for i in range(1, m + 1):
-            if i not in support or n - i + 1 not in support:
-                return False
-    return True
+    return _hook_properties(cycles(p), alpha[0])
+
+
+def _hook_properties(cycs: tuple[Cycle, ...], k: int) -> bool:
+    """`hook_properties` from the `cycles` of a permutation whose cycle type
+    is that of the hook with long part k, which the caller has checked:
+    only the long cycle can be longer than 2."""
+    if k == 1:
+        return True
+    long = next(c for c in cycs if len(c) == k)
+    if k > 2:
+        std = standardize_cycle(long)
+        if not (is_oscillating_cycle(std) and has_connected_intervals_cycle(std)):
+            return False
+    n = sum(map(len, cycs))
+    m = (k - 1) // 2 if k % 2 else k // 2
+    return all(i in long and n - i + 1 in long for i in range(1, m + 1))
 
 
 def _is_cycle_class_member(sigma: Perm) -> bool:

@@ -19,7 +19,7 @@ from .permutations import (
     Perm, all_perms, conj_w0, cycle_type, cycles, length,
 )
 from .stair_classes import (
-    cycle_class, hook_properties, member_sigma_alpha, sigma_class, stair_form,
+    _hook_properties, cycle_class, member_sigma_alpha, sigma_class, stair_form,
 )
 
 __all__ = ["SUITES", "suite_classes", "suite_hooks", "suite_iprod",
@@ -98,7 +98,9 @@ def suite_hooks(n: int, force: bool = False) -> dict:
     """Hook-property filtering vs. brute force for every hook shape of n.
 
     The filter runs over every member of the census buckets of the label's
-    cycle type, which hold all of S_n of that type."""
+    cycle type, which hold all of S_n of that type.  The buckets already
+    have that type, so the filter takes the `cycles` of each member once
+    and skips the input checks of `hook_properties`."""
     labelled = label_max_classes(n, force=force)
     census = _census(n)
     checks = []
@@ -110,7 +112,7 @@ def suite_hooks(n: int, force: bool = False) -> dict:
         brute = labelled[alpha].elements
         filtered = frozenset(
             p for members in census[sort_to_partition(alpha)].values()
-            for p in members if hook_properties(p, alpha)
+            for p in members if _hook_properties(cycles(p), alpha[0])
         )
         good = filtered == brute
         ok = ok and good

@@ -202,12 +202,12 @@ def test_criterion_08_cardinality_formulas():
 
 
 def test_criterion_09_center_verification():
-    for n in range(9):
-        rep = verify_center_basis(n)
+    for n in range(10):
+        rep = verify_center_basis(n, force=n == 9)
         assert rep.ok, (n, rep.failures)
         assert rep.rank == len(rep.alphas) == rep.dim
         assert rep.certificate == "unitriangular"
-    assert rep.dim == 26
+    assert rep.dim == 35
 
     # the three published basis elements of the degree-3 center
     t = {alpha: t_leq_sigma(alpha, 3) for alpha in enumerate_maximal(3)}
@@ -215,7 +215,7 @@ def test_criterion_09_center_verification():
     five = {w: 1 for w in all_perms(3) if w != (3, 2, 1)}
     assert dict(t[(3,)].terms) == five
     assert dict(t[(2, 1)].terms) == {w: 1 for w in all_perms(3)}
-    report(9, "ideal sums central, independent, count = dim, n<=8; n=3 basis")
+    report(9, "ideal sums central, independent, count = dim, n<=9; n=3 basis")
 
 
 @pytest.mark.parametrize("n", range(1, 8))

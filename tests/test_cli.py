@@ -392,3 +392,22 @@ class TestJsonText:
     def test_rejects_what_it_does_not_write(self, doc):
         with pytest.raises(TypeError):
             cli._json_text(doc)
+
+    @given(st.lists(st.tuples(st.lists(_INTS, max_size=4).map(tuple), _INTS),
+                    max_size=4))
+    def test_terms_write_as_the_objects_they_stand_for(self, terms):
+        # basis writes its term rows without building {"c", "w"} objects
+        doc = {"terms": cli._Terms(terms), "more": [cli._Terms(terms), 1]}
+        objects = [{"w": list(w), "c": c} for w, c in terms]
+        plain = {"terms": objects, "more": [objects, 1]}
+        assert cli._json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
+
+    def test_emit_writes_in_pieces(self, monkeypatch):
+        pieces = []
+        monkeypatch.setattr(cli.sys, "stdout", type(
+            "Sink", (), {"write": pieces.append,
+                         "writelines": lambda self, it: pieces.extend(it)})())
+        terms = cli._Terms(((1, 2), 1) for _ in range(100))
+        cli._emit({"terms": terms}, None, "summary")
+        assert len(pieces) > 100
+        assert "".join(pieces) == cli._json_text({"terms": terms}) + "\n"

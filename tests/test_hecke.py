@@ -1,5 +1,6 @@
 """Sparse 0-Hecke arithmetic and the central basis."""
 
+import random
 import time
 
 import pytest
@@ -206,6 +207,26 @@ class TestOrderIdeal:
             assert order_ideal(gens) == expected, alpha
             assert {w for w, m in masks.items() if m >> r & 1} == expected, alpha
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_rank_array_matches_the_tuple_walk(self, n):
+        # the rank walk fills whole subtrees; entry r must be the mask of
+        # the r-th permutation in lexicographic order all the same
+        seeds = [sigma_class(a).elements for a in enumerate_maximal(n)]
+        ids, table = hecke._ideal_masks(seeds, by_rank=True)
+        masks = hecke._ideal_masks(seeds)
+        perms = list(all_perms(n))
+        assert [table[j] for j in ids] == [masks.get(w, 0) for w in perms]
+        assert table[0] == 0 and len(set(table)) == len(table)
+        assert all(hecke._lex_rank(w) == r for r, w in enumerate(perms))
+
+    def test_rank_array_refuses_more_than_256_masks(self):
+        # each permutation of S_6 alone has its own ideal, so the 720
+        # singleton seeds give every permutation a distinct mask
+        seeds = [[w] for w in all_perms(6)]
+        assert len(set(hecke._ideal_masks(seeds).values())) == 720
+        with pytest.raises(ValueError, match="256"):
+            hecke._ideal_masks(seeds, by_rank=True)
+
     def test_ideal_sizes_at_n8(self):
         # sizes recorded from the level-by-level cover walk that built the
         # ideals before the prefix walk (commit d5f4091), one sweep over S_8
@@ -275,8 +296,9 @@ class TestIsCentral:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_boundary_verdict_matches_every_label(self, n):
         alphas = enumerate_maximal(n)
-        masks = hecke._ideal_masks([sigma_class(a).elements for a in alphas])
-        bad = hecke._noncentral_bits(masks, n)
+        ids, table = hecke._ideal_masks(
+            [sigma_class(a).elements for a in alphas], by_rank=True)
+        bad = hecke._noncentral_labels(ids, table, n)
         for r, alpha in enumerate(alphas):
             assert (not bad >> r & 1) == is_central(t_leq_sigma(alpha, n))
 
@@ -284,11 +306,32 @@ class TestIsCentral:
     def test_boundary_flags_single_stair_form_ideals(self, n):
         # from n = 3 on, some stair form alone has a non-central ideal
         seeds = [[stair_form(alpha)] for alpha in enumerate_maximal(n)]
-        bad = hecke._noncentral_bits(hecke._ideal_masks(seeds), n)
+        ids, table = hecke._ideal_masks(seeds, by_rank=True)
+        bad = hecke._noncentral_labels(ids, table, n)
         assert bad or n < 3
         for r, seed in enumerate(seeds):
             x = HeckeElement(n, {w: 1 for w in order_ideal(seed)})
             assert (not bad >> r & 1) == is_central(x), seed
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_boundary_verdict_on_random_seed_families(self, n):
+        # families of up to 8 random seed sets, mostly not central; the
+        # expected verdict sums the oracle's ideal and multiplies it out
+        rng = random.Random(n)
+        perms = list(all_perms(n))
+        flagged = 0
+        for _ in range(12):
+            seeds = [rng.sample(perms, rng.randint(1, min(3, len(perms))))
+                     for _ in range(rng.randint(1, 8))]
+            ids, table = hecke._ideal_masks(seeds, by_rank=True)
+            bad = hecke._noncentral_labels(ids, table, n)
+            for r, seed in enumerate(seeds):
+                ideal = oracles.ideal_by_inversions(seed)
+                x = HeckeElement(n, dict.fromkeys(ideal, 1))
+                assert (not bad >> r & 1) == is_central(x), seed
+            flagged += bin(bad).count("1")
+        # the algebra of S_2 is commutative
+        assert flagged >= 10 or n == 2
 
     def test_central_iff_commutes_with_all_products(self):
         # generator commutation implies full commutation; spot-check it
@@ -359,9 +402,9 @@ class TestVerifyCenterBasis:
         # and the Bareiss rank reports the dependence
         sweep = hecke._ideal_masks
 
-        def copy_first_row(seeds):
-            masks = sweep(seeds)
-            return {w: m & ~2 | (m & 1) << 1 for w, m in masks.items()}
+        def copy_first_row(seeds, by_rank):
+            ids, table = sweep(seeds, by_rank)
+            return ids, [m & ~2 | (m & 1) << 1 for m in table]
 
         monkeypatch.setattr(hecke, "_ideal_masks", copy_first_row)
         report = verify_center_basis(5)
@@ -376,10 +419,12 @@ class TestVerifyCenterBasis:
         sweep = hecke._ideal_masks
         r = enumerate_maximal(3).index((3,))
 
-        def drop(seeds):
-            masks = sweep(seeds)
-            masks[(2, 3, 1)] &= ~(1 << r)
-            return masks
+        def drop(seeds, by_rank):
+            ids, table = sweep(seeds, by_rank)
+            rank = hecke._lex_rank((2, 3, 1))
+            table = table + [table[ids[rank]] & ~(1 << r)]
+            ids[rank] = len(table) - 1
+            return ids, table
 
         monkeypatch.setattr(hecke, "_ideal_masks", drop)
         report = verify_center_basis(3)

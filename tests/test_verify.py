@@ -29,7 +29,7 @@ def test_construction_fault_fails_the_suite(monkeypatch):
 
 
 def test_hook_filter_rejecting_all_fails_the_suite(monkeypatch):
-    monkeypatch.setattr(verify, "hook_properties", lambda p, alpha: False)
+    monkeypatch.setattr(verify, "_hook_properties", lambda cycs, k: False)
     report = verify.suite_hooks(5)
     assert report["ok"] is False
     assert report["checks"]
@@ -37,7 +37,7 @@ def test_hook_filter_rejecting_all_fails_the_suite(monkeypatch):
 
 
 def test_hook_filter_accepting_all_fails_the_suite(monkeypatch):
-    monkeypatch.setattr(verify, "hook_properties", lambda p, alpha: True)
+    monkeypatch.setattr(verify, "_hook_properties", lambda cycs, k: True)
     report = verify.suite_hooks(5)
     assert report["ok"] is False
     # the filter now returns the whole conjugacy class, which is the
