@@ -4,16 +4,20 @@ Command-line front end: batch computation, verification and JSON export.
 Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  Exit codes: 0 success, 1 invalid
-input or a degree beyond the soft limit without --force, 2 verification
-failure or internal invariant violated (`InvariantError`).  Any other
-exception is a bug and keeps its traceback.
+input, a degree beyond the soft limit without --force, or stdout closed by
+its reader before the document was written (quietly, as in `| head`), 2
+verification failure or internal invariant violated (`InvariantError`).
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
@@ -60,35 +64,66 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 _INT_ONLY = {int}
 _STR_ONLY = {str}
+_TUPLE_ONLY = {tuple}
+
+
+class _Rows(list):
+    """Permutations, or other tuples, written as the list of their lists
+    without building them."""
 
 
 class _Terms(list):
-    """The sorted (w, c) terms of a Hecke element, written as the list of
-    objects {"c": c, "w": w} without building them."""
+    """The (w, c) terms of a Hecke element, in lexicographic order, written
+    as the list of objects {"c": c, "w": w} without building them."""
 
 
-def _term_rows(terms: _Terms, indent: str) -> Iterator[str]:
-    """`terms` as `_json_chunks` writes its list of objects, one piece per
-    term."""
-    if not terms:
+def _row_chunks(rows: list, indent: str) -> Iterator[str]:
+    """A `_Rows` or `_Terms` list as `_json_chunks` writes the lists or
+    objects it stands for, one piece per row.
+
+    When every row is a tuple of exact ints, and every coefficient an
+    exact int, each row is written by one `%d` template per row length;
+    otherwise (`%d` would write True as 1) each row goes through
+    `_json_chunks` as its plain value.
+    """
+    if not rows:
         yield "[]"
         return
-    inner = indent + "  "       # the lines of the term objects
-    member = inner + "  "       # their "c" and "w" lines
-    entry = member + "  "       # the values of w
-    head, word, comma = "{" + member + '"c": ', "," + member + '"w": ', "," + entry
+    terms = type(rows) is _Terms
+    words = list(map(itemgetter(0), rows)) if terms else rows
+    inner = indent + "  "       # the lines of the rows
     sep = "[" + inner
-    for w, c in terms:
-        values = "[" + entry + comma.join(map(repr, w)) + member + "]" if w else "[]"
-        yield sep + head + repr(c) + word + values + inner + "}"
-        sep = "," + inner
+    if not (set(map(type, words)) == _TUPLE_ONLY
+            and set(map(type, chain.from_iterable(words))) <= _INT_ONLY
+            and (not terms or set(map(type, map(itemgetter(1), rows))) == _INT_ONLY)):
+        for row in rows:
+            yield sep
+            yield from _json_chunks(
+                {"c": row[1], "w": list(row[0])} if terms else list(row), inner)
+            sep = "," + inner
+        yield indent + "]"
+        return
+    member = inner + "  " if terms else inner   # the brackets of each word
+    entry = member + "  "                       # the values of each word
+    templates = {k: "[" + entry + ("," + entry).join(("%d",) * k) + member + "]"
+                 if k else "[]" for k in set(map(len, words))}
+    if terms:
+        head = "{" + member + '"c": %d,' + member + '"w": '
+        templates = {k: head + t + inner + "}" for k, t in templates.items()}
+        for w, c in rows:
+            yield sep + templates[len(w)] % (c, *w)
+            sep = "," + inner
+    else:
+        for w in rows:
+            yield sep + templates[len(w)] % w
+            sep = "," + inner
     yield indent + "]"
 
 
 def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     """`value` as `json.dumps` writes it with sorted keys and an indent of
     two spaces, in pieces: one per member of a dict or of a list that
-    holds more than ints, one per term of a `_Terms` list.
+    holds more than ints, one per row of a `_Rows` or `_Terms` list.
 
     The stdlib falls back to its pure-Python encoder whenever it indents,
     so this writer builds the same text itself: a list of exact ints (no
@@ -102,8 +137,8 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
         yield repr(value)
     elif kind is str:
         yield _ENCODE_STR(value)
-    elif kind is _Terms:
-        yield from _term_rows(value, indent)
+    elif kind is _Rows or kind is _Terms:
+        yield from _row_chunks(value, indent)
     elif kind is list:
         if not value:
             yield "[]"
@@ -159,7 +194,7 @@ def _class_entry(cls) -> dict:
         "length": cls.common_length,
         "size": cls.size,
         "rep": list(cls.min_element),
-        "elements": [list(w) for w in cls.sorted_elements()],
+        "elements": _Rows(cls.sorted_elements()),
     }
 
 
@@ -233,7 +268,7 @@ def _basis_entry(alpha, n, force) -> dict:
     return {
         "alpha": list(alpha),
         "ideal_size": element.support_size(),
-        "terms": _Terms(sorted(element.terms.items())),
+        "terms": _Terms(element.terms.items()),
     }
 
 
@@ -313,7 +348,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -323,6 +360,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; the flush at exit would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

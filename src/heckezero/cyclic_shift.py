@@ -21,7 +21,6 @@ by `force=True`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .compositions import Composition, enumerate_maximal
@@ -44,8 +43,45 @@ TWISTS = ("id", "nu")
 DEGREE_SOFT_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class EquivClass:
+class _Record:
+    """Base of the package's immutable records.  The fields are the
+    `__slots__`, set in order by `__init__`; records are equal when they
+    are of one class with equal fields, hash by their fields, print as
+    their constructor call, and refuse assignment with AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class EquivClass(_Record):
     """One equivalence class of mutually cyclic-shift-reachable permutations.
 
     All members share a common Coxeter length.  `alpha` is the labelling
@@ -53,9 +89,11 @@ class EquivClass:
     else None.
     """
 
-    elements: frozenset[Perm]
-    common_length: int
-    alpha: Composition | None = None
+    __slots__ = ("elements", "common_length", "alpha")
+
+    def __init__(self, elements: frozenset[Perm], common_length: int,
+                 alpha: Composition | None = None) -> None:
+        super().__init__(elements, common_length, alpha)
 
     @property
     def size(self) -> int:
@@ -260,7 +298,8 @@ def label_max_classes(n: int, force: bool = False) -> dict[Composition, EquivCla
     reps = {alpha: stair_form(alpha) for alpha in enumerate_maximal(n)}
     index = _match_representatives(
         classes, reps, "stair form", f"the maximal stratum of S_{n}")
-    return {alpha: replace(classes[index[alpha]], alpha=alpha) for alpha in reps}
+    return {alpha: EquivClass(classes[i].elements, classes[i].common_length, alpha)
+            for alpha, i in index.items()}
 
 
 def min_representatives(n: int, force: bool = False) -> dict[Composition, Perm]:

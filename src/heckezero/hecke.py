@@ -32,13 +32,13 @@ integral, so any field case follows by extension of scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import permutations, repeat
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
-from .cyclic_shift import _check_degree
+from .cyclic_shift import _check_degree, _Record
 from .permutations import Perm, length
 from .stair_classes import sigma_class, stair_form
 
@@ -50,16 +50,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class HeckeElement:
+class HeckeElement(_Record):
     """A sparse integer combination of basis vectors T_w of fixed degree.
 
     `terms` maps permutations to nonzero coefficients.  Treated as
-    immutable; all operations return fresh elements.
+    immutable; all operations return fresh elements.  Elements compare by
+    degree and terms, in any order, and do not hash.
     """
 
-    n: int
-    terms: Mapping[Perm, int]
+    __slots__ = ("n", "terms")
+    __hash__ = None
+
+    def __init__(self, n: int, terms: Mapping[Perm, int]) -> None:
+        super().__init__(n, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,24 +210,26 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
     below that of w in Gale order (`_gale_leq`).  The sweep walks one-line
     prefixes depth first, smallest value first, carrying the bitmask of
     the generators whose prefixes stay above; a prefix with none left is
-    pruned, and the last position is forced.  Each element is built once,
-    as a leaf, and a prefix set is tested against each distinct generator
-    prefix once, on first reaching it.  The generator bits lie label by
-    label, each block topped by a zero guard bit, so one addition carries
-    into the guard of every label with a generator left.
+    pruned.  A prefix set is tested against each distinct generator prefix
+    once, on first reaching it.  The generator bits lie label by label,
+    each block topped by a zero guard bit, so one addition carries into
+    the guard of every label with a generator left.
 
-    The rank walk carries the lex rank offset of each prefix instead of
-    the prefix: the sum of its Lehmer digits times (n - 1 - position)!.
     The completions of a prefix p with value set s form the Bruhat
     interval from p followed by the rest increasing to p followed by the
     rest decreasing, the top of p; for k >= |s| its first k values are s
     and the largest k - |s| values of the rest.  When, for every label
     with a generator left, the top of p lies below one of that label's
-    generators, every completion has that label set: the subtree takes its
-    id by one slice assignment and is not walked.  The generators above
-    the top of p depend only on s and are memoised on it.  Each child is
-    tested as it is reached, and at the last position the test always
-    holds, so no leaf is pushed.
+    generators, every completion has that label set, and the subtree is
+    not walked.  The tuple walk pushes it as one entry and, on popping it,
+    emits its leaves by one `dict.update` over the permutations of the
+    rest, which come in lex order; the rank walk, which carries the lex
+    rank offset of each prefix instead of the prefix (the sum of its
+    Lehmer digits times (n - 1 - position)!), writes the subtree's id by
+    one slice assignment.  The generators above the top of p depend only
+    on s and are memoised on it.  Each child is tested as it is reached,
+    and at the last position the test always holds, so each element is
+    built once, inside a whole subtree.
     """
     blocks = [set(elements) for elements in seeds]
     degrees = {len(w) for block in blocks for w in block}
@@ -232,11 +237,12 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
         raise ValueError(
             f"seeds of mixed degrees {min(degrees)} and {max(degrees)}")
     n = degrees.pop() if degrees else 0
-    if n == 0:
+    if n < 2:
+        # S_0 and S_1 have one element, below every seed
         mask = sum(1 << r for r, block in enumerate(blocks) if block)
         if by_rank:
             return bytearray([1 if mask else 0]), [0, mask] if mask else [0]
-        return {(): mask} if mask else {}
+        return {tuple(range(1, n + 1)): mask} if mask else {}
     # tops[k] maps a set of first k values to the generators that have it
     tops: list[dict[int, int]] = [{} for _ in range(n + 1)]
     ones = guards = pos = 0
@@ -261,33 +267,40 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
 
     full = (1 << n) - 1
     below: dict[int, int] = {}
+    cover = {full: ones}
+
+    def covered(t: int) -> int:
+        """The generators above t topped up by the largest values."""
+        if t not in cover:
+            if t not in below:
+                below[t] = gale_below(t)
+            cover[t] = below[t] & covered(t | 1 << (full ^ t).bit_length() - 1)
+        return cover[t]
+
+    # the id of each mask: its index in `table`, or in the tuple walk its
+    # negative, which marks a whole subtree on the stack
     labels: dict[int, int] = {}
-    masks: dict[Perm, int] = {}
     if by_rank:
         fact = [factorial(k) for k in range(n + 1)]
         ids = bytearray(fact[n])
         table = [0]
-        cover = {full: ones}
-
-        def covered(t: int) -> int:
-            """The generators above t topped up by the largest values."""
-            if t not in cover:
-                if t not in below:
-                    below[t] = gale_below(t)
-                cover[t] = below[t] & covered(t | 1 << (full ^ t).bit_length() - 1)
-            return cover[t]
+    else:
+        masks: dict[Perm, int] = {}
     stack: list[tuple] = [(0 if by_rank else (), 0, ones)]
     while stack:
         key, s, alive = stack.pop()
         free = full ^ s
+        if alive < 0:
+            # every completion of the prefix `key` has the mask -alive
+            if free & free - 1:
+                rest = tuple(v for v in range(1, n + 1) if free >> v - 1 & 1)
+                masks.update(zip(map(key.__add__, permutations(rest)),
+                                 repeat(-alive)))
+            else:
+                masks[key + (free.bit_length(),)] = -alive
+            continue
         if by_rank:
             step = fact[free.bit_count() - 1]
-        elif len(key) == n - 1:
-            hit = alive + ones & guards
-            if hit not in labels:
-                labels[hit] = sum(label for g, label in guard_labels if hit & g)
-            masks[key + (free.bit_length(),)] = labels[hit]
-            continue
         # largest value first, so the smallest prefix is popped next
         while free:
             v = free.bit_length()
@@ -298,22 +311,26 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
             live = below[t] & alive
             if not live:
                 continue
-            if not by_rank:
-                stack.append((key + (v,), t, live))
-                continue
             # the values left in `free` are the ones below v
-            child = key + free.bit_count() * step
+            child = key + free.bit_count() * step if by_rank else key + (v,)
             hit = live + ones & guards
             if (live & covered(t)) + ones & guards != hit:
                 stack.append((child, t, live))
                 continue
             j = labels.get(hit)
             if j is None:
-                if len(table) == 256:
+                mask = sum(label for g, label in guard_labels if hit & g)
+                if not by_rank:
+                    j = -mask
+                elif len(table) == 256:
                     raise ValueError("more than 256 distinct ideal masks")
-                j = labels[hit] = len(table)
-                table.append(sum(label for g, label in guard_labels if hit & g))
-            if step == 1:
+                else:
+                    j = len(table)
+                    table.append(mask)
+                labels[hit] = j
+            if not by_rank:
+                stack.append((child, t, j))
+            elif step == 1:
                 ids[child] = j
             else:
                 ids[child:child + step] = bytes((j,)) * step
@@ -428,9 +445,9 @@ def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement
     if sum(alpha) != n:
         raise ValueError(f"|{alpha}| != {n}")
     _check_degree(n, force)
-    # the walk yields the ideal in lexicographic order, so the terms are sorted
-    ideal = _ideal_masks([sigma_class(alpha).elements])
-    return HeckeElement(n, dict.fromkeys(ideal, 1))
+    # one seed block: every mask is 1, so the walk's dict is the terms dict,
+    # already in lexicographic order
+    return HeckeElement(n, _ideal_masks([sigma_class(alpha).elements]))
 
 
 def is_central(x: HeckeElement) -> bool:
@@ -473,8 +490,7 @@ def integer_matrix_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class CenterBasisReport:
+class CenterBasisReport(_Record):
     """Outcome of the center-basis verification at one degree.
 
     `certificate` names the check that decided `rank`: "unitriangular"
@@ -482,13 +498,13 @@ class CenterBasisReport:
     elimination fallback computed it.
     """
 
-    n: int
-    alphas: tuple[Composition, ...]
-    central: tuple[bool, ...]
-    rank: int
-    certificate: str
-    dim: int
-    failures: tuple[str, ...] = field(default=())
+    __slots__ = ("n", "alphas", "central", "rank", "certificate", "dim",
+                 "failures")
+
+    def __init__(self, n: int, alphas: tuple[Composition, ...],
+                 central: tuple[bool, ...], rank: int, certificate: str,
+                 dim: int, failures: tuple[str, ...] = ()) -> None:
+        super().__init__(n, alphas, central, rank, certificate, dim, failures)
 
     @property
     def all_central(self) -> bool:

@@ -28,6 +28,7 @@ from heckezero.stair_classes import (
     cycle_class, hook_properties, lift_cycle_class, lower_cycle_class,
     member_sigma_alpha, odd_hook_embed, sigma_class, stair_form,
 )
+from heckezero.verify import run_suites
 
 from oracles import perms_of_type
 
@@ -280,3 +281,14 @@ def test_criterion_12_nu_stability_and_min_representatives(n):
         )
     if n == 7:
         report(12, "conj by w0 fixes every max class n<=7; nu-min reps n<=6")
+
+
+def test_criterion_13_every_suite_at_n8():
+    # all four cross-check suites at n = 8 (0.3-0.8 s in-process)
+    rep = run_suites(8, "all", force=True)
+    assert set(rep["suites"]) == {"classes", "hooks", "iprod", "center"}
+    for name, suite in rep["suites"].items():
+        assert suite["ok"] is True and suite["n"] == 8, (name, suite)
+    assert rep["ok"] is True
+    assert rep["suites"]["center"]["dim_center"] == 26
+    report(13, "classes, hooks, iprod and center suites all pass at n=8")

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from heckezero import cli
 from heckezero.cli import main
 from heckezero.errors import InvariantError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -281,6 +287,20 @@ class TestPlumbing:
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err
 
+    def test_closed_stdout_exits_1_quietly(self):
+        # the reader takes one line and closes the pipe while most of the
+        # 3.5 MB class is still to be written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heckezero.cli", "sigma", "--alpha", "19"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        with proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert err == b""
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
@@ -401,6 +421,43 @@ class TestJsonText:
         objects = [{"w": list(w), "c": c} for w, c in terms]
         plain = {"terms": objects, "more": [objects, 1]}
         assert cli._json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
+
+    @given(st.lists(st.lists(_INTS, max_size=4).map(tuple), max_size=6)
+           | st.lists(st.lists(_INTS | st.booleans(), max_size=3).map(tuple),
+                      max_size=4))
+    def test_rows_write_as_the_lists_they_stand_for(self, rows):
+        # rows of exact ints take the templates, any other row the plain
+        # writer; the text is the same either way
+        doc = {"rows": cli._Rows(rows), "more": [cli._Rows(rows), 1]}
+        lists = [list(w) for w in rows]
+        plain = {"rows": lists, "more": [lists, 1]}
+        assert cli._json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("rows", [
+        [], [()], [(), ()], [(1, 2, 3), (4,), (), (5, 6)], [(7,)],
+        [(1, True), (2, 3)], [(False,)], [[1, 2], (3, 4)], [(1.5, 2)],
+        [(2**70, -2**70, 0)],
+    ])
+    def test_row_lists_of_every_shape(self, rows):
+        lists = [list(w) for w in rows]
+        assert cli._json_text(cli._Rows(rows)) == json.dumps(lists, indent=2)
+        terms = [(w, c) for w, c in zip(rows, (3, -1, 0, 2**70))]
+        objects = [{"w": list(w), "c": c} for w, c in terms]
+        assert cli._json_text(cli._Terms(terms)) == json.dumps(
+            objects, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("terms", [
+        [((1, 2), True), ((2, 1), 1)], [((1, 2), 1), ((2, 1), False)],
+        [((1, False), 1)], [((), 2), ((1,), -3)], [((1, 2), 1.0)],
+    ])
+    def test_terms_with_other_coefficients(self, terms):
+        objects = [{"w": list(w), "c": c} for w, c in terms]
+        assert cli._json_text(cli._Terms(terms)) == json.dumps(
+            objects, sort_keys=True, indent=2)
+
+    def test_int_rows_write_one_piece_each(self):
+        rows = cli._Rows([(1, 2), (3,), (), (2, 1)])
+        assert len(list(cli._json_chunks(rows))) == len(rows) + 1
 
     def test_emit_writes_in_pieces(self, monkeypatch):
         pieces = []

@@ -227,6 +227,28 @@ class TestOrderIdeal:
         with pytest.raises(ValueError, match="256"):
             hecke._ideal_masks(seeds, by_rank=True)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_a_leaf_by_leaf_reference_on_random_seed_families(self, n):
+        # the reference visits every permutation in lex order and reads its
+        # mask off the oracle's ideals, so the whole subtrees must come out
+        # with the same keys, masks and order; seed sets with w0 are whole
+        # from the first position, and some seed sets are empty
+        w0 = tuple(range(n, 0, -1))
+        rng = random.Random(200 + n)
+        perms = list(all_perms(n))
+        families = [[[w0]], [[], [w0], []], [[identity(n)], [w0]]]
+        families += [[rng.sample(perms, rng.randint(0, min(3, len(perms))))
+                      for _ in range(rng.randint(1, 6))] for _ in range(8)]
+        for seeds in families:
+            ideals = [oracles.ideal_by_inversions(seed) for seed in seeds]
+            reference = {}
+            for w in perms:
+                mask = sum(1 << r for r, ideal in enumerate(ideals) if w in ideal)
+                if mask:
+                    reference[w] = mask
+            assert list(hecke._ideal_masks(seeds).items()) == list(
+                reference.items()), seeds
+
     def test_ideal_sizes_at_n8(self):
         # sizes recorded from the level-by-level cover walk that built the
         # ideals before the prefix walk (commit d5f4091), one sweep over S_8
@@ -279,6 +301,13 @@ class TestTLeqSigma:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             t_leq_sigma((2, 1), 4)
+
+    @pytest.mark.parametrize("alpha", [(3,), (2, 2), (5,), (4, 1, 1)])
+    def test_terms_are_the_ideal_in_lex_order(self, alpha):
+        # one seed block: the walk's masks are all 1 and serve as the terms
+        x = t_leq_sigma(alpha, sum(alpha))
+        ideal = oracles.ideal_by_inversions(sigma_class(alpha).elements)
+        assert list(x.terms.items()) == [(w, 1) for w in sorted(ideal)]
 
 
 class TestIsCentral:

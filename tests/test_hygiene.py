@@ -1,7 +1,11 @@
 """Source hygiene of the library modules, checked by parsing them."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,18 @@ def test_oracles_import_nothing_from_the_library():
     modules += [node.module or "" for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.split(".")[0] == "heckezero"] == []
+
+
+def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+    # the benchmark's tracer wraps functions in every module after one
+    # `import heckezero.cli`; `dataclasses` (and with it `inspect`) would
+    # add to the start-up of every CLI process
+    code = ("import heckezero.cli, json, sys; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('heckezero') or m in ('dataclasses', 'inspect'))))")
+    # -S: no site hooks, so the check sees the package's own imports only
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    expected = {"heckezero"} | {f"heckezero.{path.stem}" for path in LIBRARY}
+    assert set(json.loads(proc.stdout)) == expected
