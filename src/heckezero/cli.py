@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from itertools import chain
-from operator import itemgetter
 from typing import Iterator
 
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
@@ -72,31 +71,38 @@ class _Rows(list):
     without building them."""
 
 
-class _Terms(list):
-    """The (w, c) terms of a Hecke element, in lexicographic order, written
-    as the list of objects {"c": c, "w": w} without building them."""
+class _Terms:
+    """The terms dict {w: c} of a Hecke element, keys in lexicographic
+    order, written as the list of objects {"c": c, "w": w} without building
+    them or a list of its (w, c) pairs."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict) -> None:
+        self.terms = terms
 
 
-def _row_chunks(rows: list, indent: str) -> Iterator[str]:
-    """A `_Rows` or `_Terms` list as `_json_chunks` writes the lists or
-    objects it stands for, one piece per row.
+def _row_chunks(rows, indent: str) -> Iterator[str]:
+    """A `_Rows` list or a `_Terms` dict as `_json_chunks` writes the lists
+    or objects it stands for, one piece per row.
 
     When every row is a tuple of exact ints, and every coefficient an
     exact int, each row is written by one `%d` template per row length;
     otherwise (`%d` would write True as 1) each row goes through
     `_json_chunks` as its plain value.
     """
+    terms = type(rows) is _Terms
+    if terms:
+        rows = rows.terms       # iterating the dict gives the words
     if not rows:
         yield "[]"
         return
-    terms = type(rows) is _Terms
-    words = list(map(itemgetter(0), rows)) if terms else rows
     inner = indent + "  "       # the lines of the rows
     sep = "[" + inner
-    if not (set(map(type, words)) == _TUPLE_ONLY
-            and set(map(type, chain.from_iterable(words))) <= _INT_ONLY
-            and (not terms or set(map(type, map(itemgetter(1), rows))) == _INT_ONLY)):
-        for row in rows:
+    if not (set(map(type, rows)) == _TUPLE_ONLY
+            and set(map(type, chain.from_iterable(rows))) <= _INT_ONLY
+            and (not terms or set(map(type, rows.values())) == _INT_ONLY)):
+        for row in rows.items() if terms else rows:
             yield sep
             yield from _json_chunks(
                 {"c": row[1], "w": list(row[0])} if terms else list(row), inner)
@@ -106,11 +112,11 @@ def _row_chunks(rows: list, indent: str) -> Iterator[str]:
     member = inner + "  " if terms else inner   # the brackets of each word
     entry = member + "  "                       # the values of each word
     templates = {k: "[" + entry + ("," + entry).join(("%d",) * k) + member + "]"
-                 if k else "[]" for k in set(map(len, words))}
+                 if k else "[]" for k in set(map(len, rows))}
     if terms:
         head = "{" + member + '"c": %d,' + member + '"w": '
         templates = {k: head + t + inner + "}" for k, t in templates.items()}
-        for w, c in rows:
+        for w, c in rows.items():
             yield sep + templates[len(w)] % (c, *w)
             sep = "," + inner
     else:
@@ -219,8 +225,6 @@ def _cmd_classes(args) -> int:
 
 def _cmd_sigma(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    if not is_maximal(alpha):
-        raise _CliError(f"not a maximal composition: {alpha}")
     cls = sigma_class(alpha)
     doc = _class_entry(cls)
     _emit(doc, args,
@@ -249,8 +253,6 @@ def _cmd_dim(args) -> int:
 
 def _cmd_count(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    if not is_maximal(alpha):
-        raise _CliError(f"not a maximal composition: {alpha}")
     _, odds, _ = split_even_odd(alpha)
     formula = None
     if not odds or hook_kind(odds) != "not_hook":
@@ -268,7 +270,7 @@ def _basis_entry(alpha, n, force) -> dict:
     return {
         "alpha": list(alpha),
         "ideal_size": element.support_size(),
-        "terms": _Terms(element.terms.items()),
+        "terms": _Terms(element.terms),
     }
 
 
@@ -276,10 +278,6 @@ def _cmd_basis(args) -> int:
     _check_degree(args.n, args.force)
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
-        if not is_maximal(alpha):
-            raise _CliError(f"not a maximal composition: {alpha}")
-        if sum(alpha) != args.n:
-            raise _CliError(f"|{alpha}| != {args.n}")
         doc = _basis_entry(alpha, args.n, args.force)
         _emit(doc, args,
               f"basis element of {alpha}: {doc['ideal_size']} terms")
@@ -351,10 +349,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()      # a closed stdout raises here, not at exit
         return code
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

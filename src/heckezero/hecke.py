@@ -21,10 +21,10 @@ times the indicator sum of I is the indicator sum of its upper boundary
 with z s_i, so centrality is a comparison of boundaries.  With each ideal
 held as one integer whose bit r stands for rank r, both products move
 ranks by fixed shifts on fixed sets of ranks, so each comparison is a few
-big-integer operations.  Independence is certified by the unitriangular
-minor on the stair-form columns, with exact Bareiss elimination as the
-fallback when that pattern fails.  The sparse products and `is_central`
-stay as the algebra API and as the reference the check is tested against.
+big-integer operations.  Independence is one exact rank: equal masks are
+equal columns, so the rank over S_n is the rank over the few distinct
+masks in the table.  The sparse products and `is_central` stay as the
+algebra API and as the reference the check is tested against.
 
 Integer coefficients suffice throughout: all structure constants are
 integral, so any field case follows by extension of scalars.
@@ -39,8 +39,8 @@ from typing import Iterable, Mapping, Sequence
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
 from .cyclic_shift import _check_degree, _Record
-from .permutations import Perm, length
-from .stair_classes import sigma_class, stair_form
+from .permutations import Perm
+from .stair_classes import sigma_class
 
 __all__ = [
     "HeckeElement", "t_basis",
@@ -491,20 +491,14 @@ def integer_matrix_rank(rows: list[list[int]]) -> int:
 
 
 class CenterBasisReport(_Record):
-    """Outcome of the center-basis verification at one degree.
+    """Outcome of the center-basis verification at one degree."""
 
-    `certificate` names the check that decided `rank`: "unitriangular"
-    when the stair-form minor proved full rank, "bareiss" when the
-    elimination fallback computed it.
-    """
-
-    __slots__ = ("n", "alphas", "central", "rank", "certificate", "dim",
-                 "failures")
+    __slots__ = ("n", "alphas", "central", "rank", "dim", "failures")
 
     def __init__(self, n: int, alphas: tuple[Composition, ...],
-                 central: tuple[bool, ...], rank: int, certificate: str,
-                 dim: int, failures: tuple[str, ...] = ()) -> None:
-        super().__init__(n, alphas, central, rank, certificate, dim, failures)
+                 central: tuple[bool, ...], rank: int, dim: int,
+                 failures: tuple[str, ...] = ()) -> None:
+        super().__init__(n, alphas, central, rank, dim, failures)
 
     @property
     def all_central(self) -> bool:
@@ -523,43 +517,6 @@ class CenterBasisReport(_Record):
         return self.all_central and self.independent and self.size_matches
 
 
-def _lex_rank(w: Perm) -> int:
-    """The position of `w` in the lexicographic order of its S_n: the sum
-    of its Lehmer digits times (n - 1 - position)!."""
-    rank = seen = 0
-    for k, v in enumerate(w, 1):
-        smaller = v - 1 - (seen & (1 << v - 1) - 1).bit_count()
-        rank += smaller * factorial(len(w) - k)
-        seen |= 1 << v - 1
-    return rank
-
-
-def _stair_minor_is_unitriangular(
-    alphas: Sequence[Composition], masks: Mapping[Perm, int]
-) -> bool:
-    """Whether the ideal sums restricted to the stair-form columns form a
-    unitriangular minor once the labels are sorted by class length.
-
-    Entry (alpha, beta) is 1 when stair_form(beta) lies in the ideal of
-    class alpha.  The check asks for a 1 on the diagonal and, off it, a 1
-    only where the class of beta is strictly shorter than the class of
-    alpha.  When it holds, the minor has determinant 1, so the family has
-    full rank.  (It always should: an off-diagonal 1 at equal lengths would
-    put stair_form(beta) in the class of alpha.)
-    """
-    ell = [length(stair_form(beta)) for beta in alphas]
-    for c, beta in enumerate(alphas):
-        column = masks.get(stair_form(beta), 0)
-        for r in range(len(alphas)):
-            hit = column >> r & 1
-            if r == c:
-                if not hit:
-                    return False
-            elif hit and ell[c] >= ell[r]:
-                return False
-    return True
-
-
 def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     """Check that the ideal sums over all labelled classes of S_n are
     central, linearly independent, and as many as the center dimension.
@@ -569,12 +526,12 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     ideal at once, as one mask id per permutation in lex rank order.
     Centrality is read off the upper boundaries of the ideals by
     big-integer shifts (`_noncentral_labels`), with no Hecke product.
-    Independence is decided by a certificate: the minor on the stair-form
-    columns, read at the lex rank of each stair form, is checked to be
-    unitriangular, which proves rank k.  If that pattern fails, the rank
-    of the k rows over the ranks is computed by Bareiss elimination
-    instead and reported as it is; the failed pattern never counts as a
-    pass.
+    Independence is the exact rank of the k ideal sums as rows over the
+    columns T_w.  The column of w is its mask, so equal ids give equal
+    columns and id 0 a zero column: the rank is that of the k x m matrix
+    of the m nonzero table masks whose id occurs in the rank array, by
+    Bareiss elimination.  It is exact for every input, so a dependent
+    family is reported with its true rank.
 
     Returns a report rather than raising, so callers can surface every
     failing assertion at once.
@@ -585,15 +542,9 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
         [sigma_class(alpha).elements for alpha in alphas], by_rank=True)
     bad = _noncentral_labels(ids, table, n)
     central = tuple(not bad >> r & 1 for r in range(len(alphas)))
-
-    stairs = {sf: table[ids[_lex_rank(sf)]] for sf in map(stair_form, alphas)}
-    if _stair_minor_is_unitriangular(alphas, stairs):
-        certificate, rank = "unitriangular", len(alphas)
-    else:
-        # permutations outside every ideal give zero columns, left out
-        columns = [table[j] for j in ids if j]
-        rows = [[m >> r & 1 for m in columns] for r in range(len(alphas))]
-        certificate, rank = "bareiss", integer_matrix_rank(rows)
+    columns = [m for j, m in enumerate(table) if j and j in ids]
+    rank = integer_matrix_rank(
+        [[m >> r & 1 for m in columns] for r in range(len(alphas))])
     dim = dim_center(n)
 
     failures = []
@@ -605,4 +556,4 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     if len(alphas) != dim:
         failures.append(f"family size {len(alphas)} != center dimension {dim}")
     return CenterBasisReport(
-        n, alphas, central, rank, certificate, dim, tuple(failures))
+        n, alphas, central, rank, dim, tuple(failures))

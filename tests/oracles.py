@@ -9,6 +9,7 @@ principles.  Deliberately slow and simple.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 
@@ -76,6 +77,27 @@ def ideal_by_inversions(gens):
                     seen.add(v)
                     stack.append(v)
     return seen
+
+
+def fraction_rank(rows):
+    """Rank of a matrix by Gauss-Jordan elimination over the rationals:
+    each pivot row is scaled to a leading 1 and cleared from every other
+    row, in exact `Fraction` arithmetic."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        lead = a[rank][col]
+        a[rank] = [x / lead for x in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
 
 
 def bruhat_leq_oracle(u, w):

@@ -30,7 +30,7 @@ from heckezero.stair_classes import (
 )
 from heckezero.verify import run_suites
 
-from oracles import perms_of_type
+from oracles import ideal_by_inversions, inv_count, perms_of_type
 
 
 def report(number, title):
@@ -207,7 +207,6 @@ def test_criterion_09_center_verification():
         rep = verify_center_basis(n, force=n == 9)
         assert rep.ok, (n, rep.failures)
         assert rep.rank == len(rep.alphas) == rep.dim
-        assert rep.certificate == "unitriangular"
     assert rep.dim == 35
 
     # the three published basis elements of the degree-3 center
@@ -217,6 +216,25 @@ def test_criterion_09_center_verification():
     assert dict(t[(3,)].terms) == five
     assert dict(t[(2, 1)].terms) == {w: 1 for w in all_perms(3)}
     report(9, "ideal sums central, independent, count = dim, n<=9; n=3 basis")
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_criterion_09b_stair_forms_order_the_ideals(n):
+    # the stair form of alpha lies in its own ideal, and in the ideal of
+    # another label only when its class is strictly shorter: on the
+    # stair-form columns, sorted by class length, the ideal sums form a
+    # unitriangular minor, a second proof of their independence
+    alphas = enumerate_maximal(n)
+    stairs = {beta: stair_form(beta) for beta in alphas}
+    for alpha in alphas:
+        ideal = ideal_by_inversions(sigma_class(alpha).elements)
+        assert stairs[alpha] in ideal, alpha
+        for beta in alphas:
+            if beta != alpha and stairs[beta] in ideal:
+                assert inv_count(stairs[beta]) < inv_count(stairs[alpha]), (
+                    alpha, beta)
+    if n == 6:
+        report(9, "(b) stair forms give a unitriangular minor, n<=6")
 
 
 @pytest.mark.parametrize("n", range(1, 8))

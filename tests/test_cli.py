@@ -413,12 +413,12 @@ class TestJsonText:
         with pytest.raises(TypeError):
             cli._json_text(doc)
 
-    @given(st.lists(st.tuples(st.lists(_INTS, max_size=4).map(tuple), _INTS),
-                    max_size=4))
+    @given(st.dictionaries(st.lists(_INTS, max_size=4).map(tuple), _INTS,
+                           max_size=4))
     def test_terms_write_as_the_objects_they_stand_for(self, terms):
-        # basis writes its term rows without building {"c", "w"} objects
+        # basis writes its terms dict without building {"c", "w"} objects
         doc = {"terms": cli._Terms(terms), "more": [cli._Terms(terms), 1]}
-        objects = [{"w": list(w), "c": c} for w, c in terms]
+        objects = [{"w": list(w), "c": c} for w, c in terms.items()]
         plain = {"terms": objects, "more": [objects, 1]}
         assert cli._json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
 
@@ -441,17 +441,18 @@ class TestJsonText:
     def test_row_lists_of_every_shape(self, rows):
         lists = [list(w) for w in rows]
         assert cli._json_text(cli._Rows(rows)) == json.dumps(lists, indent=2)
-        terms = [(w, c) for w, c in zip(rows, (3, -1, 0, 2**70))]
-        objects = [{"w": list(w), "c": c} for w, c in terms]
+        # a word must be hashable to key a terms dict
+        terms = {tuple(w): c for w, c in zip(rows, (3, -1, 0, 2**70))}
+        objects = [{"w": list(w), "c": c} for w, c in terms.items()]
         assert cli._json_text(cli._Terms(terms)) == json.dumps(
             objects, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("terms", [
-        [((1, 2), True), ((2, 1), 1)], [((1, 2), 1), ((2, 1), False)],
-        [((1, False), 1)], [((), 2), ((1,), -3)], [((1, 2), 1.0)],
+        {(1, 2): True, (2, 1): 1}, {(1, 2): 1, (2, 1): False},
+        {(1, False): 1}, {(): 2, (1,): -3}, {(1, 2): 1.0},
     ])
     def test_terms_with_other_coefficients(self, terms):
-        objects = [{"w": list(w), "c": c} for w, c in terms]
+        objects = [{"w": list(w), "c": c} for w, c in terms.items()]
         assert cli._json_text(cli._Terms(terms)) == json.dumps(
             objects, sort_keys=True, indent=2)
 
@@ -464,7 +465,7 @@ class TestJsonText:
         monkeypatch.setattr(cli.sys, "stdout", type(
             "Sink", (), {"write": pieces.append,
                          "writelines": lambda self, it: pieces.extend(it)})())
-        terms = cli._Terms(((1, 2), 1) for _ in range(100))
+        terms = cli._Terms({(1, k): 1 for k in range(100)})
         cli._emit({"terms": terms}, None, "summary")
         assert len(pieces) > 100
         assert "".join(pieces) == cli._json_text({"terms": terms}) + "\n"

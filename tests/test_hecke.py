@@ -73,14 +73,11 @@ class TestGeneratorAction:
                     expected = {w: -1}
                 assert dict(left_mul_gen(i, t_basis(n, w)).terms) == expected
 
-    def test_generator_action_computes_no_length(self, monkeypatch):
+    def test_generator_action_computes_no_length(self):
+        # hecke binds no `length`, so neither action can compute one
+        assert not hasattr(hecke, "length")
         x = t_leq_sigma((4,), 4)
         basis = basis_elements(4)
-
-        def no_length(w):
-            raise AssertionError("the generator action computed a length")
-
-        monkeypatch.setattr(hecke, "length", no_length)
         assert is_central(x)
         for a in basis[::5]:
             for b in basis:
@@ -217,7 +214,7 @@ class TestOrderIdeal:
         perms = list(all_perms(n))
         assert [table[j] for j in ids] == [masks.get(w, 0) for w in perms]
         assert table[0] == 0 and len(set(table)) == len(table)
-        assert all(hecke._lex_rank(w) == r for r, w in enumerate(perms))
+        assert perms == sorted(perms)
 
     def test_rank_array_refuses_more_than_256_masks(self):
         # each permutation of S_6 alone has its own ideal, so the 720
@@ -404,31 +401,11 @@ class TestVerifyCenterBasis:
     def test_independence_and_count_n6(self):
         report = verify_center_basis(6)
         assert report.ok, report.failures
-        assert report.dim == 12
-        assert report.certificate == "unitriangular"
-
-    def test_failed_certificate_falls_back_to_bareiss(self, monkeypatch):
-        monkeypatch.setattr(hecke, "_stair_minor_is_unitriangular",
-                            lambda alphas, masks: False)
-        report = verify_center_basis(6)
-        assert report.certificate == "bareiss"
-        assert report.rank == len(report.alphas) == 12
-        assert report.ok
-
-    def test_certificate_rejects_a_broken_pattern(self):
-        alphas = ((2, 1), (3,))
-        sf = {alpha: stair_form(alpha) for alpha in alphas}
-        good = {sf[(2, 1)]: 0b01, sf[(3,)]: 0b11}
-        assert hecke._stair_minor_is_unitriangular(alphas, good)
-        # a missing diagonal entry, then an entry above a shorter class
-        missing = {sf[(2, 1)]: 0b01, sf[(3,)]: 0b01}
-        above = {sf[(2, 1)]: 0b11, sf[(3,)]: 0b11}
-        assert not hecke._stair_minor_is_unitriangular(alphas, missing)
-        assert not hecke._stair_minor_is_unitriangular(alphas, above)
+        assert report.dim == report.rank == 12
 
     def test_dependent_family_never_passes(self, monkeypatch):
-        # give the second label the first label's ideal: the pattern fails,
-        # and the Bareiss rank reports the dependence
+        # give the second label the first label's ideal: the rank reports
+        # the dependence
         sweep = hecke._ideal_masks
 
         def copy_first_row(seeds, by_rank):
@@ -437,10 +414,52 @@ class TestVerifyCenterBasis:
 
         monkeypatch.setattr(hecke, "_ideal_masks", copy_first_row)
         report = verify_center_basis(5)
-        assert report.certificate == "bareiss"
         assert report.rank == len(report.alphas) - 1
         assert not report.ok
         assert any(f.startswith("rank ") for f in report.failures)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_rank_matches_the_oracle_over_all_columns(self, n):
+        # the library ranks the distinct masks; the oracle ranks one
+        # column per permutation, from ideals it closes itself
+        alphas = enumerate_maximal(n)
+        perms = list(all_perms(n))
+        rows = []
+        for alpha in alphas:
+            ideal = oracles.ideal_by_inversions(sigma_class(alpha).elements)
+            rows.append([int(w in ideal) for w in perms])
+        rank = oracles.fraction_rank(rows)
+        assert verify_center_basis(n).rank == rank == len(alphas)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("family", ["duplicate", "disjoint_or"])
+    def test_dependent_rank_matches_the_oracle(self, monkeypatch, n, family):
+        # inject a dependent family through the walk: row 1 a copy of row
+        # 0, or row 1 cut down to miss the last row b and row 0 replaced
+        # by the OR of the two, which is their sum.  Distinct ids can then
+        # hold one mask, and the oracle ranks one column per permutation
+        sweep = hecke._ideal_masks
+        walked = []
+
+        def inject(seeds, by_rank):
+            ids, table = sweep(seeds, by_rank)
+            b = len(seeds) - 1
+            if family == "duplicate":
+                table = [m & ~2 | (m & 1) << 1 for m in table]
+            else:
+                cuts = [m >> 1 & ~m >> b & 1 for m in table]
+                table = [m & ~3 | cut << 1 | (cut | m >> b & 1)
+                         for m, cut in zip(table, cuts)]
+            walked.append((ids, table))
+            return ids, table
+
+        monkeypatch.setattr(hecke, "_ideal_masks", inject)
+        report = verify_center_basis(n)
+        [(ids, table)] = walked
+        k = len(report.alphas)
+        rows = [[table[j] >> r & 1 for j in ids] for r in range(k)]
+        assert report.rank == oracles.fraction_rank(rows) == k - 1
+        assert not report.ok
 
     def test_dropped_ideal_element_is_not_central(self, monkeypatch):
         # (2, 3, 1) is the member of the (3,) class beside its stair form
@@ -450,7 +469,7 @@ class TestVerifyCenterBasis:
 
         def drop(seeds, by_rank):
             ids, table = sweep(seeds, by_rank)
-            rank = hecke._lex_rank((2, 3, 1))
+            rank = list(all_perms(3)).index((2, 3, 1))
             table = table + [table[ids[rank]] & ~(1 << r)]
             ids[rank] = len(table) - 1
             return ids, table

@@ -19,7 +19,7 @@ def make(cls, **changes):
         HeckeElement: dict(n=3, terms={(1, 2, 3): 1, (2, 1, 3): -2}),
         CenterBasisReport: dict(
             n=3, alphas=((1, 1, 1), (2, 1), (3,)), central=(True,) * 3,
-            rank=3, certificate="unitriangular", dim=3, failures=()),
+            rank=3, dim=3, failures=()),
     }[cls]
     return cls(**{**args, **changes})
 
@@ -35,8 +35,7 @@ NONE = inspect.Parameter.empty
     (EquivClass, [("elements", NONE), ("common_length", NONE), ("alpha", None)]),
     (HeckeElement, [("n", NONE), ("terms", NONE)]),
     (CenterBasisReport, [("n", NONE), ("alphas", NONE), ("central", NONE),
-                         ("rank", NONE), ("certificate", NONE), ("dim", NONE),
-                         ("failures", ())]),
+                         ("rank", NONE), ("dim", NONE), ("failures", ())]),
 ])
 def test_constructor_signature(cls, params):
     parameters = inspect.signature(cls).parameters.values()
@@ -46,7 +45,7 @@ def test_constructor_signature(cls, params):
 
 def test_defaults():
     assert EquivClass(ELEMENTS, 2).alpha is None
-    report = CenterBasisReport(1, ((1,),), (True,), 1, "unitriangular", 1)
+    report = CenterBasisReport(1, ((1,),), (True,), 1, 1)
     assert report.failures == ()
     assert report.ok
 
@@ -81,8 +80,7 @@ def test_repr():
         "HeckeElement(n=3, {(1, 2, 3): 1, (2, 1, 3): -2})")
     assert repr(make(CenterBasisReport)) == (
         "CenterBasisReport(n=3, alphas=((1, 1, 1), (2, 1), (3,)), "
-        "central=(True, True, True), rank=3, certificate='unitriangular', "
-        "dim=3, failures=())")
+        "central=(True, True, True), rank=3, dim=3, failures=())")
 
 
 @pytest.mark.parametrize("cls", [EquivClass, HeckeElement, CenterBasisReport])
