@@ -32,14 +32,14 @@ integral, so any field case follows by extension of scalars.
 
 from __future__ import annotations
 
-from itertools import permutations, repeat
+from itertools import compress, permutations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
 from .cyclic_shift import _check_degree, _Record
-from .permutations import Perm
+from .permutations import Perm, all_perms, cycles
 from .stair_classes import sigma_class
 
 __all__ = [
@@ -88,6 +88,7 @@ def t_basis(n: int, w: Perm) -> HeckeElement:
     """The basis vector T_w."""
     if len(w) != n:
         raise ValueError(f"degree mismatch: {len(w)} != {n}")
+    cycles(w)   # raises on a tuple that is not a permutation
     return HeckeElement(n, {w: 1})
 
 
@@ -134,9 +135,9 @@ def right_mul_gen(i: int, x: HeckeElement) -> HeckeElement:
 
 
 def reduced_word(w: Perm) -> tuple[int, ...]:
-    """A reduced word for `w`, produced by repeatedly stripping the smallest
-    right descent.  Any reduced word gives the same T_w, so the choice is
-    only for determinism.
+    """A reduced word for `w`, produced by stripping the smallest right
+    descent while there is one.  Any reduced word gives the same T_w, so
+    the choice is only for determinism.
 
     >>> reduced_word((3, 2, 1))
     (1, 2, 1)
@@ -188,32 +189,36 @@ def order_ideal(sigma) -> frozenset[Perm]:
     """The downward Bruhat closure of a set of permutations of one degree.
 
     Accepts an EquivClass or any iterable of permutations, of any mix of
-    lengths; the closure is the one-ideal case of `_ideal_masks`.
+    lengths; the closure is the one-ideal case of `_ideal_masks`.  A seed
+    that is not a permutation raises ValueError.
 
     >>> sorted(order_ideal([(2, 3, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
     """
-    return frozenset(_ideal_masks([getattr(sigma, "elements", sigma)]))
+    seeds = list(getattr(sigma, "elements", sigma))
+    for w in seeds:
+        cycles(w)
+    return frozenset(_ideal_masks([seeds]))
 
 
 def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
-    """Every order ideal of `seeds` at once: bit r of the mask of w is set
-    exactly when w lies below some element of `seeds[r]`.  The seeds must
-    share one degree n.  Returns a dict from each w with a nonzero mask to
-    its mask, with the keys in lexicographic order; with `by_rank`, a pair
-    (ids, table): `ids` holds one byte per permutation, indexed by its lex
-    rank, and `table[ids[rank]]` is the mask, with id 0 for mask 0.  A
-    family with more than 256 distinct masks raises ValueError.
+    """The order ideals of `seeds`, which must share one degree n.  With
+    `by_rank`, every ideal at once as a pair (ids, table): `ids` holds one
+    byte per permutation, indexed by its lex rank, and `table[ids[rank]]`
+    is its mask, whose bit r is set exactly when the permutation lies below
+    some element of `seeds[r]`, with id 0 for mask 0.  A family with more
+    than 256 distinct masks raises ValueError.  Without `by_rank`, the set
+    of the permutations in some ideal, from a walk that visits no other.
 
     By the tableau criterion (Bjorner-Brenti, GTM 231, Thm 2.1.5), x <= w
     exactly when, for every k, the set of the first k values of x lies
     below that of w in Gale order (`_gale_leq`).  The sweep walks one-line
-    prefixes depth first, smallest value first, carrying the bitmask of
-    the generators whose prefixes stay above; a prefix with none left is
-    pruned.  A prefix set is tested against each distinct generator prefix
-    once, on first reaching it.  The generator bits lie label by label,
-    each block topped by a zero guard bit, so one addition carries into
-    the guard of every label with a generator left.
+    prefixes depth first, carrying the bitmask of the generators whose
+    prefixes stay above; a prefix with none left is pruned.  A prefix set
+    is tested against each distinct generator prefix once, on first
+    reaching it.  The generator bits lie label by label, each block
+    topped by a zero guard bit, so one addition carries into the guard of
+    every label with a generator left.
 
     The completions of a prefix p with value set s form the Bruhat
     interval from p followed by the rest increasing to p followed by the
@@ -221,9 +226,8 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
     and the largest k - |s| values of the rest.  When, for every label
     with a generator left, the top of p lies below one of that label's
     generators, every completion has that label set, and the subtree is
-    not walked.  The tuple walk pushes it as one entry and, on popping it,
-    emits its leaves by one `dict.update` over the permutations of the
-    rest, which come in lex order; the rank walk, which carries the lex
+    not walked.  The tuple walk adds its leaves by one `set.update` over
+    the permutations of the rest; the rank walk, which carries the lex
     rank offset of each prefix instead of the prefix (the sum of its
     Lehmer digits times (n - 1 - position)!), writes the subtree's id by
     one slice assignment.  The generators above the top of p depend only
@@ -242,7 +246,7 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
         mask = sum(1 << r for r, block in enumerate(blocks) if block)
         if by_rank:
             return bytearray([1 if mask else 0]), [0, mask] if mask else [0]
-        return {tuple(range(1, n + 1)): mask} if mask else {}
+        return {tuple(range(1, n + 1))} if mask else set()
     # tops[k] maps a set of first k values to the generators that have it
     tops: list[dict[int, int]] = [{} for _ in range(n + 1)]
     ones = guards = pos = 0
@@ -277,31 +281,19 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
             cover[t] = below[t] & covered(t | 1 << (full ^ t).bit_length() - 1)
         return cover[t]
 
-    # the id of each mask: its index in `table`, or in the tuple walk its
-    # negative, which marks a whole subtree on the stack
-    labels: dict[int, int] = {}
     if by_rank:
         fact = [factorial(k) for k in range(n + 1)]
         ids = bytearray(fact[n])
         table = [0]
+        labels: dict[int, int] = {}     # guard hits to their index in table
     else:
-        masks: dict[Perm, int] = {}
+        ideal: set[Perm] = set()
     stack: list[tuple] = [(0 if by_rank else (), 0, ones)]
     while stack:
         key, s, alive = stack.pop()
         free = full ^ s
-        if alive < 0:
-            # every completion of the prefix `key` has the mask -alive
-            if free & free - 1:
-                rest = tuple(v for v in range(1, n + 1) if free >> v - 1 & 1)
-                masks.update(zip(map(key.__add__, permutations(rest)),
-                                 repeat(-alive)))
-            else:
-                masks[key + (free.bit_length(),)] = -alive
-            continue
         if by_rank:
             step = fact[free.bit_count() - 1]
-        # largest value first, so the smallest prefix is popped next
         while free:
             v = free.bit_length()
             free ^= 1 << v - 1
@@ -316,25 +308,22 @@ def _ideal_masks(seeds: Sequence[Iterable[Perm]], by_rank: bool = False):
             hit = live + ones & guards
             if (live & covered(t)) + ones & guards != hit:
                 stack.append((child, t, live))
-                continue
-            j = labels.get(hit)
-            if j is None:
-                mask = sum(label for g, label in guard_labels if hit & g)
-                if not by_rank:
-                    j = -mask
-                elif len(table) == 256:
-                    raise ValueError("more than 256 distinct ideal masks")
-                else:
-                    j = len(table)
-                    table.append(mask)
-                labels[hit] = j
-            if not by_rank:
-                stack.append((child, t, j))
-            elif step == 1:
-                ids[child] = j
+            elif not by_rank:
+                rest = [u for u in range(1, n + 1) if not t >> u - 1 & 1]
+                ideal.update(map(child.__add__, permutations(rest)))
             else:
-                ids[child:child + step] = bytes((j,)) * step
-    return (ids, table) if by_rank else masks
+                j = labels.get(hit)
+                if j is None:
+                    if len(table) == 256:
+                        raise ValueError("more than 256 distinct ideal masks")
+                    j = labels[hit] = len(table)
+                    table.append(
+                        sum(label for g, label in guard_labels if hit & g))
+                if step == 1:
+                    ids[child] = j
+                else:
+                    ids[child:child + step] = bytes((j,)) * step
+    return (ids, table) if by_rank else ideal
 
 
 def _tile(pattern: int, period: int, count: int) -> int:
@@ -396,7 +385,7 @@ def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int) -> int:
     rank by (n-1-a)!.  y s_i swaps positions i-1 and i (from 0); at an
     ascent the digits there are c and c + e with e >= 0, and afterwards
     c + e + 1 and c, so the rank rises by (e+1)(n-i)! - e(n-i-1)!.  The
-    ranks with a given e repeat with period (n-i+1)!.
+    ranks with a given e recur with period (n-i+1)!.
     """
     fact = [factorial(k) for k in range(n + 1)]
     flipped = ids[::-1]
@@ -445,9 +434,10 @@ def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement
     if sum(alpha) != n:
         raise ValueError(f"|{alpha}| != {n}")
     _check_degree(n, force)
-    # one seed block: every mask is 1, so the walk's dict is the terms dict,
-    # already in lexicographic order
-    return HeckeElement(n, _ideal_masks([sigma_class(alpha).elements]))
+    # one seed block: every nonzero id stands for mask 1, and the rank
+    # array runs in the lexicographic order of `all_perms`
+    ids, _ = _ideal_masks([sigma_class(alpha).elements], by_rank=True)
+    return HeckeElement(n, dict.fromkeys(compress(all_perms(n), ids), 1))
 
 
 def is_central(x: HeckeElement) -> bool:

@@ -118,7 +118,8 @@ def cycles(p: Perm, include_trivial: bool = True) -> tuple[Cycle, ...]:
     """Disjoint cycles of `p`, canonically rotated and ordered.
 
     Each cycle starts at its minimum entry and cycles are sorted by that
-    minimum, which makes the result deterministic and comparable.
+    minimum, which makes the result deterministic and comparable.  A tuple
+    that is not a permutation of 1..len(p) raises ValueError.
 
     >>> cycles((6, 5, 4, 3, 1, 2))
     ((1, 6, 2, 5), (3, 4))
@@ -126,7 +127,9 @@ def cycles(p: Perm, include_trivial: bool = True) -> tuple[Cycle, ...]:
     ((2, 3),)
     """
     n = len(p)
-    seen = [False] * (n + 1)
+    # values that are no point stop a walk: 0, -(n + 1)..-1 and
+    # n + 1..2n + 1 index a True entry, and any further out fall off
+    seen = [True] + [False] * n + [True] * (n + 1)
     out = []
     for start in range(1, n + 1):
         if seen[start]:
@@ -134,10 +137,15 @@ def cycles(p: Perm, include_trivial: bool = True) -> tuple[Cycle, ...]:
         cyc = [start]
         seen[start] = True
         v = p[start - 1]
-        while v != start:
-            cyc.append(v)
-            seen[v] = True
-            v = p[v - 1]
+        try:
+            while not seen[v]:
+                cyc.append(v)
+                seen[v] = True
+                v = p[v - 1]
+        except IndexError:
+            v = None
+        if v != start:
+            raise ValueError(f"not a permutation: {p}")
         if include_trivial or len(cyc) > 1:
             out.append(tuple(cyc))
     return tuple(out)

@@ -1,6 +1,7 @@
 """The command-line interface: subcommands, JSON schemas, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -308,6 +309,46 @@ class TestPlumbing:
     def test_missing_required(self, capsys):
         code, _, err = run(capsys, "dim")
         assert code == 1
+
+    # sha256 of stdout, recorded from commit 74ca628: the eleven benchmark
+    # commands and two more with large or twisted catalogues
+    GOLDEN = [
+        ("verify --n 7 --suite center",
+         "d64ece2f055d623bfb3e576b35ba82105a9bb39034ab79fea1fa0ab6b34eda98"),
+        ("classes --n 8",
+         "e8156896658795defda59b70d25bf70486885e2ee946b6a41d5c9974b789fde3"),
+        ("verify --n 7 --suite classes",
+         "04c7ed436769414d125c274ee3f958f9ea9086258fd5d4338f42d8326db83bb7"),
+        ("verify --n 7 --suite hooks",
+         "c04c28dfc3735e99c6a0b011995c1381f7dbb8bcfe8111f6af887ee4cf547756"),
+        ("verify --n 7 --suite iprod",
+         "31a1971ba8f332456fce1d60c5165981a141f0f46123c8d06ec77a9061d8655e"),
+        ("sigma --alpha 3,3,3 --force",
+         "553232f6b1dbfc16f6069afcdbc566f2580ca1f022fd1745d694c309e743811e"),
+        ("sigma --alpha 19",
+         "c1246a17e2faa8b92a42d4eb52891ecb74eeb28273451ab6e8d04259fccfa45b"),
+        ("sigma --alpha 2,8,4,5,1,1,1",
+         "3b29af8d230deac72cb47f06338c3838b53b9ec75604f6b055ec33da487db672"),
+        ("count --alpha 2,8,4,5,1,1,1",
+         "b6ab98d5e64df050fe1ed3e4c3084aae1bd2aa21f3230ba654a09cde79f6e9a2"),
+        ("dim --n 36",
+         "6770e51926d6659180c6196fad2f009bf7006af38452feb2714df709495a4e65"),
+        ("basis --n 8 --alpha 8",
+         "5c23193c03f688f3db446fae3253e2c560fe73703b1e51ce5d685e6ea31e6c88"),
+        ("basis --n 7",
+         "f354f1e5371136aeb5cec5a84419cc99f43eef02dfae46c9891080a9e16c43e3"),
+        ("classes --n 6 --twist nu --stratum min",
+         "9122c768c5287530555df1ebede828eb4fa313cf709dda74b1a6cebdf2183333"),
+    ]
+
+    def test_stdout_bytes_match_the_recorded_digests(self, capsys):
+        # the stdout JSON contract: a change that alters one byte shows here
+        got = {}
+        for text, _ in self.GOLDEN:
+            code, out, _ = run(capsys, *text.split())
+            assert code == 0, text
+            got[text] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == dict(self.GOLDEN)
 
 
 def run_quietly(argv, limit=1.0):

@@ -1,6 +1,7 @@
 """Sparse 0-Hecke arithmetic and the central basis."""
 
 import random
+import re
 import time
 
 import pytest
@@ -27,6 +28,14 @@ def perm(*cycs, n):
 
 def basis_elements(n):
     return [t_basis(n, w) for w in all_perms(n)]
+
+
+def masks_by_rank(seeds):
+    """The rank array of `seeds` decoded into a dict from each permutation
+    with a nonzero mask to its mask, in lexicographic order."""
+    n = max((len(w) for seed in seeds for w in seed), default=0)
+    ids, table = hecke._ideal_masks(seeds, by_rank=True)
+    return {w: table[j] for w, j in zip(all_perms(n), ids) if j}
 
 
 class TestGeneratorAction:
@@ -96,6 +105,12 @@ class TestGeneratorAction:
                         assert right_mul_gen(i, x) == HeckeElement(n, {w: -1})
 
 
+class TestTBasis:
+    def test_rejects_a_tuple_that_is_not_a_permutation(self):
+        with pytest.raises(ValueError, match=re.escape("(1, 1, 1)")):
+            t_basis(3, (1, 1, 1))
+
+
 class TestReducedWord:
     def test_identity(self):
         assert reduced_word(identity(4)) == ()
@@ -161,6 +176,18 @@ class TestOrderIdeal:
     def test_empty_input(self):
         assert order_ideal([]) == frozenset()
 
+    @pytest.mark.parametrize("seed", [(2, 3, 4), (1, 1, 2), (0, 1, 2)])
+    def test_rejects_a_seed_that_is_not_a_permutation(self, seed):
+        # values past n, a repeated value and 0 once gave a wrong ideal, the
+        # empty set or a shift error
+        with pytest.raises(ValueError,
+                           match=re.escape(f"not a permutation: {seed}")):
+            order_ideal([(1, 2, 3), seed])
+
+    def test_reads_a_one_shot_iterable_once(self):
+        assert order_ideal(iter([(2, 3, 1)])) == {
+            (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)}
+
     def test_mixed_length_generators(self):
         gens = {(2, 3, 1, 4), (1, 2, 4, 3)}
         assert order_ideal(gens) == oracles.ideal_by_inversions(gens)
@@ -172,14 +199,18 @@ class TestOrderIdeal:
             hecke._ideal_masks([[(2, 1)], [(1, 3, 2)]])
 
     def test_degrees_zero_and_one(self):
-        assert hecke._ideal_masks([[()], [], [()]]) == {(): 0b101}
-        assert hecke._ideal_masks([[], [(1,)]]) == {(1,): 0b10}
+        assert masks_by_rank([[()], [], [()]]) == {(): 0b101}
+        assert masks_by_rank([[], [(1,)]]) == {(1,): 0b10}
+        assert hecke._ideal_masks([[], [(1,)]]) == {(1,)}
+        assert hecke._ideal_masks([[], []]) == set()
         assert order_ideal([()]) == {()}
 
     def test_empty_seed_group_sets_no_bit(self):
-        masks = hecke._ideal_masks([[], [(2, 1, 3)], [], [(1, 3, 2)], []])
+        seeds = [[], [(2, 1, 3)], [], [(1, 3, 2)], []]
+        masks = masks_by_rank(seeds)
         assert masks == {(1, 2, 3): 0b1010, (1, 3, 2): 0b1000,
                          (2, 1, 3): 0b0010}
+        assert hecke._ideal_masks(seeds) == set(masks)
 
     def test_small_ideal_at_high_degree(self):
         # the walk prunes every prefix no generator stays above
@@ -191,28 +222,35 @@ class TestOrderIdeal:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_inversion_closure_every_label(self, n):
-        # the one-sweep masks hold every label's ideal as one bit, and
-        # every walk yields its keys in lexicographic order
+        # the one-sweep rank array holds every label's ideal as one bit, the
+        # one-seed tuple walk gives the same set, and the basis terms read
+        # off the rank array come in lexicographic order
         alphas = enumerate_maximal(n)
-        masks = hecke._ideal_masks([sigma_class(a).elements for a in alphas])
+        masks = masks_by_rank([sigma_class(a).elements for a in alphas])
         assert list(masks) == sorted(masks)
         for r, alpha in enumerate(alphas):
             gens = sigma_class(alpha).elements
             expected = oracles.ideal_by_inversions(gens)
             one = hecke._ideal_masks([gens])
-            assert list(one) == sorted(expected), alpha
+            assert one == {w for w, m in masks.items() if m >> r & 1}, alpha
+            assert list(t_leq_sigma(alpha, n).terms) == sorted(expected), alpha
             assert order_ideal(gens) == expected, alpha
             assert {w for w, m in masks.items() if m >> r & 1} == expected, alpha
 
     @pytest.mark.parametrize("n", range(9))
     def test_rank_array_matches_the_tuple_walk(self, n):
         # the rank walk fills whole subtrees; entry r must be the mask of
-        # the r-th permutation in lexicographic order all the same
+        # the r-th permutation in lexicographic order all the same, label by
+        # label the set of the one-seed tuple walk, and in all the set of
+        # the tuple walk over every seed
         seeds = [sigma_class(a).elements for a in enumerate_maximal(n)]
         ids, table = hecke._ideal_masks(seeds, by_rank=True)
-        masks = hecke._ideal_masks(seeds)
         perms = list(all_perms(n))
-        assert [table[j] for j in ids] == [masks.get(w, 0) for w in perms]
+        for r, seed in enumerate(seeds):
+            assert hecke._ideal_masks([seed]) == {
+                w for w, j in zip(perms, ids) if table[j] >> r & 1}, r
+        assert hecke._ideal_masks(seeds) == {
+            w for w, j in zip(perms, ids) if j}
         assert table[0] == 0 and len(set(table)) == len(table)
         assert perms == sorted(perms)
 
@@ -220,7 +258,7 @@ class TestOrderIdeal:
         # each permutation of S_6 alone has its own ideal, so the 720
         # singleton seeds give every permutation a distinct mask
         seeds = [[w] for w in all_perms(6)]
-        assert len(set(hecke._ideal_masks(seeds).values())) == 720
+        assert len({order_ideal(seed) for seed in seeds}) == 720
         with pytest.raises(ValueError, match="256"):
             hecke._ideal_masks(seeds, by_rank=True)
 
@@ -243,8 +281,9 @@ class TestOrderIdeal:
                 mask = sum(1 << r for r, ideal in enumerate(ideals) if w in ideal)
                 if mask:
                     reference[w] = mask
-            assert list(hecke._ideal_masks(seeds).items()) == list(
+            assert list(masks_by_rank(seeds).items()) == list(
                 reference.items()), seeds
+            assert hecke._ideal_masks(seeds) == set(reference), seeds
 
     def test_ideal_sizes_at_n8(self):
         # sizes recorded from the level-by-level cover walk that built the
@@ -263,7 +302,7 @@ class TestOrderIdeal:
         }
         alphas = enumerate_maximal(8)
         assert set(alphas) == set(expected)
-        masks = hecke._ideal_masks([sigma_class(a).elements for a in alphas])
+        masks = masks_by_rank([sigma_class(a).elements for a in alphas])
         assert list(masks) == sorted(masks)
         sizes = {a: sum(m >> r & 1 for m in masks.values())
                  for r, a in enumerate(alphas)}

@@ -1,9 +1,11 @@
-"""Source hygiene of the library modules, checked by parsing them."""
+"""Source hygiene of the library modules, checked by parsing them, and the
+benchmark's commands, checked by the CLI parser."""
 
 import ast
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +93,20 @@ def test_oracles_import_nothing_from_the_library():
     modules += [node.module or "" for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.split(".")[0] == "heckezero"] == []
+
+
+def test_every_benchmark_command_parses():
+    # the benchmark counts a command the parser rejects as failed, so an
+    # option it passes (such as `sigma --force`) must stay; the workloads
+    # file is compiled from its source, which leaves no bytecode beside it
+    from heckezero import cli
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    argvs = [command.argv for workload in workloads["WORKLOADS"].values()
+             for command in workload.commands]
+    assert argvs
+    parser = cli._build_parser()
+    for argv in argvs:
+        assert parser.parse_args(list(argv)).fn, argv
 
 
 def test_importing_the_cli_loads_every_module_and_no_dataclasses():

@@ -1,5 +1,8 @@
 """Core symmetric-group arithmetic."""
 
+import re
+import signal
+
 import pytest
 
 from heckezero.permutations import (
@@ -184,6 +187,25 @@ class TestCycles:
 
     def test_cycle_string(self):
         assert cycle_string(perm((1, 3), n=3)) == "(1,3)(2)"
+
+    @pytest.mark.parametrize("p", [
+        (1, 1, 2), (2, 2, 1), (0, 1, 2), (1, 2, 4), (2, 3, 4), (-1, 2, 3),
+        (2, 1, -3), (1, 2, -100), (10 ** 9, 1)])
+    def test_not_a_permutation_raises_at_once(self, p):
+        # a repeated value, 0, n + 1 or a negative value once sent the walk
+        # round for ever; the alarm stops a walk that runs past 0.5 s
+        def too_slow(signum, frame):
+            raise TimeoutError(f"cycles({p}) ran past 0.5 s")
+
+        old = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"not a permutation: {p}")):
+                cycles(p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestCycleType:
