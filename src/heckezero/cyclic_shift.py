@@ -13,20 +13,27 @@ and the same step undoes a length-preserving step.  The classes are
 therefore the connected components of the length-preserving steps, found
 by one search per class from its least member.  The step kernel decides
 the length change of each step from two comparisons, computes no length,
-and builds a neighbour only for the steps it keeps.  Enumerations
-materialize S_n in lexicographic one-line order, so everything here is
-deterministic; the practical degree bound n <= 8 is a soft limit lifted
-by `force=True`.
+and builds a neighbour only for the steps it keeps.
+
+The full partition ("all") runs that search from every permutation of S_n
+not yet covered.  A stratum ("min" or "max") is found first, by one
+streaming pass over S_n that keeps, per twisted conjugacy class, the
+extreme length and the permutations reaching it; the members of a class
+share their length and their twisted conjugacy class, so the search then
+runs only inside the stratum.  Enumerations walk S_n in lexicographic
+one-line order, so everything here is deterministic; the practical degree
+bound n <= 8 is a soft limit lifted by `force=True`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .compositions import Composition, enumerate_maximal
 from .errors import DegreeLimitError, InvariantError
 from .permutations import (
-    Perm, all_perms, compose, cycle_type, length, longest_element,
+    Perm, all_perms, compose, length, longest_element,
 )
 from .stair_classes import stair_form
 
@@ -213,14 +220,42 @@ def _classes(n: int, twist: str) -> tuple[frozenset[Perm], ...]:
     return tuple(comps)
 
 
-def _delta_class_key(w: Perm, twist: str, w0: Perm):
-    """Invariant separating twisted conjugacy classes.
+def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
+    """The permutations of S_n of least (with `longest`, greatest) length in
+    their twisted conjugacy class, each mapped to its length.
 
-    For the identity twist this is the cycle type.  For the `nu` twist,
-    w -> w*w0 intertwines twisted conjugacy with ordinary conjugacy, so the
-    cycle type of w*w0 is a complete invariant.
+    One pass over S_n keeps, per twisted conjugacy class, the extreme
+    length so far and the permutations reaching it.  The lengths come from
+    Lehmer codes: lexicographic order of permutations is that of their
+    codes, and a length is the sum of its code.  For the identity twist the
+    class key is the cycle type of w; for `nu`, w -> w*w0 intertwines
+    twisted conjugacy with ordinary conjugacy, so it is the cycle type of
+    w*w0, which is w read backwards.
     """
-    return cycle_type(w) if twist == "id" else cycle_type(compose(w, w0))
+    lengths = map(sum, product(*(range(n - i) for i in range(n))))
+    starts = range(1, n + 1)
+    best: dict[tuple[int, ...], tuple[int, list[Perm]]] = {}
+    for w, lw in zip(all_perms(n), lengths):
+        v = w if twist == "id" else w[::-1]
+        seen = [False] * (n + 1)
+        parts = []
+        for start in starts:
+            if not seen[start]:
+                point = start
+                size = 0
+                while not seen[point]:
+                    seen[point] = True
+                    point = v[point - 1]
+                    size += 1
+                parts.append(size)
+        parts.sort()
+        key = tuple(parts)
+        kept = best.get(key)
+        if kept is None or (lw > kept[0] if longest else lw < kept[0]):
+            best[key] = (lw, [w])
+        elif lw == kept[0]:
+            kept[1].append(w)
+    return {w: lw for lw, members in best.values() for w in members}
 
 
 def equiv_classes(
@@ -246,20 +281,25 @@ def _stratum(n: int, twist: str, stratum: str) -> tuple[EquivClass, ...]:
     """The classes of `equiv_classes`, kept as a tuple of frozen classes.
 
     The search only takes length-preserving steps, so one member gives the
-    length of its whole class, and one member decides its conjugacy class.
+    length of its whole class.  A stratum is split by the search started
+    from each of its permutations not yet covered, in lexicographic order,
+    so each class starts from its least member.
     """
-    comps = _classes(n, twist)
-    lengths = [length(next(iter(comp))) for comp in comps]
     if stratum == "all":
-        return tuple(map(EquivClass, comps, lengths))
-    w0 = longest_element(n)
-    better = min if stratum == "min" else max
-    keys = [_delta_class_key(next(iter(comp)), twist, w0) for comp in comps]
-    extreme: dict[tuple, int] = {}
-    for key, lw in zip(keys, lengths):
-        extreme[key] = better(extreme.get(key, lw), lw)
-    return tuple(EquivClass(comp, lw) for comp, lw, key
-                 in zip(comps, lengths, keys) if lw == extreme[key])
+        return tuple(EquivClass(comp, length(next(iter(comp))))
+                     for comp in _classes(n, twist))
+    extreme = _extreme_lengths(n, twist, stratum == "max")
+    covered: set[Perm] = set()
+    classes = []
+    for w in sorted(extreme):
+        if w not in covered:
+            comp = approx_class(w, twist)
+            if not comp.issubset(extreme):
+                raise InvariantError(
+                    f"the class of {w} leaves the {stratum} stratum of S_{n}")
+            covered |= comp
+            classes.append(EquivClass(comp, extreme[w]))
+    return tuple(classes)
 
 
 def _match_representatives(

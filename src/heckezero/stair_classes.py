@@ -207,17 +207,19 @@ def hook_properties(p: Perm, alpha: Composition) -> bool:
 def _hook_properties(cycs: tuple[Cycle, ...], k: int) -> bool:
     """`hook_properties` from the `cycles` of a permutation whose cycle type
     is that of the hook with long part k, which the caller has checked:
-    only the long cycle can be longer than 2."""
+    only the long cycle can be longer than 2.  The cheap support test runs
+    first."""
     if k == 1:
         return True
     long = next(c for c in cycs if len(c) == k)
-    if k > 2:
-        std = standardize_cycle(long)
-        if not (is_oscillating_cycle(std) and has_connected_intervals_cycle(std)):
-            return False
     n = sum(map(len, cycs))
     m = (k - 1) // 2 if k % 2 else k // 2
-    return all(i in long and n - i + 1 in long for i in range(1, m + 1))
+    if not all(i in long and n - i + 1 in long for i in range(1, m + 1)):
+        return False
+    if k == 2:
+        return True
+    std = standardize_cycle(long)
+    return is_oscillating_cycle(std) and has_connected_intervals_cycle(std)
 
 
 def _is_cycle_class_member(sigma: Perm) -> bool:

@@ -8,9 +8,10 @@ mirror what the test suite pins at fixed degrees.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import combinations, permutations
+from typing import Iterator
 
-from .compositions import enumerate_maximal, hook_kind, sort_to_partition
+from .compositions import enumerate_maximal, hook_kind
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import label_max_classes
 from .hecke import verify_center_basis
@@ -34,16 +35,20 @@ def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
     return ctype, tuple(frozenset(c) for c in cycs if not len(c) % 2)
 
 
-@lru_cache(maxsize=1)
-def _census(n: int) -> dict[tuple[int, ...], dict[tuple, list[Perm]]]:
-    """All of S_n in one walk, bucketed by cycle type and then by even-size
-    orbits.  Shared by the suites run at one degree; callers must not
-    mutate it."""
-    buckets: dict[tuple[int, ...], dict[tuple, list[Perm]]] = {}
-    for p in all_perms(n):
-        ctype, evens = _invariants(p)
-        buckets.setdefault(ctype, {}).setdefault(evens, []).append(p)
-    return buckets
+def _hook_type(n: int, k: int) -> Iterator[Perm]:
+    """Every permutation of S_n with one k-cycle and n - k fixed points,
+    each once: a k-cycle through each k-subset of [n], written from the
+    least point of the subset."""
+    if k == 1:
+        yield tuple(range(1, n + 1))
+        return
+    for support in combinations(range(1, n + 1), k):
+        first = support[0]
+        for rest in permutations(support[1:]):
+            img = list(range(1, n + 1))
+            for a, b in zip((first,) + rest, rest + (first,)):
+                img[a - 1] = b
+            yield tuple(img)
 
 
 def suite_classes(n: int, force: bool = False) -> dict:
@@ -51,16 +56,20 @@ def suite_classes(n: int, force: bool = False) -> dict:
     constructive generator, plus the dimension count and stability under
     conjugation by the longest element."""
     labelled = label_max_classes(n, force=force)
-    census = _census(n)
+    # The labelling has put each stair form in the maximal stratum, so the
+    # stair form's length is the maximal length of its cycle type, and the
+    # permutations of that type and length are the stratum's members of that
+    # type.  The predicate set is therefore read off the stratum.
+    by_invariants: dict[tuple, set[Perm]] = {}
+    for cls in labelled.values():
+        for p in cls.elements:
+            by_invariants.setdefault(_invariants(p), set()).add(p)
     checks = []
     ok = True
     for alpha in enumerate_maximal(n):
         brute = labelled[alpha].elements
-        sf = stair_form(alpha)
-        ctype, evens = _invariants(sf)
-        lsf = length(sf)
         predicate = frozenset(
-            p for p in census[ctype].get(evens, ()) if length(p) == lsf)
+            by_invariants.get(_invariants(stair_form(alpha)), ()))
         # the three membership invariants must cut out the brute-force
         # class and, on a sample, agree with the public predicate
         predicate_ok = predicate == brute and all(
@@ -97,12 +106,11 @@ def suite_classes(n: int, force: bool = False) -> dict:
 def suite_hooks(n: int, force: bool = False) -> dict:
     """Hook-property filtering vs. brute force for every hook shape of n.
 
-    The filter runs over every member of the census buckets of the label's
-    cycle type, which hold all of S_n of that type.  The buckets already
-    have that type, so the filter takes the `cycles` of each member once
-    and skips the input checks of `hook_properties`."""
+    The filter runs over every permutation of S_n of the label's cycle
+    type, generated directly.  They already have that type, so the filter
+    takes the `cycles` of each once and skips the input checks of
+    `hook_properties`."""
     labelled = label_max_classes(n, force=force)
-    census = _census(n)
     checks = []
     ok = True
     for alpha in enumerate_maximal(n):
@@ -111,8 +119,8 @@ def suite_hooks(n: int, force: bool = False) -> dict:
             continue
         brute = labelled[alpha].elements
         filtered = frozenset(
-            p for members in census[sort_to_partition(alpha)].values()
-            for p in members if _hook_properties(cycles(p), alpha[0])
+            p for p in _hook_type(n, alpha[0])
+            if _hook_properties(cycles(p), alpha[0])
         )
         good = filtered == brute
         ok = ok and good
@@ -186,7 +194,7 @@ def suite_center(n: int, force: bool = False) -> dict:
 
 
 # The center suite runs first: it shares nothing with the others, and what
-# it builds is freed before they build the class partition and the census.
+# it builds is freed before they walk S_n for the maximal stratum.
 SUITES = {
     "center": suite_center,
     "classes": suite_classes,

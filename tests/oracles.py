@@ -190,6 +190,24 @@ def perms_of_type(n, lam):
             if tuple(sorted(map(len, orbit_sets(p)), reverse=True)) == target]
 
 
+def extreme_strata(n, twist, stratum):
+    """The permutations of S_n of least ("min") or greatest ("max")
+    inversion count among those of their twisted conjugacy class.  The
+    class is told by the cycle type of p, or for the "nu" twist of the
+    product p*w0, composed here point by point."""
+    pick = min if stratum == "min" else max
+    by_type = {}
+    for p in permutations(range(1, n + 1)):
+        q = p if twist == "id" else tuple(p[n - i] for i in range(1, n + 1))
+        lam = tuple(sorted(map(len, orbit_sets(q)), reverse=True))
+        by_type.setdefault(lam, []).append(p)
+    out = set()
+    for members in by_type.values():
+        best = pick(map(inv_count, members))
+        out.update(p for p in members if inv_count(p) == best)
+    return frozenset(out)
+
+
 def invariant_class(alpha):
     """The permutations that share cycle type, inversion count and even-size
     orbits with the stair form of alpha."""

@@ -301,6 +301,20 @@ def test_criterion_12_nu_stability_and_min_representatives(n):
         report(12, "conj by w0 fixes every max class n<=7; nu-min reps n<=6")
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_criterion_12b_nu_min_classes_from_the_constructive_route(n):
+    # w -> w*w0 reverses length and turns the step s_i w s_i into the
+    # nu-step s_i (w*w0) s_{n-i}, so it carries each maximal class onto a
+    # class of the nu-minimal stratum
+    w0 = longest_element(n)
+    constructed = {frozenset(compose(w, w0) for w in sigma_class(alpha).elements)
+                   for alpha in enumerate_maximal(n)}
+    brute = {cls.elements for cls in equiv_classes(n, "nu", "min", force=n > 8)}
+    assert constructed == brute
+    if n == 9:
+        report(12, "w*w0 maps the constructed classes onto the nu-min ones n<=9")
+
+
 def test_criterion_13_every_suite_at_n8():
     # all four cross-check suites at n = 8 (0.3-0.8 s in-process)
     rep = run_suites(8, "all", force=True)

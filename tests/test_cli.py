@@ -311,7 +311,9 @@ class TestPlumbing:
         assert code == 1
 
     # sha256 of stdout, recorded from commit 74ca628: the eleven benchmark
-    # commands and two more with large or twisted catalogues
+    # commands and two more with large or twisted catalogues; the last two,
+    # the id-twisted minimal and nu-twisted maximal strata, from commit
+    # 0e45d3c, before the strata came from one pass over S_n
     GOLDEN = [
         ("verify --n 7 --suite center",
          "d64ece2f055d623bfb3e576b35ba82105a9bb39034ab79fea1fa0ab6b34eda98"),
@@ -339,6 +341,10 @@ class TestPlumbing:
          "f354f1e5371136aeb5cec5a84419cc99f43eef02dfae46c9891080a9e16c43e3"),
         ("classes --n 6 --twist nu --stratum min",
          "9122c768c5287530555df1ebede828eb4fa313cf709dda74b1a6cebdf2183333"),
+        ("classes --n 7 --stratum min",
+         "82ab960b81d80a1245e3a5ca519135cedca222f04de7a7507f1f056109605a07"),
+        ("classes --n 6 --twist nu --stratum max",
+         "bc284d5ccf4f1a22b4ff8ff577c916d7b7324b358d3447945f960c6e3c60abf6"),
     ]
 
     def test_stdout_bytes_match_the_recorded_digests(self, capsys):

@@ -16,8 +16,8 @@ from heckezero.permutations import (
 from heckezero.stair_classes import member_sigma_alpha, stair_form
 
 from oracles import (
-    apply_gen_left, apply_gen_right, inv_count, mutual_classes, reach_set,
-    twisted_image,
+    apply_gen_left, apply_gen_right, extreme_strata, inv_count,
+    mutual_classes, reach_set, twisted_image,
 )
 
 
@@ -227,6 +227,56 @@ class TestEquivClasses:
                 assert approx_class(w) == cls.elements
 
 
+class TestStrataPass:
+    """The min and max strata come from one pass over S_n, not from the
+    partition of all of S_n."""
+
+    @pytest.mark.parametrize("stratum", ["min", "max"])
+    @pytest.mark.parametrize("twist", ["id", "nu"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_elements_match_oracle(self, n, twist, stratum):
+        classes = equiv_classes(n, twist, stratum)
+        got = set()
+        for cls in classes:
+            assert not cls.elements & got
+            got |= cls.elements
+        assert got == extreme_strata(n, twist, stratum)
+        # sorted by least member, and each class starts from it
+        least = [cls.min_element for cls in classes]
+        assert least == sorted(least)
+        assert all(approx_class(w, twist) == cls.elements
+                   for w, cls in zip(least, classes))
+
+    def test_strata_never_partition_sn(self, monkeypatch):
+        def no_partition(n, twist):
+            raise AssertionError("a stratum must not partition all of S_n")
+
+        cyclic_shift._stratum.cache_clear()
+        monkeypatch.setattr(cyclic_shift, "_classes", no_partition)
+        try:
+            for twist in ("id", "nu"):
+                for stratum in ("min", "max"):
+                    assert equiv_classes(6, twist, stratum)
+            assert len(label_max_classes(6)) == 12
+            assert len(min_representatives(6)) == 12
+            with pytest.raises(AssertionError, match="must not partition"):
+                equiv_classes(6, "id", "all")
+        finally:
+            cyclic_shift._stratum.cache_clear()
+
+    def test_a_class_leaving_the_stratum_is_an_invariant_error(
+            self, monkeypatch):
+        cyclic_shift._stratum.cache_clear()
+        monkeypatch.setattr(cyclic_shift, "approx_class",
+                            lambda w, twist: frozenset({w, longest_element(4)}))
+        try:
+            # w0 of S_4 is longer than (2,1,4,3), which has its cycle type
+            with pytest.raises(InvariantError, match="leaves the min stratum"):
+                equiv_classes(4, "id", "min")
+        finally:
+            cyclic_shift._stratum.cache_clear()
+
+
 class TestLabelMaxClasses:
     def test_n3_labels(self):
         labelled = label_max_classes(3)
@@ -315,13 +365,13 @@ class TestNuInvariance:
 class TestTwistedConjugacyKey:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_nu_classes_match_twisted_conjugation_orbits(self, n):
-        # orbits of w -> s_i w s_{n-i} (any length) vs the w*w0 invariant
-        from heckezero.cyclic_shift import _delta_class_key
-
+        # orbits of w -> s_i w s_{n-i} (any length) vs the stratum pass's
+        # key: the cycle type of w*w0, which is w read backwards
         w0 = longest_element(n)
         seen = set()
         orbits_list = []
         for start in all_perms(n):
+            assert start[::-1] == compose(start, w0)
             if start in seen:
                 continue
             orbit = {start}
@@ -336,11 +386,11 @@ class TestTwistedConjugacyKey:
             seen |= orbit
             orbits_list.append(orbit)
         for orbit in orbits_list:
-            keys = {_delta_class_key(w, "nu", w0) for w in orbit}
+            keys = {cycle_type(w[::-1]) for w in orbit}
             assert len(keys) == 1
         by_key = {}
         for orbit in orbits_list:
-            key = _delta_class_key(next(iter(orbit)), "nu", w0)
+            key = cycle_type(next(iter(orbit))[::-1])
             assert key not in by_key
             by_key[key] = orbit
 

@@ -47,19 +47,29 @@ def test_hook_filter_accepting_all_fails_the_suite(monkeypatch):
     assert not all(c["ok"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hook_type_lists_each_permutation_of_the_type_once(n):
+    for k in range(1, n + 1):
+        got = list(verify._hook_type(n, k))
+        assert len(got) == len(set(got))
+        assert set(got) == set(perms_of_type(n, (k,) + (1,) * (n - k)))
+
+
 def test_all_suites_walk_the_degree_once(monkeypatch):
+    # the one walk of S_6 is the stratum pass behind the labelling
     walked = []
 
     def counting_all_perms(n):
         walked.append(n)
         return permutations.all_perms(n)
 
-    verify._census.cache_clear()
+    cyclic_shift._stratum.cache_clear()
+    monkeypatch.setattr(cyclic_shift, "all_perms", counting_all_perms)
     monkeypatch.setattr(verify, "all_perms", counting_all_perms)
     try:
         assert verify.run_suites(6, "all")["ok"] is True
     finally:
-        verify._census.cache_clear()
+        cyclic_shift._stratum.cache_clear()
     # the length law walks lower degrees, never S_6 itself
     assert walked.count(6) == 1
 
