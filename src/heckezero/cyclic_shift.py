@@ -226,8 +226,9 @@ def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
 
     One pass over S_n keeps, per twisted conjugacy class, the extreme
     length so far and the permutations reaching it.  The lengths come from
-    Lehmer codes: lexicographic order of permutations is that of their
-    codes, and a length is the sum of its code.  For the identity twist the
+    Lehmer codes: `product` lists the codes (entry i below n - i) in
+    lexicographic order, the order of the permutations they encode, and a
+    length is the sum of its code.  For the identity twist the
     class key is the cycle type of w; for `nu`, w -> w*w0 intertwines
     twisted conjugacy with ordinary conjugacy, so it is the cycle type of
     w*w0, which is w read backwards.
@@ -266,8 +267,8 @@ def equiv_classes(
     `stratum` restricts to classes of minimal ("min") or maximal ("max")
     length within their twisted conjugacy class; "all" keeps everything.
     Every member of a class shares its length and its twisted conjugacy
-    class, so one member per class decides the strata.  Classes are sorted
-    by their lexicographically smallest member.
+    class, so a class lies in a stratum as soon as one member does.
+    Classes are sorted by their lexicographically smallest member.
     """
     _check_twist(twist)
     _check_degree(n, force)

@@ -216,8 +216,6 @@ def _hook_properties(cycs: tuple[Cycle, ...], k: int) -> bool:
     m = (k - 1) // 2 if k % 2 else k // 2
     if not all(i in long and n - i + 1 in long for i in range(1, m + 1)):
         return False
-    if k == 2:
-        return True
     std = standardize_cycle(long)
     return is_oscillating_cycle(std) and has_connected_intervals_cycle(std)
 
