@@ -3,7 +3,8 @@ Command-line front end: batch computation, verification and JSON export.
 
 Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
-element lists sorted lexicographically.  Exit codes: 0 success, 1 invalid
+element lists sorted lexicographically.  The document is written in blocks
+of about 64 KB and never built whole.  Exit codes: 0 success, 1 invalid
 input, a degree beyond the soft limit without --force, or stdout closed by
 its reader before the document was written (quietly, as in `| head`), 2
 verification failure or internal invariant violated (`InvariantError`).
@@ -16,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator
 
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
@@ -64,6 +65,8 @@ _ENCODE_STR = json.encoder.encode_basestring_ascii
 _INT_ONLY = {int}
 _STR_ONLY = {str}
 _TUPLE_ONLY = {tuple}
+_ROWS_PER_PIECE = 256           # rows of one length joined into one piece
+_BLOCK_CHARS = 1 << 16          # characters gathered before each write
 
 
 class _Rows(list):
@@ -84,12 +87,14 @@ class _Terms:
 
 def _row_chunks(rows, indent: str) -> Iterator[str]:
     """A `_Rows` list or a `_Terms` dict as `_json_chunks` writes the lists
-    or objects it stands for, one piece per row.
+    or objects it stands for.
 
     When every row is a tuple of exact ints, and every coefficient an
-    exact int, each row is written by one `%d` template per row length;
-    otherwise (`%d` would write True as 1) each row goes through
-    `_json_chunks` as its plain value.
+    exact int, rows are written by one `%d` template per row length: rows
+    of one length (all that the commands write) in pieces of up to
+    `_ROWS_PER_PIECE` rows, each piece one join over the template, and
+    rows of mixed lengths one piece per row.  Otherwise (`%d` would write
+    True as 1) each row goes through `_json_chunks` as its plain value.
     """
     terms = type(rows) is _Terms
     if terms:
@@ -115,13 +120,20 @@ def _row_chunks(rows, indent: str) -> Iterator[str]:
                  if k else "[]" for k in set(map(len, rows))}
     if terms:
         head = "{" + member + '"c": %d,' + member + '"w": '
-        templates = {k: head + t + inner + "}" for k, t in templates.items()}
-        for w, c in rows.items():
-            yield sep + templates[len(w)] % (c, *w)
+        # keyed, like the rows, by the number of values: c, then the word
+        templates = {k + 1: head + t + inner + "}" for k, t in templates.items()}
+        values = map(tuple.__add__, zip(rows.values()), rows)
+    else:
+        values = iter(rows)
+    if len(templates) == 1:
+        fill = templates.popitem()[1].__mod__
+        join = ("," + inner).join
+        while piece := join(map(fill, islice(values, _ROWS_PER_PIECE))):
+            yield sep + piece
             sep = "," + inner
     else:
-        for w in rows:
-            yield sep + templates[len(w)] % w
+        for row in values:
+            yield sep + templates[len(row)] % row
             sep = "," + inner
     yield indent + "]"
 
@@ -129,7 +141,8 @@ def _row_chunks(rows, indent: str) -> Iterator[str]:
 def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     """`value` as `json.dumps` writes it with sorted keys and an indent of
     two spaces, in pieces: one per member of a dict or of a list that
-    holds more than ints, one per row of a `_Rows` or `_Terms` list.
+    holds more than ints, and the rows of a `_Rows` or `_Terms` list as
+    `_row_chunks` writes them.
 
     The stdlib falls back to its pure-Python encoder whenever it indents,
     so this writer builds the same text itself: a list of exact ints (no
@@ -179,28 +192,45 @@ def _json_text(value) -> str:
     return "".join(_json_chunks(value))
 
 
+def _write(fh, doc) -> None:
+    """Write `doc` as JSON and a newline to `fh` in blocks: the pieces of
+    `_json_chunks` are joined and written once `_BLOCK_CHARS` characters
+    have gathered, so no write is longer than that plus one piece and the
+    document is never built whole."""
+    block = []
+    size = 0
+    for piece in _json_chunks(doc):
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK_CHARS:
+            fh.write("".join(block))
+            block.clear()
+            size = 0
+    block.append("\n")
+    fh.write("".join(block))
+
+
 def _emit(doc, args, summary: str) -> None:
-    """Write `doc` as JSON, piece by piece, to `--out` or stdout."""
+    """Write `doc` as JSON, block by block, to `--out` or stdout."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
-                fh.writelines(_json_chunks(doc))
-                fh.write("\n")
+                _write(fh, doc)
         except OSError as exc:
             raise _CliError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.writelines(_json_chunks(doc))
-        sys.stdout.write("\n")
+        _write(sys.stdout, doc)
     print(summary, file=sys.stderr)
 
 
 def _class_entry(cls) -> dict:
+    elements = cls.sorted_elements()
     return {
         "alpha": list(cls.alpha) if cls.alpha is not None else None,
         "length": cls.common_length,
         "size": cls.size,
-        "rep": list(cls.min_element),
-        "elements": _Rows(cls.sorted_elements()),
+        "rep": list(elements[0]),
+        "elements": _Rows(elements),
     }
 
 

@@ -272,7 +272,7 @@ def _lifts(n: int, sigma: Perm) -> tuple[Perm, ...]:
     """
     if n % 2 == 0:
         m = n // 2 + 1
-        anchors = (min(inverse(sigma)[m - 2], m - 1),)
+        anchors = (min(sigma.index(m - 1) + 1, m - 1),)
     else:
         m = (n + 1) // 2
         prev, x = 1, sigma[0]

@@ -9,6 +9,8 @@ import signal
 import subprocess
 import sys
 import time
+import types
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -271,10 +273,12 @@ class TestPlumbing:
         assert json.loads(target.read_text()) == 3
 
     def test_out_file_bytes_equal_stdout(self, capsys, tmp_path):
+        # 1,458 rows: several pieces and several blocks
         target = tmp_path / "sigma.json"
-        code, out, _ = run(capsys, "sigma", "--alpha", "5")
+        code, out, _ = run(capsys, "sigma", "--alpha", "15")
         assert code == 0
-        code, quiet, _ = run(capsys, "sigma", "--alpha", "5",
+        assert len(out) > 2 * cli._BLOCK_CHARS
+        code, quiet, _ = run(capsys, "sigma", "--alpha", "15",
                              "--out", str(target))
         assert code == 0 and quiet == ""
         assert target.read_bytes() == out.encode()
@@ -301,6 +305,15 @@ class TestPlumbing:
             err = proc.stderr.read()
         assert proc.returncode == 1
         assert err == b""
+
+    def test_unbuffered_stdout_matches_the_recorded_digest(self):
+        # with PYTHONUNBUFFERED every write of the blocks reaches the pipe
+        text = "sigma --alpha 19"
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckezero.cli", *text.split()],
+            capture_output=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1"))
+        assert hashlib.sha256(proc.stdout).hexdigest() == dict(self.GOLDEN)[text]
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -484,12 +497,15 @@ class TestJsonText:
         [], [()], [(), ()], [(1, 2, 3), (4,), (), (5, 6)], [(7,)],
         [(1, True), (2, 3)], [(False,)], [[1, 2], (3, 4)], [(1.5, 2)],
         [(2**70, -2**70, 0)],
+        # rows of one length around the bound of a piece
+        [(k,) for k in range(255)], [(k, -k) for k in range(256)],
+        [(k,) for k in range(257)], [()] * 513, [(k, 1, 2) for k in range(513)],
     ])
     def test_row_lists_of_every_shape(self, rows):
         lists = [list(w) for w in rows]
         assert cli._json_text(cli._Rows(rows)) == json.dumps(lists, indent=2)
         # a word must be hashable to key a terms dict
-        terms = {tuple(w): c for w, c in zip(rows, (3, -1, 0, 2**70))}
+        terms = {tuple(w): c for w, c in zip(rows, cycle((3, -1, 0, 2**70)))}
         objects = [{"w": list(w), "c": c} for w, c in terms.items()]
         assert cli._json_text(cli._Terms(terms)) == json.dumps(
             objects, sort_keys=True, indent=2)
@@ -503,16 +519,38 @@ class TestJsonText:
         assert cli._json_text(cli._Terms(terms)) == json.dumps(
             objects, sort_keys=True, indent=2)
 
-    def test_int_rows_write_one_piece_each(self):
+    def test_mixed_length_rows_write_one_piece_each(self):
         rows = cli._Rows([(1, 2), (3,), (), (2, 1)])
         assert len(list(cli._json_chunks(rows))) == len(rows) + 1
 
-    def test_emit_writes_in_pieces(self, monkeypatch):
-        pieces = []
-        monkeypatch.setattr(cli.sys, "stdout", type(
-            "Sink", (), {"write": pieces.append,
-                         "writelines": lambda self, it: pieces.extend(it)})())
-        terms = cli._Terms({(1, k): 1 for k in range(100)})
-        cli._emit({"terms": terms}, None, "summary")
-        assert len(pieces) > 100
-        assert "".join(pieces) == cli._json_text({"terms": terms}) + "\n"
+    @staticmethod
+    def emitted_blocks(monkeypatch, doc):
+        """The writes `_emit` makes to stdout for `doc`, checked against
+        the whole text and the block bound."""
+        writes = []
+        monkeypatch.setattr(cli.sys, "stdout",
+                            types.SimpleNamespace(write=writes.append))
+        cli._emit(doc, None, "summary")
+        text = cli._json_text(doc) + "\n"
+        bound = cli._BLOCK_CHARS
+        assert "".join(writes) == text
+        assert max(map(len, writes)) <= bound + max(
+            map(len, cli._json_chunks(doc)))
+        assert min(map(len, writes[:-1])) >= bound
+        # more than one write: the document was never built whole
+        assert 1 < len(writes) <= len(text) // bound + 2
+        return writes
+
+    def test_emit_writes_terms_in_bounded_blocks(self, monkeypatch):
+        terms = {(k,): k % 7 - 3 for k in range(10_000)}
+        self.emitted_blocks(monkeypatch, {"terms": cli._Terms(terms)})
+        pieces = list(cli._json_chunks(cli._Terms(terms)))
+        # 39 pieces of 256 terms, a last one of 16, and the closing bracket
+        assert [p.count("}") for p in pieces] == [256] * 39 + [16, 0]
+
+    def test_emit_writes_rows_in_bounded_blocks(self, monkeypatch):
+        rows = [(k, -k, 2**40) for k in range(12 * 256 + 100)]
+        self.emitted_blocks(monkeypatch, {"rows": cli._Rows(rows)})
+        pieces = list(cli._json_chunks(cli._Rows(rows)))
+        assert [p.count("]") for p in pieces] == [256] * 12 + [100, 1]
+        assert "".join(pieces) == json.dumps([list(w) for w in rows], indent=2)
