@@ -5,9 +5,10 @@ Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  The document is written in blocks
 of about 64 KB and never built whole.  Exit codes: 0 success, 1 invalid
-input, a degree beyond the soft limit without --force, or stdout closed by
-its reader before the document was written (quietly, as in `| head`), 2
-verification failure or internal invariant violated (`InvariantError`).
+input, a degree or class size beyond its soft limit without --force, or
+stdout closed by its reader before the document was written (quietly, as
+in `| head`), 2 verification failure or internal invariant violated
+(`InvariantError`).
 Any other exception is a bug and keeps its traceback.
 """
 
@@ -255,7 +256,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_sigma(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    cls = sigma_class(alpha)
+    cls = sigma_class(alpha, force=args.force)
     doc = _class_entry(cls)
     _emit(doc, args,
           f"class of {alpha}: {cls.size} elements of length {cls.common_length}")
@@ -283,11 +284,13 @@ def _cmd_dim(args) -> int:
 
 def _cmd_count(args) -> int:
     alpha = _parse_alpha(args.alpha)
+    # the class is gated by its predicted size before the formula is
+    # evaluated, which for a huge label is a huge power
+    enumerated = sigma_class(alpha, force=args.force).size
     _, odds, _ = split_even_odd(alpha)
     formula = None
     if not odds or hook_kind(odds) != "not_hook":
         formula = size_sigma_formula(alpha)
-    enumerated = sigma_class(alpha).size
     doc = {"alpha": list(alpha), "formula": formula, "enumerated": enumerated}
     _emit(doc, args,
           f"size of the class of {alpha}: formula={formula} "
@@ -340,7 +343,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write the JSON document to this file")
         if force:
             p.add_argument("--force", action="store_true",
-                           help="lift the practical degree bound on brute force")
+                           help="lift the practical bounds on degree and "
+                                "class size")
         return p
 
     p = add("classes", _cmd_classes, help="equivalence-class catalog of S_n")

@@ -45,14 +45,21 @@ def size_sigma_formula(alpha: Composition) -> int:
     evens, odds, _ = split_even_odd(alpha)
     if odds and hook_kind(odds) == "not_hook":
         raise ValueError(f"odd parts of {alpha} do not form a hook: {odds}")
+    c, p, q = _size_factors(evens, odds)
+    return c * 2 ** p * 3 ** q
+
+
+def _size_factors(evens: Composition, odds: Composition) -> tuple[int, int, int]:
+    """The factors (c, p, q) of the size c * 2^p * 3^q of the class with
+    even prefix `evens` and odd tail `odds`, which must be a hook or empty;
+    none of them is a power, so a caller can bound the size first."""
     big = [a for a in evens if a >= 4]
     p = len(big)
     q = -2 * p + sum(big) // 2
     if not odds or odds[0] == 1:
-        return 2 ** p * 3 ** q
+        return 1, p, q
     r = odds[0]
-    nprime = sum(odds)
-    return (nprime - r + 1) * 2 ** (p + 1) * 3 ** (q + (r - 3) // 2)
+    return sum(odds) - r + 1, p + 1, q + (r - 3) // 2
 
 
 def dim_center(n: int) -> int:

@@ -30,10 +30,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .compositions import Composition, enumerate_maximal
+from .compositions import (
+    Composition, enumerate_maximal, hook_kind, split_even_odd,
+)
+from .counting import _size_factors
 from .errors import DegreeLimitError, InvariantError
 from .permutations import (
-    Perm, all_perms, compose, length, longest_element,
+    Perm, all_perms, compose, length, lengths, longest_element,
 )
 from .stair_classes import stair_form
 
@@ -41,13 +44,18 @@ __all__ = [
     "TWISTS", "EquivClass", "make_equiv_class",
     "one_step", "approx_class",
     "equiv_classes", "label_max_classes", "min_representatives",
-    "DEGREE_SOFT_LIMIT",
+    "DEGREE_SOFT_LIMIT", "ELEMENT_SOFT_LIMIT",
 ]
 
 TWISTS = ("id", "nu")
 
 #: Largest degree brute-forced without `force=True` (8! = 40320 vertices).
 DEGREE_SOFT_LIMIT = 8
+
+#: Largest class `sigma_class` builds without `force=True`: the benchmark's
+#: largest, (19,), has 13,122 elements, and (23,), with 118,098, takes
+#: about 1.2 s and 78 MB in a fresh CLI process.
+ELEMENT_SOFT_LIMIT = 200_000
 
 
 class _Record:
@@ -115,14 +123,16 @@ class EquivClass(_Record):
 
 
 def make_equiv_class(elements, alpha: Composition | None = None) -> EquivClass:
-    """Build an EquivClass, checking that its members share one length."""
+    """Build an EquivClass, checking that its members are of one degree
+    and share one length, which the batch kernel `lengths` counts for all
+    of them at once."""
     elems = frozenset(elements)
     if not elems:
         raise ValueError("an equivalence class cannot be empty")
-    lengths = {length(w) for w in elems}
-    if len(lengths) != 1:
+    common = set(lengths(elems))
+    if len(common) != 1:
         raise ValueError("elements do not share a common length")
-    return EquivClass(elems, lengths.pop(), alpha)
+    return EquivClass(elems, common.pop(), alpha)
 
 
 def _check_twist(twist: str) -> None:
@@ -204,6 +214,31 @@ def _check_degree(n: int, force: bool) -> None:
         )
 
 
+def _check_size(alpha: Composition, force: bool) -> None:
+    """Refuse, unless `force`, the class of the maximal composition `alpha`
+    when its predicted size exceeds `ELEMENT_SOFT_LIMIT`.
+
+    The size is the even-prefix factor 2^p * 3^q times the size of a hook
+    tail, c * 2 * 3^((r-3)/2) for the tail (r, 1, ..., 1).  It is decided
+    from the exponents before any power is evaluated: a factor 2^p or 3^q
+    with an exponent of the limit's bit length or more exceeds the limit on
+    its own.  A non-hook odd tail has no size formula yet, so only its even
+    prefix counts, a lower bound of the size.
+    """
+    if force:
+        return
+    evens, odds, _ = split_even_odd(alpha)
+    c, p, q = _size_factors(evens, odds if hook_kind(odds) == "odd_hook" else ())
+    bits = ELEMENT_SOFT_LIMIT.bit_length()
+    if p < bits and q < bits and c * 2 ** p * 3 ** q <= ELEMENT_SOFT_LIMIT:
+        return
+    raise DegreeLimitError(
+        f"the class of {alpha} holds more than {ELEMENT_SOFT_LIMIT} elements, "
+        "the practical bound for constructing a class; pass force=True to "
+        "override"
+    )
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int, twist: str) -> tuple[frozenset[Perm], ...]:
     """The partition of S_n into classes, in lexicographic order of their
@@ -233,10 +268,10 @@ def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
     twisted conjugacy with ordinary conjugacy, so it is the cycle type of
     w*w0, which is w read backwards.
     """
-    lengths = map(sum, product(*(range(n - i) for i in range(n))))
+    code_sums = map(sum, product(*(range(n - i) for i in range(n))))
     starts = range(1, n + 1)
     best: dict[tuple[int, ...], tuple[int, list[Perm]]] = {}
-    for w, lw in zip(all_perms(n), lengths):
+    for w, lw in zip(all_perms(n), code_sums):
         v = w if twist == "id" else w[::-1]
         seen = [False] * (n + 1)
         parts = []

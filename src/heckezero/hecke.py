@@ -436,7 +436,7 @@ def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement
     _check_degree(n, force)
     # one seed block: every nonzero id stands for mask 1, and the rank
     # array runs in the lexicographic order of `all_perms`
-    ids, _ = _ideal_masks([sigma_class(alpha).elements], by_rank=True)
+    ids, _ = _ideal_masks([sigma_class(alpha, force).elements], by_rank=True)
     return HeckeElement(n, dict.fromkeys(compress(all_perms(n), ids), 1))
 
 
@@ -529,7 +529,7 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     _check_degree(n, force)
     alphas = tuple(enumerate_maximal(n))
     ids, table = _ideal_masks(
-        [sigma_class(alpha).elements for alpha in alphas], by_rank=True)
+        [sigma_class(alpha, force).elements for alpha in alphas], by_rank=True)
     bad = _noncentral_labels(ids, table, n)
     central = tuple(not bad >> r & 1 for r in range(len(alphas)))
     columns = [m for j, m in enumerate(table) if j and j in ids]

@@ -9,14 +9,17 @@ cycle.
 Membership in a labelled class is decided by three invariants (cycle type,
 length, even-size orbits).  For a one-part label the class is exactly the
 set of full cycles that are *oscillating* with *connected intervals*, and
-it grows degree by degree through an insertion bijection.  One kernel,
-`_lifts`, inserts the middle value on one-line forms, `lower_cycle_class`
-is its inverse, and membership is tested by the two predicates on the one
-cycle, never by building the class.  `sigma_class` is the one constructive
-route to every labelled class: the even parts split off through the
-interleaving product, an odd tail shaped like a hook comes from the hook
-embedding, and any other odd tail is the cyclic-shift class of its stair
-form.
+it grows degree by degree through an insertion bijection.  One step,
+`_lift_all`, inserts the middle value into a whole level of one-line lists
+written in the labels of the final degree, by setting two entries of each;
+`cycle_class` is one loop of it from degree 3, `lift_cycle_class` one step
+of it, and `lower_cycle_class` the inverse.  Membership is tested by the
+two predicates on the one cycle, never by building the class.
+`sigma_class` is the one constructive route to every labelled class: the
+even parts split off through the interleaving product, an odd tail shaped
+like a hook comes from the hook embedding, and any other odd tail is the
+cyclic-shift class of its stair form.  A class predicted to exceed the
+element soft limit is refused before any work unless forced.
 
 >>> cycle_string(stair_form((4, 2)))
 '(1,6,2,5)(3,4)'
@@ -38,7 +41,7 @@ from .errors import InvariantError
 from .inductive_product import iprod
 from .permutations import (
     Cycle, Perm, cycle_string, cycle_type, cycles, even_orbits, from_cycles,
-    identity, inverse, length,
+    inverse, length,
 )
 
 __all__ = [
@@ -238,6 +241,10 @@ def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
     For odd n the value m = (n+1)/2 is inserted just left of, between, or
     just right of the pair {m-1, m}, selected by q in {0, 1, 2}.
 
+    `sigma` is written in the labels of degree n, every value from m up
+    raised by one and m fixed, and takes one step of `_lift_all`, the
+    kernel of `cycle_class`.
+
     >>> cycle_string(lift_cycle_class(4, from_cycles(3, [(1, 3, 2)])))
     '(1,4,2,3)'
     >>> cycle_string(lift_cycle_class(5, from_cycles(4, [(1, 4, 2, 3)]), 1))
@@ -249,47 +256,56 @@ def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
         raise ValueError(f"expected a permutation of degree {n - 1}")
     if not _is_cycle_class_member(sigma):
         raise ValueError(f"{sigma} is not in the one-part class of degree {n - 1}")
-    if n % 2 == 0:
-        if q is not None:
-            raise ValueError("q applies only to odd target degrees")
-        return _lifts(n, sigma)[0]
-    if q not in (0, 1, 2):
+    if n % 2 == 0 and q is not None:
+        raise ValueError("q applies only to odd target degrees")
+    if n % 2 and q not in (0, 1, 2):
         raise ValueError("odd target degree needs q in {0, 1, 2}")
-    return _lifts(n, sigma)[q]
+    m = n // 2 + 1
+    p = [v + 1 if v >= m else v for v in sigma]
+    p.insert(m - 1, m)
+    return tuple(_lift_all([p], list(range(1, n + 1)))[q or 0])
 
 
-def _lifts(n: int, sigma: Perm) -> tuple[Perm, ...]:
-    """Every lift of the full cycle `sigma` of degree n-1, without the
-    membership check of `lift_cycle_class`: the one lift for even n, the
-    branches q = 0, 1, 2 in that order for odd n.
+def _lift_all(level: list[list[int]], labels: list[int]) -> list[list[int]]:
+    """Every lift of every member of `level` to the degree k = len(labels):
+    the one lift of each member for even k, its branches q = 0, 1, 2 in
+    that order for odd k.  The one lift step of `cycle_class` and
+    `lift_cycle_class`, without the membership check of the latter.
 
-    A lift inserts m behind an anchor a of the cycle, a -> m -> sigma(a),
-    and raises every value >= m by one.  Its one-line form is the raised
-    one-line form of `sigma` with the two entries at a and m set.  The even
-    anchor is the lesser of n/2 and its preimage.  The odd anchors are the
-    preimage of, the first of and the second of the pair {m-1, m} on the
-    cycle read from 1, which one walk of the cycle finds.
+    The members are one-line lists, all of one length, of the full cycles
+    of degree k-1 written in final labels: they move the values `labels`
+    other than the middle one, x = labels[k // 2], and fix x and every
+    value outside `labels`.  A lift inserts x behind an anchor a of the
+    cycle, a -> x -> p(a), by setting two entries, q[a] = x and
+    q[x] = p[a]: the right product with the transposition (a, x).
+
+    The even anchor is the lesser of u = labels[k // 2 - 1] and its
+    preimage.  The odd anchors are the preimage of, the first of and the
+    second of the pair {u, v} of labels around x on the cycle read from
+    its least value.  Connected intervals make the pair adjacent, so its
+    first is found by two lookups; a pair that is not adjacent raises
+    InvariantError.
     """
-    if n % 2 == 0:
-        m = n // 2 + 1
-        anchors = (min(sigma.index(m - 1) + 1, m - 1),)
-    else:
-        m = (n + 1) // 2
-        prev, x = 1, sigma[0]
-        while x != m - 1 and x != m:
-            if x == 1:
-                raise ValueError(f"not a full cycle: {sigma}")
-            prev, x = x, sigma[x - 1]
-        anchors = (prev, x, sigma[x - 1])
-    raised = [v + 1 if v >= m else v for v in sigma]
-    base = raised[:m - 1] + [0] + raised[m - 1:]
-    lifts = []
-    for a in anchors:
-        out = base.copy()
-        out[a if a >= m else a - 1] = m
-        out[m - 1] = raised[a - 1]
-        lifts.append(tuple(out))
-    return tuple(lifts)
+    k = len(labels)
+    u, x = labels[k // 2 - 1:k // 2 + 1]
+    v = labels[k // 2 + 1] if k % 2 else None
+    out = []
+    for p in level:
+        if v is None:
+            anchors = (min(p.index(u), u - 1),)
+        elif p[u - 1] == v:
+            anchors = (p.index(u), u - 1, v - 1)
+        elif p[v - 1] == u:
+            anchors = (p.index(v), v - 1, u - 1)
+        else:
+            raise InvariantError(
+                f"{u} and {v} are not adjacent on the cycle {tuple(p)}")
+        for a in anchors:
+            q = p.copy()
+            q[a] = x
+            q[x - 1] = p[a]
+            out.append(q)
+    return out
 
 
 def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
@@ -330,26 +346,39 @@ def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
 
 @lru_cache(maxsize=None)
 def cycle_class(n: int) -> frozenset[Perm]:
-    """The maximal class of full n-cycles, generated degree by degree.
+    """The maximal class of full n-cycles, generated degree by degree in
+    one loop.
 
-    Starts from the explicit classes at n <= 3 and applies the insertion
-    bijection: each even step preserves the count, each odd step triples it.
-    The inputs are class members by construction, so the lift skips its
-    membership check; one count against `size_sigma_n` instead catches a
-    lift that leaves the class or is not injective, and raises InvariantError.
+    Every degree k <= n is written in final labels, the values of degree
+    n: those of degree n are 1..n, and those of degree k-1 are the labels
+    of degree k without their middle value.  The explicit class of degree
+    3 grows by the insertion bijection (`_lift_all`), each even step
+    keeping the count and each odd step tripling it, as one-line lists of
+    length n in which a value not yet inserted is a fixed point in the
+    middle.  The inputs are class members by construction, so the step
+    skips the membership check; one count against `size_sigma_n` instead
+    catches a lift that leaves the class or is not injective, and raises
+    InvariantError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return frozenset([()])
-    if n == 1:
-        return frozenset([identity(1)])
-    if n == 2:
-        return frozenset([(2, 1)])
-    if n == 3:
-        return frozenset([from_cycles(3, [(1, 3, 2)]), from_cycles(3, [(1, 2, 3)])])
-    result = frozenset(
-        lift for sigma in cycle_class(n - 1) for lift in _lifts(n, sigma))
+    if n <= 2:
+        return frozenset([((), (1,), (2, 1))[n]])     # one full cycle each
+    labels = {n: list(range(1, n + 1))}
+    for k in range(n, 3, -1):
+        below = labels[k].copy()
+        del below[k // 2]
+        labels[k - 1] = below
+    base = labels[3]
+    level = []
+    for tau in ((3, 1, 2), (2, 3, 1)):      # the cycles (1,3,2) and (1,2,3)
+        p = list(range(1, n + 1))
+        for s, t in zip(base, tau):
+            p[s - 1] = base[t - 1]
+        level.append(p)
+    for k in range(4, n + 1):
+        level = _lift_all(level, labels[k])
+    result = frozenset(map(tuple, level))
     if len(result) != size_sigma_n(n):
         raise InvariantError(
             f"the lift built {len(result)} full {n}-cycles, expected "
@@ -392,9 +421,15 @@ def _embed(tau: Perm, j: int, n: int) -> Perm:
     return tuple(out)
 
 
-def sigma_class(alpha: Composition):
+def sigma_class(alpha: Composition, force: bool = False):
     """The full class labelled by the maximal composition `alpha`, as an
     EquivClass.
+
+    Before any work, a class whose predicted size exceeds
+    `ELEMENT_SOFT_LIMIT` raises DegreeLimitError unless `force` is set.
+    The prediction is the closed count of the even prefix times that of a
+    hook tail; a non-hook odd tail has no closed count yet, so such a
+    label is gated by its even prefix alone and its tail is not gated.
 
     The odd tail is built first: when it is a hook with long part k >= 3,
     the hook embedding (`_embed`) of every full k-cycle class member onto
@@ -404,8 +439,9 @@ def sigma_class(alpha: Composition):
     Each even part, right to left, then joins through the interleaving
     product with the class of full cycles of that size.
     """
-    from .cyclic_shift import approx_class, make_equiv_class
+    from .cyclic_shift import _check_size, approx_class, make_equiv_class
 
+    _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)
     if hook_kind(odds) == "odd_hook" and odds[0] >= 3:
         n = sum(odds)

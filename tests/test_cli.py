@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezero import cli
+from heckezero import cli, cyclic_shift
 from heckezero.cli import main
 from heckezero.errors import InvariantError
 
@@ -195,9 +195,18 @@ class TestCount:
         assert doc["formula"] is None
         assert doc["enumerated"] == 664
 
+    def test_force_lifts_the_size_gate(self, capsys, monkeypatch):
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 100)
+        for command in ("sigma", "count"):
+            code, out, err = run(capsys, command, "--alpha", "11")
+            assert (code, out) == (1, "")
+            assert "force" in err
+            doc, _ = run_json(capsys, command, "--alpha", "11", "--force")
+            assert doc["size" if command == "sigma" else "enumerated"] == 162
+
     def test_construction_fault_is_not_read_as_gated(self, capsys,
                                                      monkeypatch):
-        def broken(alpha):
+        def broken(alpha, force=False):
             raise ValueError("constructive route broke")
 
         monkeypatch.setattr(cli, "sigma_class", broken)
@@ -434,6 +443,19 @@ class TestArgvFuzz:
         assert code == 1, (argv, err)
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sigma", "--alpha=5001"], ["count", "--alpha=99999999999"],
+        ["sigma", "--alpha=5000,1"], ["count", "--alpha=2,40,3,1,1"],
+        ["sigma", "--alpha=25"],
+    ])
+    def test_huge_labels_exit_1_at_once(self, argv):
+        # the class size is gated before the class or its formula is built;
+        # run_quietly fails a call past 1 s
+        code, out, err = run_quietly(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "force" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["basis", "--n=3", "--alpha=--"], ["stairform", "--alpha=--"],

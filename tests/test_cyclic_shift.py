@@ -7,7 +7,8 @@ from heckezero.compositions import enumerate_maximal
 from heckezero.errors import DegreeLimitError, InvariantError
 from heckezero.cyclic_shift import (
     _classes, _match_representatives, _step, approx_class,
-    equiv_classes, label_max_classes, min_representatives, one_step,
+    equiv_classes, label_max_classes, make_equiv_class, min_representatives,
+    one_step,
 )
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_type, even_orbits, from_cycles,
@@ -133,6 +134,22 @@ class TestArrowClosure:
             if length(w) == max(length(v) for v in members)
         }
         assert reached == max_stratum
+
+
+class TestMakeEquivClass:
+    def test_reads_the_common_length(self):
+        cls = make_equiv_class([(2, 3, 1), (3, 1, 2)], alpha=(3,))
+        assert (cls.common_length, cls.size, cls.alpha) == (2, 2, (3,))
+
+    def test_refuses_members_of_different_degrees(self):
+        # both have length 0, which the class used to report
+        with pytest.raises(ValueError, match="different degrees"):
+            make_equiv_class([(1, 2), (1, 2, 3)])
+
+    @pytest.mark.parametrize("elements", [[], [(1, 2), (2, 1)]])
+    def test_refuses_empty_or_unequal_lengths(self, elements):
+        with pytest.raises(ValueError):
+            make_equiv_class(elements)
 
 
 class TestEquivClasses:

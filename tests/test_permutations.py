@@ -1,5 +1,6 @@
 """Core symmetric-group arithmetic."""
 
+import random
 import re
 import signal
 
@@ -7,7 +8,8 @@ import pytest
 
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_string, cycle_type, cycles,
-    even_orbits, from_cycles, identity, inverse, length, longest_element,
+    even_orbits, from_cycles, identity, inverse, length, lengths,
+    longest_element,
 )
 from heckezero.cyclic_shift import _step, one_step
 from heckezero.hecke import (
@@ -68,6 +70,44 @@ class TestLength:
     @pytest.mark.parametrize("n", range(8))
     def test_matches_inversion_count_exhaustive(self, n):
         assert all(length(w) == inv_count(w) for w in all_perms(n))
+
+
+class TestLengths:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_inversion_count_on_all_of_s_n(self, n):
+        perms = list(all_perms(n))
+        assert lengths(perms) == [inv_count(p) for p in perms]
+
+    # 8-bit lanes hold n(n-1)/2 up to n = 23, 16-bit lanes up to n = 362;
+    # the longest element fills every lane of its count
+    @pytest.mark.parametrize("n", [22, 23, 24, 362, 363])
+    def test_random_permutations_at_each_lane_width(self, n):
+        rng = random.Random(n)
+        perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(12)]
+        perms += [longest_element(n), identity(n)]
+        assert lengths(perms) == [inv_count(p) for p in perms]
+        assert lengths(perms) == [length(p) for p in perms]
+
+    @pytest.mark.parametrize("rows", [
+        [(127, 0, 5)], [(128, 0, 5)], [(0, 255, 256)], [(2**62, 1, 2**15)],
+        [(2**63 - 1, 0)], [(3, 1, 2), (300, 2**40, 7)],
+    ])
+    def test_entries_choose_a_wider_lane(self, rows):
+        # a value at a lane's top bit would read as a borrow
+        assert lengths(rows) == [inv_count(p) for p in rows]
+
+    def test_empty_and_degree_zero(self):
+        assert lengths([]) == []
+        assert lengths([(), ()]) == [0, 0]
+        assert lengths(iter([(2, 1), (1, 2)])) == [1, 0]
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 2), (1, 2, 3)], [(2, 1), ()], [(-1, 2)], [(1, -2**70)],
+        [(2**63, 1)], [(1, 2), (2**64, 1)],
+    ])
+    def test_refuses_what_no_lane_holds(self, rows):
+        with pytest.raises(ValueError):
+            lengths(rows)
 
 
 class TestDescents:

@@ -15,11 +15,11 @@ from heckezero.stair_classes import (
     member_sigma_alpha, odd_hook_embed, sigma_class, stair_form,
     stair_sequence, standardize_cycle,
 )
-from heckezero import stair_classes
+from heckezero import cyclic_shift, stair_classes
 from heckezero.compositions import (
     enumerate_maximal, hook_kind, is_maximal, odd_partitions,
 )
-from heckezero.errors import InvariantError
+from heckezero.errors import DegreeLimitError, InvariantError
 
 from oracles import (
     compositions_of, invariant_class, invariant_classes, perms_of_type,
@@ -300,9 +300,23 @@ def cycle_class_pick(n):
 
 
 class TestCycleClass:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 16))
     def test_matches_brute_force(self, n):
         assert cycle_class(n) == approx_class(stair_form((n,)))
+
+    def test_one_loop_fills_one_cache_entry(self):
+        # a recursive build would fill one entry per degree below n
+        cycle_class.cache_clear()
+        try:
+            cycle_class(12)
+            assert cycle_class.cache_info().misses == 1
+        finally:
+            cycle_class.cache_clear()
+
+    def test_the_step_refuses_a_pair_that_is_not_adjacent(self):
+        # (1,2,5,4) with 3 fixed: the pair {2, 4} around 3 sits apart
+        with pytest.raises(InvariantError, match="not adjacent"):
+            stair_classes._lift_all([[2, 5, 3, 1, 4]], [1, 2, 3, 4, 5])
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_matches_predicate_filter(self, n):
@@ -317,10 +331,12 @@ class TestCycleClass:
         assert count == len(got)
 
     def test_count_check_catches_a_broken_lift(self, monkeypatch):
-        # appending a fixed point ignores the branch, so the odd step is not
-        # injective
-        monkeypatch.setattr(stair_classes, "_lifts",
-                            lambda n, sigma: (sigma + (n,),) * (1 + 2 * (n % 2)))
+        # copying each member once per branch, without inserting, ignores
+        # the branch, so the odd step is not injective
+        monkeypatch.setattr(
+            stair_classes, "_lift_all",
+            lambda level, labels: [p.copy() for p in level
+                                   for _ in range(1 + 2 * (len(labels) % 2))])
         cycle_class.cache_clear()
         try:
             with pytest.raises(InvariantError, match="expected 6"):
@@ -430,6 +446,47 @@ class TestSigmaClass:
     def test_rejects_non_maximal(self):
         with pytest.raises(ValueError):
             sigma_class((1, 2))
+
+
+class TestSizeGate:
+    @pytest.mark.parametrize("alpha", [
+        (25,), (23, 1, 1), (5001,), (99999999999,), (5000, 1), (2, 40),
+        (10**12, 3, 3),
+    ])
+    def test_refuses_before_any_work(self, alpha):
+        # the largest of these would need a power with 5e10 digits
+        start = time.perf_counter()
+        with pytest.raises(DegreeLimitError, match="force"):
+            sigma_class(alpha)
+        assert time.perf_counter() - start < 1
+
+    def test_force_lifts_the_limit(self, monkeypatch):
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 100)
+        assert sigma_class((9,)).size == 54
+        with pytest.raises(DegreeLimitError):
+            sigma_class((11,))
+        assert sigma_class((11,), force=True).size == 162
+
+    def test_the_limit_is_inclusive_and_counts_the_hook_tail(self, monkeypatch):
+        # (5, 1, 1) has 3 * 2 * 3 = 18 elements
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 18)
+        assert sigma_class((5, 1, 1)).size == 18
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 17)
+        with pytest.raises(DegreeLimitError):
+            sigma_class((5, 1, 1))
+
+    def test_a_non_hook_tail_counts_only_its_even_prefix(self, monkeypatch):
+        # (5, 5) has 664 elements but no closed count, so it is not gated;
+        # the even part 8 alone has 18
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 20)
+        assert sigma_class((5, 5)).size == 664
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 17)
+        with pytest.raises(DegreeLimitError):
+            sigma_class((8, 3, 3))
+
+    def test_the_benchmark_labels_pass_without_force(self):
+        for alpha in [(19,), (2, 8, 4, 5, 1, 1, 1), (3, 3, 3)]:
+            cyclic_shift._check_size(alpha, force=False)
 
 
 # The size of every class whose label is an odd partition of n <= 12 and
