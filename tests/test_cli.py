@@ -432,7 +432,11 @@ _REFUSED = (
     | st.tuples(st.integers(min_value=9, max_value=10**6),
                 st.sampled_from(["all", "classes", "hooks", "iprod",
                                  "center"])).map(
-                    lambda t: ["verify", f"--n={t[0]}", "--suite", t[1]]))
+                    lambda t: ["verify", f"--n={t[0]}", "--suite", t[1]])
+    # one part of 25 or more holds over 200,000 elements
+    | st.tuples(st.sampled_from(["sigma", "count"]),
+                st.integers(min_value=25, max_value=10**12)).map(
+                    lambda t: [t[0], f"--alpha={t[1]}"]))
 
 
 class TestArgvFuzz:
