@@ -17,12 +17,14 @@ and builds a neighbour only for the steps it keeps.
 
 The full partition ("all") runs that search from every permutation of S_n
 not yet covered.  A stratum ("min" or "max") is found first, by one
-streaming pass over S_n that keeps, per twisted conjugacy class, the
-extreme length and the permutations reaching it; the members of a class
-share their length and their twisted conjugacy class, so the search then
-runs only inside the stratum.  Enumerations walk S_n in lexicographic
-one-line order, so everything here is deterministic; the practical degree
-bound n <= 8 is a soft limit lifted by `force=True`.
+streaming pass over S_{n-1} that reaches each permutation of S_n by
+inserting n into a cycle, walks the cycles of each permutation of S_{n-1}
+once, and keeps, per twisted conjugacy class, the extreme length and the
+permutations reaching it; the members of a class share their length and
+their twisted conjugacy class, so the search then runs only inside the
+stratum.  Enumerations walk in lexicographic one-line order, so
+everything here is deterministic; the practical degree bound n <= 8 is a
+soft limit lifted by `force=True`.
 """
 
 from __future__ import annotations
@@ -259,39 +261,70 @@ def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
     """The permutations of S_n of least (with `longest`, greatest) length in
     their twisted conjugacy class, each mapped to its length.
 
-    One pass over S_n keeps, per twisted conjugacy class, the extreme
-    length so far and the permutations reaching it.  The lengths come from
-    Lehmer codes: `product` lists the codes (entry i below n - i) in
-    lexicographic order, the order of the permutations they encode, and a
-    length is the sum of its code.  For the identity twist the
-    class key is the cycle type of w; for `nu`, w -> w*w0 intertwines
-    twisted conjugacy with ordinary conjugacy, so it is the cycle type of
-    w*w0, which is w read backwards.
+    Each w in S_n is one child of one w' in S_{n-1}: w' with n fixed, or,
+    for a point j, w(j) = n and w(n) = w'(j), n following j on its cycle.
+    One pass over S_{n-1} walks the cycles of each w' once.  A cycle type
+    is an integer counting the parts of size k in its k-th digit; the fixed
+    child adds a part 1, child j raises the part of j's cycle by one.  The
+    codes that `product` lists are the Lehmer codes of `all_perms`, in
+    order: l(w') is the sum of its code, the fixed child keeps it, and child
+    j adds 1 + 2c, where c = n - 1 - j - code[j - 1] entries right of j in
+    w' exceed w'(j).  Per type the pass keeps the extreme length and the
+    children reaching it.  For `nu` it runs over v = w*w0, w read
+    backwards, which turns twisted conjugacy into conjugacy and l(w) into
+    C(n, 2) - l(v), so it keeps the opposite extreme of v.
     """
-    code_sums = map(sum, product(*(range(n - i) for i in range(n))))
-    starts = range(1, n + 1)
-    best: dict[tuple[int, ...], tuple[int, list[Perm]]] = {}
-    for w, lw in zip(all_perms(n), code_sums):
-        v = w if twist == "id" else w[::-1]
-        seen = [False] * (n + 1)
-        parts = []
-        for start in starts:
+    if n <= 1:
+        return {tuple(range(1, n + 1)): 0}
+    m = n - 1
+    # a score is a child's length, negated when the least length is kept,
+    # so the top score is kept either way
+    sign = 1 if longest == (twist == "id") else -1
+    twice = 2 * sign
+    # digit[k] counts one part of size k; a count is at most n, so it
+    # never carries out of its n.bit_length() bits
+    digit = [0] + [1 << n.bit_length() * k for k in range(n)]
+    kept: dict[int, list] = {}          # type -> [top score, its children]
+    codes = product(*(range(m - i) for i in range(m)))
+    for p, code in zip(all_perms(m), codes):
+        lp = sum(code)
+        seen = [False] * n
+        cycs = []
+        base = 0
+        for start in range(1, n):
             if not seen[start]:
+                cyc = []
                 point = start
-                size = 0
                 while not seen[point]:
                     seen[point] = True
-                    point = v[point - 1]
-                    size += 1
-                parts.append(size)
-        parts.sort()
-        key = tuple(parts)
-        kept = best.get(key)
-        if kept is None or (lw > kept[0] if longest else lw < kept[0]):
-            best[key] = (lw, [w])
-        elif lw == kept[0]:
-            kept[1].append(w)
-    return {w: lw for lw, members in best.values() for w in members}
+                    cyc.append(point)
+                    point = p[point - 1]
+                cycs.append(cyc)
+                base += digit[len(cyc)]
+        score = sign * lp
+        best = kept.get(base + digit[1])
+        if best is None or score > best[0]:
+            kept[base + digit[1]] = best = [score, []]
+        if score == best[0]:
+            best[1].append(p + (n,))
+        top = sign * (lp + 1 + 2 * m)
+        for cyc in cycs:
+            ctype = base + digit[len(cyc) + 1] - digit[len(cyc)]
+            best = kept.get(ctype)
+            bar = best[0] if best else -n * n
+            for j in cyc:
+                score = top - twice * (j + code[j - 1])
+                if score < bar:
+                    continue
+                if score > bar:
+                    kept[ctype] = best = [score, []]
+                    bar = score
+                best[1].append(p[:j - 1] + (n,) + p[j:] + (p[j - 1],))
+    found = ((v, sign * score) for score, members in kept.values()
+             for v in members)
+    if twist == "id":
+        return dict(found)
+    return {v[::-1]: n * m // 2 - lv for v, lv in found}
 
 
 def equiv_classes(

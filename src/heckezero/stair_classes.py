@@ -211,7 +211,8 @@ def _hook_properties(cycs: tuple[Cycle, ...], k: int) -> bool:
     """`hook_properties` from the `cycles` of a permutation whose cycle type
     is that of the hook with long part k, which the caller has checked:
     only the long cycle can be longer than 2.  The cheap support test runs
-    first."""
+    first.  A long cycle of length n needs no standardizing: `cycles`
+    writes it on 1..n from 1."""
     if k == 1:
         return True
     long = next(c for c in cycs if len(c) == k)
@@ -219,7 +220,7 @@ def _hook_properties(cycs: tuple[Cycle, ...], k: int) -> bool:
     m = (k - 1) // 2 if k % 2 else k // 2
     if not all(i in long and n - i + 1 in long for i in range(1, m + 1)):
         return False
-    std = standardize_cycle(long)
+    std = long if k == n else standardize_cycle(long)
     return is_oscillating_cycle(std) and has_connected_intervals_cycle(std)
 
 
@@ -344,8 +345,7 @@ def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
     return tuple(v - 1 if v > m else v for v in lowered), q
 
 
-@lru_cache(maxsize=None)
-def cycle_class(n: int) -> frozenset[Perm]:
+def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
     """The maximal class of full n-cycles, generated degree by degree in
     one loop.
 
@@ -359,9 +359,22 @@ def cycle_class(n: int) -> frozenset[Perm]:
     skips the membership check; one count against `size_sigma_n` instead
     catches a lift that leaves the class or is not injective, and raises
     InvariantError.
+
+    A degree whose class exceeds `ELEMENT_SOFT_LIMIT` elements raises
+    DegreeLimitError unless `force` is set, decided before any work; each
+    degree built is cached once, forced or not.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > 2:
+        from .cyclic_shift import _check_size
+        _check_size((n,), force)
+    return _cycle_class(n)
+
+
+@lru_cache(maxsize=None)
+def _cycle_class(n: int) -> frozenset[Perm]:
+    """`cycle_class` of a degree that passed its checks."""
     if n <= 2:
         return frozenset([((), (1,), (2, 1))[n]])     # one full cycle each
     labels = {n: list(range(1, n + 1))}
@@ -385,6 +398,11 @@ def cycle_class(n: int) -> frozenset[Perm]:
             f"{size_sigma_n(n)}"
         )
     return result
+
+
+# the controls of the class cache, as on any lru_cache function
+cycle_class.cache_info = _cycle_class.cache_info
+cycle_class.cache_clear = _cycle_class.cache_clear
 
 
 def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
@@ -448,14 +466,16 @@ def sigma_class(alpha: Composition, force: bool = False):
         m = (odds[0] - 1) // 2
         if n == odds[0]:
             # one part: the support is 1..n and the embedding the identity
-            current = cycle_class(n)
+            current = cycle_class(n, force)
         else:
             current = {
                 _embed(tau, j, n)
-                for tau in cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
+                for tau in cycle_class(odds[0], force)
+                for j in range(m + 1, n - m + 1)
             }
     else:
         current = approx_class(stair_form(odds))
     for part in reversed(evens):
-        current = {iprod(a, b) for a in cycle_class(part) for b in current}
+        current = {iprod(a, b) for a in cycle_class(part, force)
+                   for b in current}
     return make_equiv_class(current, alpha=alpha)

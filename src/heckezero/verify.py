@@ -8,7 +8,7 @@ mirror what the test suite pins at fixed degrees.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations, starmap
 from typing import Iterator
 
 from .compositions import enumerate_maximal, hook_kind
@@ -17,7 +17,7 @@ from .cyclic_shift import label_max_classes
 from .hecke import verify_center_basis
 from .inductive_product import iprod, iprod_length_law
 from .permutations import (
-    Perm, all_perms, conj_w0, cycle_type, cycles, length,
+    Perm, all_perms, conj_w0, cycles, lengths,
 )
 from .stair_classes import (
     _hook_properties, cycle_class, member_sigma_alpha, sigma_class, stair_form,
@@ -25,6 +25,9 @@ from .stair_classes import (
 
 __all__ = ["SUITES", "suite_classes", "suite_hooks", "suite_iprod",
            "suite_center", "run_suites"]
+
+#: Pairs whose products the length law counts in one batch
+_LAW_BLOCK = 4096
 
 
 def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
@@ -160,17 +163,17 @@ def suite_iprod(n: int, force: bool = False) -> dict:
             checks.append({
                 "alpha": list(alpha), "formula": formula, "ok": good,
             })
+    # the length law on every pair of a full n1-cycle, generated directly,
+    # and a permutation of S_{n - n1}, walked once; the lengths of the
+    # products are counted in blocks, so S_{n - n1} is never held whole
     law_ok = True
     for n1 in range(1, n):
-        n2 = n - n1
-        full_cycles = [
-            p for p in all_perms(n1) if cycle_type(p) == (n1,)
-        ]
-        perms2 = list(all_perms(n2))
-        for s1 in full_cycles:
-            for s2 in perms2:
-                if iprod_length_law(s1, s2) != length(iprod(s1, s2)):
-                    law_ok = False
+        full_cycles = list(_hook_type(n1, n1))
+        pairs = ((s1, s2) for s2 in all_perms(n - n1) for s1 in full_cycles)
+        while block := list(islice(pairs, _LAW_BLOCK)):
+            law = list(starmap(iprod_length_law, block))
+            if lengths(starmap(iprod, block)) != law:
+                law_ok = False
     ok = ok and law_ok
     return {
         "suite": "iprod", "n": n, "length_law_ok": law_ok,

@@ -12,7 +12,7 @@ from heckezero.cyclic_shift import (
 )
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_type, even_orbits, from_cycles,
-    identity, length, longest_element,
+    identity, length, lengths, longest_element,
 )
 from heckezero.stair_classes import member_sigma_alpha, stair_form
 
@@ -263,6 +263,17 @@ class TestStrataPass:
         assert least == sorted(least)
         assert all(approx_class(w, twist) == cls.elements
                    for w, cls in zip(least, classes))
+
+    @pytest.mark.parametrize("n, sizes", [(8, (371, 610)), (9, (1287, 1597))])
+    @pytest.mark.parametrize("twist", ["id", "nu"])
+    @pytest.mark.parametrize("longest", [True, False])
+    def test_kept_lengths_beyond_the_oracle(self, n, sizes, twist, longest):
+        # the oracle is too slow here, so the batch kernel recounts every
+        # kept length; the id-max stratum is the union of the labelled
+        # classes, 371 elements at n = 8 and 1,287 at n = 9
+        kept = cyclic_shift._extreme_lengths(n, twist, longest)
+        assert len(kept) == sizes[longest != (twist == "id")]
+        assert lengths(kept) == list(kept.values())
 
     def test_strata_never_partition_sn(self, monkeypatch):
         def no_partition(n, twist):

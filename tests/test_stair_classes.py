@@ -484,6 +484,25 @@ class TestSizeGate:
         with pytest.raises(DegreeLimitError):
             sigma_class((8, 3, 3))
 
+    @pytest.mark.parametrize("n", [25, 41, 10**12])
+    def test_cycle_class_refuses_before_any_work(self, n):
+        # 2 * 3**11 full 25-cycles; 10**12 would need a power with 2e11 digits
+        cached = cycle_class.cache_info().currsize
+        start = time.perf_counter()
+        with pytest.raises(DegreeLimitError, match="force=True"):
+            cycle_class(n)
+        assert time.perf_counter() - start < 1
+        assert cycle_class.cache_info().currsize == cached
+
+    def test_cycle_class_force_lifts_the_limit(self, monkeypatch):
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 18)
+        assert len(cycle_class(8)) == 18
+        with pytest.raises(DegreeLimitError):
+            cycle_class(9)
+        assert len(cycle_class(9, force=True)) == 54
+        # a degree built once serves every later call, forced or not
+        assert cycle_class(8, force=True) is cycle_class(8)
+
     def test_the_benchmark_labels_pass_without_force(self):
         for alpha in [(19,), (2, 8, 4, 5, 1, 1, 1), (3, 3, 3)]:
             cyclic_shift._check_size(alpha, force=False)

@@ -56,22 +56,40 @@ def test_hook_type_lists_each_permutation_of_the_type_once(n):
 
 
 def test_all_suites_walk_the_degree_once(monkeypatch):
-    # the one walk of S_6 is the stratum pass behind the labelling
-    walked = []
+    # the stratum pass reaches S_n from one walk of S_{n-1}, made once per
+    # (n, twist, stratum); the length law walks each lower degree once
+    pass_walks, law_walks, passes = [], [], []
+    stratum_pass = cyclic_shift._extreme_lengths
 
-    def counting_all_perms(n):
-        walked.append(n)
-        return permutations.all_perms(n)
+    def counting(walks):
+        def counting_all_perms(n):
+            walks.append(n)
+            return permutations.all_perms(n)
+        return counting_all_perms
+
+    def counting_pass(n, twist, longest):
+        before = len(pass_walks)
+        kept = stratum_pass(n, twist, longest)
+        passes.append(((n, twist, longest), pass_walks[before:]))
+        return kept
 
     cyclic_shift._stratum.cache_clear()
-    monkeypatch.setattr(cyclic_shift, "all_perms", counting_all_perms)
-    monkeypatch.setattr(verify, "all_perms", counting_all_perms)
+    monkeypatch.setattr(cyclic_shift, "all_perms", counting(pass_walks))
+    monkeypatch.setattr(cyclic_shift, "_extreme_lengths", counting_pass)
+    monkeypatch.setattr(verify, "all_perms", counting(law_walks))
     try:
         assert verify.run_suites(6, "all")["ok"] is True
     finally:
         cyclic_shift._stratum.cache_clear()
-    # the length law walks lower degrees, never S_6 itself
-    assert walked.count(6) == 1
+    keys = [key for key, _ in passes]
+    assert (6, "id", True) in keys
+    assert len(keys) == len(set(keys))
+    for (n, _, _), walks in passes:
+        assert walks == ([n - 1] if n > 1 else [])
+    # no walk of cyclic_shift outside a pass
+    assert len(pass_walks) == sum(len(walks) for _, walks in passes)
+    # the length law walks each lower degree once, never S_6 itself
+    assert sorted(law_walks) == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("module", [
