@@ -17,14 +17,12 @@ and builds a neighbour only for the steps it keeps.
 
 The full partition ("all") runs that search from every permutation of S_n
 not yet covered.  A stratum ("min" or "max") is found first, by one
-streaming pass over S_{n-1} that reaches each permutation of S_n by
-inserting n into a cycle, walks the cycles of each permutation of S_{n-1}
-once, and keeps, per twisted conjugacy class, the extreme length and the
-permutations reaching it; the members of a class share their length and
-their twisted conjugacy class, so the search then runs only inside the
-stratum.  Enumerations walk in lexicographic one-line order, so
-everything here is deterministic; the practical degree bound n <= 8 is a
-soft limit lifted by `force=True`.
+streaming pass that reaches S_n from S_{n-1} and keeps, per twisted
+conjugacy class, the extreme length and the permutations reaching it; the
+members of a class share their length and their twisted conjugacy class,
+so the search then runs only inside the stratum.  Enumerations walk in
+lexicographic one-line order, so everything here is deterministic; the
+practical degree bound n <= 8 is a soft limit lifted by `force=True`.
 """
 
 from __future__ import annotations
@@ -261,28 +259,22 @@ def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
     """The permutations of S_n of least (with `longest`, greatest) length in
     their twisted conjugacy class, each mapped to its length.
 
-    Each w in S_n is one child of one w' in S_{n-1}: w' with n fixed, or,
-    for a point j, w(j) = n and w(n) = w'(j), n following j on its cycle.
-    One pass over S_{n-1} walks the cycles of each w' once.  A cycle type
-    is an integer counting the parts of size k in its k-th digit; the fixed
-    child adds a part 1, child j raises the part of j's cycle by one.  The
-    codes that `product` lists are the Lehmer codes of `all_perms`, in
-    order: l(w') is the sum of its code, the fixed child keeps it, and child
-    j adds 1 + 2c, where c = n - 1 - j - code[j - 1] entries right of j in
-    w' exceed w'(j).  Per type the pass keeps the extreme length and the
-    children reaching it.  For `nu` it runs over v = w*w0, w read
-    backwards, which turns twisted conjugacy into conjugacy and l(w) into
-    C(n, 2) - l(v), so it keeps the opposite extreme of v.
+    Each w in S_n is one child of one w' in S_{n-1}: w' with n fixed, or
+    w(j) = n and w(n) = w'(j), n after j on its cycle.  The pass walks the
+    cycles of each w' once; the fixed child adds a part 1 to its type, child
+    j raises the part of j's cycle.  `product` lists the Lehmer codes of
+    `all_perms` in order, so l(w') is a code sum; the fixed child keeps it,
+    child j adds 1 + 2(n - 1 - j - code[j - 1]).  For `nu` the pass runs
+    over v = w*w0, w read backwards: twisted conjugacy of w is conjugacy of
+    v, and l(w) = C(n, 2) - l(v).
     """
     if n <= 1:
         return {tuple(range(1, n + 1)): 0}
     m = n - 1
-    # a score is a child's length, negated when the least length is kept,
-    # so the top score is kept either way
+    # a score is a length, negated when the least is kept: the top one wins
     sign = 1 if longest == (twist == "id") else -1
     twice = 2 * sign
-    # digit[k] counts one part of size k; a count is at most n, so it
-    # never carries out of its n.bit_length() bits
+    # a type counts its parts of size k in digit k; no count carries over
     digit = [0] + [1 << n.bit_length() * k for k in range(n)]
     kept: dict[int, list] = {}          # type -> [top score, its children]
     codes = product(*(range(m - i) for i in range(m)))
@@ -320,11 +312,10 @@ def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
                     kept[ctype] = best = [score, []]
                     bar = score
                 best[1].append(p[:j - 1] + (n,) + p[j:] + (p[j - 1],))
-    found = ((v, sign * score) for score, members in kept.values()
-             for v in members)
     if twist == "id":
-        return dict(found)
-    return {v[::-1]: n * m // 2 - lv for v, lv in found}
+        return {v: sign * s for s, vs in kept.values() for v in vs}
+    return {v[::-1]: n * m // 2 - sign * s
+            for s, vs in kept.values() for v in vs}
 
 
 def equiv_classes(

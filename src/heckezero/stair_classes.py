@@ -360,9 +360,8 @@ def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
     catches a lift that leaves the class or is not injective, and raises
     InvariantError.
 
-    A degree whose class exceeds `ELEMENT_SOFT_LIMIT` elements raises
-    DegreeLimitError unless `force` is set, decided before any work; each
-    degree built is cached once, forced or not.
+    Unless `force` is set, a class over `ELEMENT_SOFT_LIMIT` elements
+    raises DegreeLimitError before any work.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -466,16 +465,14 @@ def sigma_class(alpha: Composition, force: bool = False):
         m = (odds[0] - 1) // 2
         if n == odds[0]:
             # one part: the support is 1..n and the embedding the identity
-            current = cycle_class(n, force)
+            current = _cycle_class(n)
         else:
             current = {
                 _embed(tau, j, n)
-                for tau in cycle_class(odds[0], force)
-                for j in range(m + 1, n - m + 1)
+                for tau in _cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
             }
     else:
         current = approx_class(stair_form(odds))
     for part in reversed(evens):
-        current = {iprod(a, b) for a in cycle_class(part, force)
-                   for b in current}
+        current = {iprod(a, b) for a in _cycle_class(part) for b in current}
     return make_equiv_class(current, alpha=alpha)

@@ -26,9 +26,6 @@ from .stair_classes import (
 __all__ = ["SUITES", "suite_classes", "suite_hooks", "suite_iprod",
            "suite_center", "run_suites"]
 
-#: Pairs whose products the length law counts in one batch
-_LAW_BLOCK = 4096
-
 
 def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
     """The cycle type and the even-size orbits of `p`, both read off one
@@ -163,17 +160,15 @@ def suite_iprod(n: int, force: bool = False) -> dict:
             checks.append({
                 "alpha": list(alpha), "formula": formula, "ok": good,
             })
-    # the length law on every pair of a full n1-cycle, generated directly,
-    # and a permutation of S_{n - n1}, walked once; the lengths of the
-    # products are counted in blocks, so S_{n - n1} is never held whole
+    # the length law on each full n1-cycle against each permutation of
+    # S_{n - n1}, its products' lengths counted in blocks of 4096 pairs
     law_ok = True
     for n1 in range(1, n):
         full_cycles = list(_hook_type(n1, n1))
         pairs = ((s1, s2) for s2 in all_perms(n - n1) for s1 in full_cycles)
-        while block := list(islice(pairs, _LAW_BLOCK)):
+        while block := list(islice(pairs, 4096)):
             law = list(starmap(iprod_length_law, block))
-            if lengths(starmap(iprod, block)) != law:
-                law_ok = False
+            law_ok = law_ok and lengths(starmap(iprod, block)) == law
     ok = ok and law_ok
     return {
         "suite": "iprod", "n": n, "length_law_ok": law_ok,

@@ -82,12 +82,14 @@ def test_all_suites_walk_the_degree_once(monkeypatch):
     finally:
         cyclic_shift._stratum.cache_clear()
     keys = [key for key, _ in passes]
-    assert (6, "id", True) in keys
+    assert [key for key in keys if key[0] == 6] == [(6, "id", True)]
     assert len(keys) == len(set(keys))
     for (n, _, _), walks in passes:
         assert walks == ([n - 1] if n > 1 else [])
-    # no walk of cyclic_shift outside a pass
+    # no walk of cyclic_shift outside a pass, and no degree walked twice:
+    # a second pass at any degree, under any twist or stratum, fails here
     assert len(pass_walks) == sum(len(walks) for _, walks in passes)
+    assert len(pass_walks) == len(set(pass_walks))
     # the length law walks each lower degree once, never S_6 itself
     assert sorted(law_walks) == [1, 2, 3, 4, 5]
 
