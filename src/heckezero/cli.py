@@ -3,12 +3,14 @@ Command-line front end: batch computation, verification and JSON export.
 
 Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
-element lists sorted lexicographically.  The document is written in blocks
-of about 64 KB and never built whole.  Exit codes: 0 success, 1 invalid
-input, a degree or class size beyond its soft limit without --force, or
-stdout closed by its reader before the document was written (quietly, as
-in `| head`), 2 verification failure or internal invariant violated
-(`InvariantError`).
+element lists sorted lexicographically.  The stdlib json writes the
+document but for its row lists (class elements, basis terms), which are
+spliced in as pieces of one `%d` template each; the whole is written in
+blocks of about 64 KB and never built whole.  Exit codes: 0 success,
+1 invalid input, a degree or class size beyond its soft limit without
+--force, or stdout closed by its reader before the document was written
+(quietly, as in `| head`), 2 verification failure or internal invariant
+violated (`InvariantError`).
 Any other exception is a bug and keeps its traceback.
 """
 
@@ -18,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator
 
 from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
@@ -62,131 +64,87 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
     return alpha
 
 
-_ENCODE_STR = json.encoder.encode_basestring_ascii
-_INT_ONLY = {int}
-_STR_ONLY = {str}
-_TUPLE_ONLY = {tuple}
-_ROWS_PER_PIECE = 256           # rows of one length joined into one piece
+_ROWS_PER_PIECE = 256           # rows joined into one piece
 _BLOCK_CHARS = 1 << 16          # characters gathered before each write
+_HELD = "\x00heckezero rows\x00"    # the stdlib's stand-in for a row list
+_HELD_TEXT = json.dumps(_HELD)
 
 
-class _Rows(list):
-    """Permutations, or other tuples, written as the list of their lists
-    without building them."""
+class _Rows:
+    """Tuples of ints of one length, such as permutations, written as the
+    list of their lists without building them."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
 
 
-class _Terms:
+class _Terms(_Rows):
     """The terms dict {w: c} of a Hecke element, keys in lexicographic
     order, written as the list of objects {"c": c, "w": w} without building
-    them or a list of its (w, c) pairs."""
+    them."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict) -> None:
-        self.terms = terms
+    __slots__ = ()
 
 
-def _row_chunks(rows, indent: str) -> Iterator[str]:
-    """A `_Rows` list or a `_Terms` dict as `_json_chunks` writes the lists
-    or objects it stands for.
-
-    When every row is a tuple of exact ints, and every coefficient an
-    exact int, rows are written by one `%d` template per row length: rows
-    of one length (all that the commands write) in pieces of up to
-    `_ROWS_PER_PIECE` rows, each piece one join over the template, and
-    rows of mixed lengths one piece per row.  Otherwise (`%d` would write
-    True as 1) each row goes through `_json_chunks` as its plain value.
+def _row_chunks(held: _Rows, indent: str) -> Iterator[str]:
+    """The rows of `held`, on a line indented by `indent`, as `json.dumps`
+    writes the lists or objects they stand for: pieces of up to
+    `_ROWS_PER_PIECE` rows, each one join over one `%d` template.  Every
+    word must be a tuple of exact ints of one length and every coefficient
+    an exact int, as all the commands write (`%d` would write True as 1).
     """
-    terms = type(rows) is _Terms
-    if terms:
-        rows = rows.terms       # iterating the dict gives the words
+    rows = held.rows
     if not rows:
         yield "[]"
         return
     inner = indent + "  "       # the lines of the rows
-    sep = "[" + inner
-    if not (set(map(type, rows)) == _TUPLE_ONLY
-            and set(map(type, chain.from_iterable(rows))) <= _INT_ONLY
-            and (not terms or set(map(type, rows.values())) == _INT_ONLY)):
-        for row in rows.items() if terms else rows:
-            yield sep
-            yield from _json_chunks(
-                {"c": row[1], "w": list(row[0])} if terms else list(row), inner)
-            sep = "," + inner
-        yield indent + "]"
-        return
+    terms = type(held) is _Terms
     member = inner + "  " if terms else inner   # the brackets of each word
     entry = member + "  "                       # the values of each word
-    templates = {k: "[" + entry + ("," + entry).join(("%d",) * k) + member + "]"
-                 if k else "[]" for k in set(map(len, rows))}
+    size = len(next(iter(rows)))
+    template = ("[" + entry + ("," + entry).join(("%d",) * size) + member
+                + "]" if size else "[]")
     if terms:
-        head = "{" + member + '"c": %d,' + member + '"w": '
-        # keyed, like the rows, by the number of values: c, then the word
-        templates = {k + 1: head + t + inner + "}" for k, t in templates.items()}
-        values = map(tuple.__add__, zip(rows.values()), rows)
-    else:
-        values = iter(rows)
-    if len(templates) == 1:
-        fill = templates.popitem()[1].__mod__
-        join = ("," + inner).join
-        while piece := join(map(fill, islice(values, _ROWS_PER_PIECE))):
-            yield sep + piece
-            sep = "," + inner
-    else:
-        for row in values:
-            yield sep + templates[len(row)] % row
-            sep = "," + inner
+        template = ("{" + member + '"c": %d,' + member + '"w": ' + template
+                    + inner + "}")
+        rows = map(tuple.__add__, zip(rows.values()), rows)
+    fill = template.__mod__
+    join = ("," + inner).join
+    rows = iter(rows)
+    sep = "[" + inner
+    while piece := join(map(fill, islice(rows, _ROWS_PER_PIECE))):
+        yield sep + piece
+        sep = "," + inner
     yield indent + "]"
 
 
-def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
-    """`value` as `json.dumps` writes it with sorted keys and an indent of
-    two spaces, in pieces: one per member of a dict or of a list that
-    holds more than ints, and the rows of a `_Rows` or `_Terms` list as
-    `_row_chunks` writes them.
+def _json_chunks(doc) -> Iterator[str]:
+    """`doc` as `json.dumps` writes it with sorted keys and an indent of
+    two spaces, in pieces.  The stdlib writes the text with the string
+    `_HELD` in place of each `_Rows` or `_Terms`; the text is split there,
+    and the rows go into the gaps as `_row_chunks` writes them."""
+    held = []
 
-    The stdlib falls back to its pure-Python encoder whenever it indents,
-    so this writer builds the same text itself: a list of exact ints (no
-    bools) is joined in one C call, strings go through the C string
-    encoder, and dict keys must be `str`.  `indent` is the newline plus the
-    indentation of the line `value` starts on.
-    """
-    kind = type(value)
-    inner = indent + "  "
-    if kind is int:
-        yield repr(value)
-    elif kind is str:
-        yield _ENCODE_STR(value)
-    elif kind is _Rows or kind is _Terms:
-        yield from _row_chunks(value, indent)
-    elif kind is list:
-        if not value:
-            yield "[]"
-        elif set(map(type, value)) == _INT_ONLY:
-            yield "[" + inner + ("," + inner).join(map(repr, value)) + indent + "]"
-        else:
-            sep = "[" + inner
-            for item in value:
-                yield sep
-                yield from _json_chunks(item, inner)
-                sep = "," + inner
-            yield indent + "]"
-    elif kind is dict:
-        if not value:
-            yield "{}"
-            return
-        if set(map(type, value)) != _STR_ONLY:
-            raise TypeError("JSON object keys must be str")
-        sep = "{" + inner
-        for key in sorted(value):
-            yield sep + _ENCODE_STR(key) + ": "
-            yield from _json_chunks(value[key], inner)
-            sep = "," + inner
-        yield indent + "}"
-    elif value is None or kind is bool or kind is float:
-        yield json.dumps(value)
-    else:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    def hold(value):
+        if not isinstance(value, _Rows):
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        held.append(value)
+        return _HELD
+
+    text = json.dumps(doc, indent=2, sort_keys=True, default=hold)
+    parts = text.split(_HELD_TEXT)
+    if len(parts) != len(held) + 1:
+        raise InvariantError("a string of the document holds the row marker")
+    for part, rows in zip(parts, held):
+        if part:
+            yield part
+        line = part[part.rfind("\n") + 1:]
+        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        yield from _row_chunks(rows, indent)
+    if parts[-1]:
+        yield parts[-1]
 
 
 def _json_text(value) -> str:

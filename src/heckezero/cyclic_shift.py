@@ -354,7 +354,7 @@ def _stratum(n: int, twist: str, stratum: str) -> tuple[EquivClass, ...]:
     for w in sorted(extreme):
         if w not in covered:
             comp = approx_class(w, twist)
-            if not comp.issubset(extreme):
+            if not extreme.keys() >= comp:
                 raise InvariantError(
                     f"the class of {w} leaves the {stratum} stratum of S_{n}")
             covered |= comp
