@@ -66,7 +66,9 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
 
 _ROWS_PER_PIECE = 256           # rows joined into one piece
 _BLOCK_CHARS = 1 << 16          # characters gathered before each write
-_HELD = "\x00heckezero rows\x00"    # the stdlib's stand-in for a row list
+# the stdlib's stand-in for a row list; a str that can be encoded as UTF-8
+# holds no lone surrogate, so it cannot hold this one
+_HELD = "\udc00heckezero rows\udc00"
 _HELD_TEXT = json.dumps(_HELD)
 
 

@@ -549,8 +549,7 @@ class TestJsonText:
         doc = {"": [[], {}, [[]]], "a": {"": {}}}
         assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
-    # the ids keep the numbers the cases had before those the stdlib now
-    # writes were deleted
+    # explicit ids, so that a case keeps its name when others are removed
     @pytest.mark.parametrize("doc", [{"a": 1, None: 2}, {"a": {3}}, [b"x"]],
                              ids=["doc1", "doc3", "doc4"])
     def test_rejects_what_it_does_not_write(self, doc):
@@ -572,8 +571,7 @@ class TestJsonText:
         plain = {"rows": lists, "more": [lists, 1]}
         assert cli._json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
 
-    # the ids keep the numbers the cases had before the rows of mixed
-    # lengths or of other entries than ints were deleted
+    # explicit ids, so that a case keeps its name when others are removed
     @pytest.mark.parametrize("rows", [
         [], [()], [(), ()], [(7,)], [(2**70, -2**70, 0)],
         # rows of one length around the bound of a piece
