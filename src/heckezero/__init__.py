@@ -17,48 +17,54 @@ The package has two halves that check each other:
 On top of both, `hecke` realizes the center of the 0-Hecke algebra as
 indicator sums over Bruhat order ideals of the maximal classes and
 verifies the basis property at small degree.
+
+Every submodule but `errors` and `cli` is registered lazily
+(`importlib.util.LazyLoader`) and runs on first use, so a CLI command
+compiles only the modules it reaches.  On Python 3.11 that first use
+takes no lock: the CLI runs in one thread, and a threaded caller should
+import the modules it needs before it starts its threads.
 """
 
-from .compositions import (
-    enumerate_maximal, hook_kind, is_maximal, sort_to_partition,
-    split_even_odd,
-)
-from .counting import dim_center, size_sigma_formula, size_sigma_n
-from .cyclic_shift import (
-    EquivClass, approx_class, equiv_classes, label_max_classes,
-    min_representatives, one_step,
-)
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
 from .errors import DegreeLimitError, InvariantError
-from .hecke import (
-    HeckeElement, is_central, mul, order_ideal, t_basis, t_leq_sigma,
-    verify_center_basis,
-)
-from .inductive_product import iprod, iprod_length_law, orbit_partition_histogram
-from .permutations import (
-    compose, conj_w0, cycle_string, cycle_type, cycles, even_orbits,
-    from_cycles, identity, inverse, length, longest_element,
-)
-from .stair_classes import (
-    cycle_class, has_connected_intervals, hook_properties, is_oscillating,
-    lift_cycle_class, lower_cycle_class, member_sigma_alpha, odd_hook_embed,
-    sigma_class, stair_form,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegreeLimitError", "EquivClass", "HeckeElement", "InvariantError",
-    "approx_class", "compose", "conj_w0", "cycle_class", "cycle_string",
-    "cycle_type", "cycles", "dim_center",
-    "enumerate_maximal", "equiv_classes", "even_orbits", "from_cycles",
-    "has_connected_intervals",
-    "hook_kind", "hook_properties", "identity", "inverse", "iprod",
-    "iprod_length_law", "is_central", "is_maximal",
-    "is_oscillating", "label_max_classes", "length",
-    "lift_cycle_class", "longest_element", "lower_cycle_class",
-    "member_sigma_alpha", "min_representatives", "mul", "odd_hook_embed",
-    "one_step", "orbit_partition_histogram", "order_ideal", "sigma_class",
-    "size_sigma_formula", "size_sigma_n", "sort_to_partition",
-    "split_even_odd", "stair_form", "t_basis", "t_leq_sigma",
-    "verify_center_basis",
-]
+# the public names of the package, by the submodule that defines them
+_EXPORTS = {
+    "compositions": ("enumerate_maximal", "hook_kind", "is_maximal",
+                     "sort_to_partition", "split_even_odd"),
+    "counting": ("dim_center", "size_sigma_formula", "size_sigma_n"),
+    "cyclic_shift": ("EquivClass", "approx_class", "equiv_classes",
+                     "label_max_classes", "min_representatives", "one_step"),
+    "hecke": ("HeckeElement", "is_central", "mul", "order_ideal", "t_basis",
+              "t_leq_sigma", "verify_center_basis"),
+    "inductive_product": ("iprod", "iprod_length_law"),
+    "permutations": ("compose", "conj_w0", "cycle_string", "cycle_type",
+                     "cycles", "even_orbits", "from_cycles", "identity",
+                     "inverse", "length", "longest_element"),
+    "stair_classes": ("cycle_class", "has_connected_intervals",
+                      "hook_properties", "is_oscillating", "lift_cycle_class",
+                      "lower_cycle_class", "member_sigma_alpha",
+                      "odd_hook_embed", "sigma_class", "stair_form"),
+    "verify": (),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+for _module in _EXPORTS:
+    _spec = find_spec(f"{__name__}.{_module}")
+    _spec.loader = LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _module, _spec
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(["DegreeLimitError", "InvariantError", *_OWNER])

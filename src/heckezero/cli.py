@@ -23,14 +23,11 @@ import sys
 from itertools import islice
 from typing import Iterator
 
-from .compositions import enumerate_maximal, hook_kind, is_maximal, split_even_odd
-from .counting import dim_center, size_sigma_formula
-from .cyclic_shift import _check_degree, equiv_classes, label_max_classes
+from . import (
+    compositions, counting, cyclic_shift, hecke, permutations, stair_classes,
+    verify,
+)
 from .errors import InvariantError
-from .hecke import t_leq_sigma
-from .permutations import cycle_string
-from .stair_classes import sigma_class, stair_form
-from .verify import run_suites
 
 __all__ = ["main"]
 
@@ -197,11 +194,11 @@ def _class_entry(cls) -> dict:
 
 def _cmd_classes(args) -> int:
     if args.twist == "id" and args.stratum == "max":
-        classes = sorted(label_max_classes(args.n, force=args.force).values(),
-                         key=lambda c: c.min_element)
+        labelled = cyclic_shift.label_max_classes(args.n, force=args.force)
+        classes = sorted(labelled.values(), key=lambda c: c.min_element)
     else:
-        classes = equiv_classes(args.n, args.twist, args.stratum,
-                                force=args.force)
+        classes = cyclic_shift.equiv_classes(args.n, args.twist, args.stratum,
+                                             force=args.force)
     doc = {
         "n": args.n,
         "twist": args.twist,
@@ -216,7 +213,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_sigma(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    cls = sigma_class(alpha, force=args.force)
+    cls = stair_classes.sigma_class(alpha, force=args.force)
     doc = _class_entry(cls)
     _emit(doc, args,
           f"class of {alpha}: {cls.size} elements of length {cls.common_length}")
@@ -225,19 +222,19 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_stairform(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    sf = stair_form(alpha)
+    sf = stair_classes.stair_form(alpha)
     doc = {
         "alpha": list(alpha),
         "one_line": list(sf),
-        "cycles": cycle_string(sf),
-        "maximal": is_maximal(alpha),
+        "cycles": permutations.cycle_string(sf),
+        "maximal": compositions.is_maximal(alpha),
     }
-    _emit(doc, args, f"stair form of {alpha}: {cycle_string(sf)}")
+    _emit(doc, args, f"stair form of {alpha}: {doc['cycles']}")
     return 0
 
 
 def _cmd_dim(args) -> int:
-    value = dim_center(args.n)
+    value = counting.dim_center(args.n)
     _emit(value, args, f"dim of the center at n={args.n}: {value}")
     return 0
 
@@ -246,11 +243,11 @@ def _cmd_count(args) -> int:
     alpha = _parse_alpha(args.alpha)
     # the class is gated by its predicted size before the formula is
     # evaluated, which for a huge label is a huge power
-    enumerated = sigma_class(alpha, force=args.force).size
-    _, odds, _ = split_even_odd(alpha)
+    enumerated = stair_classes.sigma_class(alpha, force=args.force).size
+    _, odds, _ = compositions.split_even_odd(alpha)
     formula = None
-    if not odds or hook_kind(odds) != "not_hook":
-        formula = size_sigma_formula(alpha)
+    if not odds or compositions.hook_kind(odds) != "not_hook":
+        formula = counting.size_sigma_formula(alpha)
     doc = {"alpha": list(alpha), "formula": formula, "enumerated": enumerated}
     _emit(doc, args,
           f"size of the class of {alpha}: formula={formula} "
@@ -259,7 +256,7 @@ def _cmd_count(args) -> int:
 
 
 def _basis_entry(alpha, n, force) -> dict:
-    element = t_leq_sigma(alpha, n, force=force)
+    element = hecke.t_leq_sigma(alpha, n, force=force)
     return {
         "alpha": list(alpha),
         "ideal_size": element.support_size(),
@@ -268,17 +265,17 @@ def _basis_entry(alpha, n, force) -> dict:
 
 
 def _cmd_basis(args) -> int:
-    _check_degree(args.n, args.force)
+    cyclic_shift._check_degree(args.n, args.force)
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         doc = _basis_entry(alpha, args.n, args.force)
         _emit(doc, args,
               f"basis element of {alpha}: {doc['ideal_size']} terms")
         return 0
-    alphas = enumerate_maximal(args.n)
+    alphas = compositions.enumerate_maximal(args.n)
     doc = {
         "n": args.n,
-        "dim": dim_center(args.n),
+        "dim": counting.dim_center(args.n),
         "elements": [_basis_entry(a, args.n, args.force) for a in alphas],
     }
     _emit(doc, args, f"center basis at n={args.n}: {doc['dim']} elements")
@@ -286,7 +283,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suites(args.n, args.suite, force=args.force)
+    report = verify.run_suites(args.n, args.suite, force=args.force)
     _emit(report, args,
           f"verification at n={args.n} ({args.suite}): "
           + ("PASS" if report["ok"] else "FAIL"))

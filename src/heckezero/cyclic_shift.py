@@ -179,7 +179,8 @@ def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
     return _step(w, i, i if twist == "id" else n - i, lower=True)
 
 
-def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
+def approx_class(w: Perm, twist: str = "id",
+                 budget: int | None = None) -> frozenset[Perm]:
     """The full equivalence class of `w` under mutual reachability.
 
     Steps never increase length, so any round trip w -> ... -> w' -> ... -> w
@@ -188,6 +189,9 @@ def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
     component of `w` under length-preserving steps alone, which this
     depth-first search explores directly; it never touches the rest of S_n,
     so it stays cheap even at degrees where n! is out of reach.
+
+    With a `budget`, a class found to hold more elements raises
+    DegreeLimitError, after at most `budget` + n - 1 of them are built.
     """
     _check_twist(twist)
     n = len(w)
@@ -201,6 +205,9 @@ def approx_class(w: Perm, twist: str = "id") -> frozenset[Perm]:
             if u is not None and u not in seen:
                 seen.add(u)
                 stack.append(u)
+        if budget is not None and len(seen) > budget:
+            raise DegreeLimitError(f"the class of {w} holds more than {budget}"
+                                   " elements; pass force=True to override")
     return frozenset(seen)
 
 
@@ -214,24 +221,25 @@ def _check_degree(n: int, force: bool) -> None:
         )
 
 
-def _check_size(alpha: Composition, force: bool) -> None:
+def _check_size(alpha: Composition, force: bool) -> int | None:
     """Refuse, unless `force`, the class of the maximal composition `alpha`
-    when its predicted size exceeds `ELEMENT_SOFT_LIMIT`.
+    when its predicted size exceeds `ELEMENT_SOFT_LIMIT`; else return the
+    limit divided by that size, the budget of a non-hook tail's search.
 
     The size is the even-prefix factor 2^p * 3^q times the size of a hook
     tail, c * 2 * 3^((r-3)/2) for the tail (r, 1, ..., 1).  It is decided
     from the exponents before any power is evaluated: a factor 2^p or 3^q
     with an exponent of the limit's bit length or more exceeds the limit on
     its own.  A non-hook odd tail has no size formula yet, so only its even
-    prefix counts, a lower bound of the size.
+    prefix counts here, and the search for the tail is held to the budget.
     """
     if force:
-        return
+        return None
     evens, odds, _ = split_even_odd(alpha)
     c, p, q = _size_factors(evens, odds if hook_kind(odds) == "odd_hook" else ())
     bits = ELEMENT_SOFT_LIMIT.bit_length()
     if p < bits and q < bits and c * 2 ** p * 3 ** q <= ELEMENT_SOFT_LIMIT:
-        return
+        return ELEMENT_SOFT_LIMIT // (c * 2 ** p * 3 ** q)
     raise DegreeLimitError(
         f"the class of {alpha} holds more than {ELEMENT_SOFT_LIMIT} elements, "
         "the practical bound for constructing a class; pass force=True to "

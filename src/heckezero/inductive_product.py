@@ -18,12 +18,9 @@ every labelled class from that factorization.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable
+from .permutations import Perm, cycle_type, length
 
-from .permutations import OrbitPartition, Perm, cycle_type, length, orbits
-
-__all__ = ["iprod", "iprod_length_law", "orbit_partition_histogram"]
+__all__ = ["iprod", "iprod_length_law"]
 
 
 def iprod(s1: Perm, s2: Perm) -> Perm:
@@ -64,12 +61,3 @@ def iprod_length_law(s1: Perm, s2: Perm) -> int:
     q = sum(1 for i in range(k + 1, n1 + 1) if s1[i - 1] <= k)
     return length(s1) + length(s2) + (p + q) * n2
 
-
-def orbit_partition_histogram(elements: Iterable[Perm]) -> dict[OrbitPartition, int]:
-    """How many of the given permutations induce each orbit partition.
-
-    For non-hook odd labels the class meets several orbit partitions with
-    shape-dependent multiplicities; this tally exposes them without
-    claiming any structure.
-    """
-    return dict(Counter(orbits(w) for w in elements))

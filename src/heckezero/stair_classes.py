@@ -442,11 +442,12 @@ def sigma_class(alpha: Composition, force: bool = False):
     """The full class labelled by the maximal composition `alpha`, as an
     EquivClass.
 
-    Before any work, a class whose predicted size exceeds
-    `ELEMENT_SOFT_LIMIT` raises DegreeLimitError unless `force` is set.
-    The prediction is the closed count of the even prefix times that of a
-    hook tail; a non-hook odd tail has no closed count yet, so such a
-    label is gated by its even prefix alone and its tail is not gated.
+    Unless `force` is set, a class of more than `ELEMENT_SOFT_LIMIT`
+    elements raises DegreeLimitError.  The size is predicted before any
+    work, as the closed count of the even prefix times that of a hook
+    tail; a non-hook odd tail has no closed count yet, so its search stops
+    once the tail's class outgrows the limit divided by the even prefix's
+    count.
 
     The odd tail is built first: when it is a hook with long part k >= 3,
     the hook embedding (`_embed`) of every full k-cycle class member onto
@@ -458,7 +459,7 @@ def sigma_class(alpha: Composition, force: bool = False):
     """
     from .cyclic_shift import _check_size, approx_class, make_equiv_class
 
-    _check_size(alpha, force)
+    budget = _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)
     if hook_kind(odds) == "odd_hook" and odds[0] >= 3:
         n = sum(odds)
@@ -472,7 +473,7 @@ def sigma_class(alpha: Composition, force: bool = False):
                 for tau in _cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
             }
     else:
-        current = approx_class(stair_form(odds))
+        current = approx_class(stair_form(odds), budget=budget)
     for part in reversed(evens):
         current = {iprod(a, b) for a in _cycle_class(part) for b in current}
     return make_equiv_class(current, alpha=alpha)

@@ -11,10 +11,10 @@ from __future__ import annotations
 from itertools import combinations, islice, permutations, starmap
 from typing import Iterator
 
+from . import hecke
 from .compositions import enumerate_maximal, hook_kind
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import label_max_classes
-from .hecke import verify_center_basis
 from .inductive_product import iprod, iprod_length_law
 from .permutations import (
     Perm, all_perms, conj_w0, cycles, lengths,
@@ -71,10 +71,9 @@ def suite_classes(n: int, force: bool = False) -> dict:
         predicate = frozenset(
             by_invariants.get(_invariants(stair_form(alpha)), ()))
         # the three membership invariants must cut out the brute-force
-        # class and, on a sample, agree with the public predicate
+        # class and agree with the public predicate on every member
         predicate_ok = predicate == brute and all(
-            member_sigma_alpha(p, alpha) for p in list(predicate)[:20]
-        )
+            member_sigma_alpha(p, alpha) for p in predicate)
         nu_stable = all(conj_w0(w) in brute for w in brute)
         try:
             constructive = sigma_class(alpha).elements == brute
@@ -178,7 +177,7 @@ def suite_iprod(n: int, force: bool = False) -> dict:
 
 def suite_center(n: int, force: bool = False) -> dict:
     """Centrality, independence and dimension of the ideal-sum family."""
-    report = verify_center_basis(n, force=force)
+    report = hecke.verify_center_basis(n, force=force)
     return {
         "suite": "center",
         "n": n,

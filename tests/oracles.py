@@ -9,6 +9,7 @@ principles.  Deliberately slow and simple.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -181,6 +182,11 @@ def orbit_sets(p):
         seen |= orbit
         out.append(frozenset(orbit))
     return out
+
+
+def orbit_partition_histogram(elements):
+    """How many of the given permutations induce each orbit partition."""
+    return dict(Counter(frozenset(orbit_sets(w)) for w in elements))
 
 
 def perms_of_type(n, lam):

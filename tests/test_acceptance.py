@@ -19,7 +19,7 @@ from heckezero.cyclic_shift import (
     approx_class, equiv_classes, label_max_classes, min_representatives,
 )
 from heckezero.hecke import t_leq_sigma, verify_center_basis
-from heckezero.inductive_product import iprod, orbit_partition_histogram
+from heckezero.inductive_product import iprod
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_type, from_cycles, identity, length,
     longest_element,
@@ -30,7 +30,9 @@ from heckezero.stair_classes import (
 )
 from heckezero.verify import run_suites
 
-from oracles import ideal_by_inversions, inv_count, perms_of_type
+from oracles import (
+    ideal_by_inversions, inv_count, orbit_partition_histogram, perms_of_type,
+)
 
 
 def report(number, title):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezero import cli, cyclic_shift
+from heckezero import cli, cyclic_shift, stair_classes
 from heckezero.cli import main
 from heckezero.errors import InvariantError
 
@@ -75,7 +75,7 @@ class TestClasses:
         def broken(n, force=False):
             raise InvariantError("stair forms of (3,) and (2, 1) share one class")
 
-        monkeypatch.setattr(cli, "label_max_classes", broken)
+        monkeypatch.setattr(cyclic_shift, "label_max_classes", broken)
         code, _, err = run(capsys, "classes", "--n", "3")
         assert code == 2
         assert "internal invariant violated" in err
@@ -88,7 +88,7 @@ class TestClasses:
         def broken(n, force=False):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, "label_max_classes", broken)
+        monkeypatch.setattr(cyclic_shift, "label_max_classes", broken)
         with pytest.raises(RecursionError):
             main(["classes", "--n", "3"])
         assert "internal invariant violated" not in capsys.readouterr().err
@@ -209,7 +209,7 @@ class TestCount:
         def broken(alpha, force=False):
             raise ValueError("constructive route broke")
 
-        monkeypatch.setattr(cli, "sigma_class", broken)
+        monkeypatch.setattr(stair_classes, "sigma_class", broken)
         code, out, err = run(capsys, "count", "--alpha", "2,4,3,1,1")
         assert code != 0
         assert out == ""
@@ -464,6 +464,17 @@ class TestArgvFuzz:
         # the class size is gated before the class or its formula is built;
         # run_quietly fails a call past 1 s
         code, out, err = run_quietly(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "force" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sigma", "--alpha=3,3,3,3,3"], ["count", "--alpha=3,3,3,3,3,3,3"],
+    ])
+    def test_non_hook_tails_exit_1_after_a_bounded_search(self, argv):
+        # no closed count predicts these classes (1,251,156 elements for
+        # the first); the search stops once the class outgrows the limit
+        code, out, err = run_quietly(argv, limit=5.0)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "force" in err and "Traceback" not in err

@@ -135,6 +135,12 @@ class TestArrowClosure:
         }
         assert reached == max_stratum
 
+    def test_a_budget_stops_the_search_past_it(self):
+        w = stair_form((3, 3))      # a class of 22
+        assert approx_class(w, budget=22) == approx_class(w)
+        with pytest.raises(DegreeLimitError, match="force"):
+            approx_class(w, budget=21)
+
 
 class TestMakeEquivClass:
     def test_reads_the_common_length(self):

@@ -122,3 +122,42 @@ def test_importing_the_cli_loads_every_module_and_no_dataclasses():
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     expected = {"heckezero"} | {f"heckezero.{path.stem}" for path in LIBRARY}
     assert set(json.loads(proc.stdout)) == expected
+
+
+# a lazily registered module turns into a plain module when it starts to
+# execute; type() reads the class without triggering that
+_EXECUTED = """
+import contextlib, io, json, sys, types
+import heckezero.cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = heckezero.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("heckezero.") and type(module) is types.ModuleType)]))
+"""
+_MODULES = {path.stem for path in LIBRARY} - {"cli"}
+_REACHED = [
+    ("", {"errors"}),
+    ("dim --n 6", {"compositions", "counting", "errors"}),
+    ("sigma --alpha 2,5,5", _MODULES - {"hecke", "verify"}),
+    ("count --alpha 2,8,4,5,1,1,1", _MODULES - {"hecke", "verify"}),
+    ("classes --n 5", _MODULES - {"hecke", "verify"}),
+    ("verify --n 5 --suite hooks", _MODULES - {"hecke"}),
+]
+
+
+@pytest.mark.parametrize("command, may_execute", _REACHED,
+                         ids=[command or "import" for command, _ in _REACHED])
+def test_a_command_executes_only_the_modules_it_reaches(command, may_execute):
+    # every submodule but errors is registered lazily, and compiled only
+    # when a command reaches it
+    proc = subprocess.run([sys.executable, "-S", "-c", _EXECUTED,
+                           *command.split()],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    code, names = json.loads(proc.stdout)
+    executed = {name.removeprefix("heckezero.") for name in names} - {"cli"}
+    assert code == 0
+    assert "errors" in executed and executed <= may_execute

@@ -7,9 +7,7 @@ import pytest
 from heckezero.compositions import enumerate_maximal
 from heckezero.cyclic_shift import approx_class, label_max_classes
 from heckezero.compositions import hook_kind, split_even_odd
-from heckezero.inductive_product import (
-    iprod, iprod_length_law, orbit_partition_histogram,
-)
+from heckezero.inductive_product import iprod, iprod_length_law
 from heckezero.permutations import (
     all_perms, conj_w0, cycle_type, from_cycles, identity, length, orbits,
 )
@@ -17,6 +15,8 @@ from heckezero.stair_classes import (
     cycle_class, has_connected_intervals, is_oscillating, sigma_class,
     stair_form,
 )
+
+from oracles import orbit_partition_histogram
 
 
 def perm(*cycs, n):

@@ -475,11 +475,22 @@ class TestSizeGate:
         with pytest.raises(DegreeLimitError):
             sigma_class((5, 1, 1))
 
-    def test_a_non_hook_tail_counts_only_its_even_prefix(self, monkeypatch):
-        # (5, 5) has 664 elements but no closed count, so it is not gated;
-        # the even part 8 alone has 18
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 20)
+    def test_a_non_hook_tail_is_gated_by_its_search(self, monkeypatch):
+        # (5, 5) has 664 elements but no closed count, so its search stops
+        # once the class outgrows the limit
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 664)
         assert sigma_class((5, 5)).size == 664
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 663)
+        with pytest.raises(DegreeLimitError, match="force"):
+            sigma_class((5, 5))
+        assert sigma_class((5, 5), force=True).size == 664
+        # (8, 3, 3) has 18 * 22 elements: the even part 8 alone has 18, and
+        # the search for (3, 3) gets the limit divided by 18
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 396)
+        assert sigma_class((8, 3, 3)).size == 396
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 395)
+        with pytest.raises(DegreeLimitError):
+            sigma_class((8, 3, 3))
         monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 17)
         with pytest.raises(DegreeLimitError):
             sigma_class((8, 3, 3))
