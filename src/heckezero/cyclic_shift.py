@@ -247,22 +247,6 @@ def _check_size(alpha: Composition, force: bool) -> int | None:
     )
 
 
-@lru_cache(maxsize=None)
-def _classes(n: int, twist: str) -> tuple[frozenset[Perm], ...]:
-    """The partition of S_n into classes, in lexicographic order of their
-    least members: each permutation not yet covered starts the class
-    `approx_class` finds from it, and is that class's least member.
-    """
-    covered: set[Perm] = set()
-    comps: list[frozenset[Perm]] = []
-    for w in all_perms(n):
-        if w not in covered:
-            comp = approx_class(w, twist)
-            covered |= comp
-            comps.append(comp)
-    return tuple(comps)
-
-
 def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
     """The permutations of S_n of least (with `longest`, greatest) length in
     their twisted conjugacy class, each mapped to its length.
@@ -348,25 +332,25 @@ def equiv_classes(
 def _stratum(n: int, twist: str, stratum: str) -> tuple[EquivClass, ...]:
     """The classes of `equiv_classes`, kept as a tuple of frozen classes.
 
-    The search only takes length-preserving steps, so one member gives the
-    length of its whole class.  A stratum is split by the search started
-    from each of its permutations not yet covered, in lexicographic order,
-    so each class starts from its least member.
+    The candidates are S_n for "all" and the stratum otherwise; each one
+    not yet covered, in lexicographic order, starts the search for its
+    class, so each class starts from its least member.  The search only
+    takes length-preserving steps, so that member gives the length of its
+    whole class.
     """
-    if stratum == "all":
-        return tuple(EquivClass(comp, length(next(iter(comp))))
-                     for comp in _classes(n, twist))
-    extreme = _extreme_lengths(n, twist, stratum == "max")
+    extreme = (None if stratum == "all"
+               else _extreme_lengths(n, twist, stratum == "max"))
     covered: set[Perm] = set()
     classes = []
-    for w in sorted(extreme):
+    for w in all_perms(n) if extreme is None else sorted(extreme):
         if w not in covered:
             comp = approx_class(w, twist)
-            if not extreme.keys() >= comp:
+            if extreme is not None and not extreme.keys() >= comp:
                 raise InvariantError(
                     f"the class of {w} leaves the {stratum} stratum of S_{n}")
             covered |= comp
-            classes.append(EquivClass(comp, extreme[w]))
+            classes.append(EquivClass(
+                comp, length(w) if extreme is None else extreme[w]))
     return tuple(classes)
 
 

@@ -64,13 +64,6 @@ class HeckeElement(_Record):
     def __init__(self, n: int, terms: Mapping[Perm, int]) -> None:
         super().__init__(n, terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.n == other.n
-            and dict(self.terms) == dict(other.terms)
-        )
-
     def coefficient(self, w: Perm) -> int:
         return self.terms.get(w, 0)
 

@@ -40,8 +40,8 @@ from .counting import size_sigma_n
 from .errors import InvariantError
 from .inductive_product import iprod
 from .permutations import (
-    Cycle, Perm, cycle_string, cycle_type, cycles, even_orbits, from_cycles,
-    inverse, length,
+    Cycle, Perm, cycle_string, cycle_type, cycles, from_cycles, inverse,
+    length,
 )
 
 __all__ = [
@@ -83,10 +83,20 @@ def stair_form(alpha: Composition) -> Perm:
     return from_cycles(n, cycs)
 
 
+def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
+    """The cycle type and the even-size orbits of `p`, both read off one
+    call of `cycles`; the orbits come in the order of their least points,
+    so equal tuples are equal orbit partitions."""
+    cycs = cycles(p)
+    ctype = tuple(sorted(map(len, cycs), reverse=True))
+    return ctype, tuple(frozenset(c) for c in cycs if not len(c) % 2)
+
+
 def member_sigma_alpha(p: Perm, alpha: Composition) -> bool:
     """Membership of `p` in the class labelled by the maximal composition
     `alpha`, decided by three invariants of the stair form: equal cycle
-    type, equal length, equal even-size orbit partition.
+    type, equal length, equal even-size orbit partition (`_invariants`
+    reads the first and the last).
 
     >>> member_sigma_alpha(stair_form((4, 2)), (4, 2))
     True
@@ -96,11 +106,7 @@ def member_sigma_alpha(p: Perm, alpha: Composition) -> bool:
     if len(p) != sum(alpha):
         raise ValueError(f"degree mismatch: |{alpha}| != {len(p)}")
     sf = stair_form(alpha)
-    return (
-        cycle_type(p) == sort_to_partition(alpha)
-        and length(p) == length(sf)
-        and even_orbits(p) == even_orbits(sf)
-    )
+    return _invariants(p) == _invariants(sf) and length(p) == length(sf)
 
 
 def standardize_cycle(c: Cycle) -> Cycle:
@@ -204,20 +210,17 @@ def hook_properties(p: Perm, alpha: Composition) -> bool:
         raise ValueError(f"not a hook: {alpha}")
     if cycle_type(p) != sort_to_partition(alpha):
         raise ValueError(f"cycle type of {p} does not match {alpha}")
-    return _hook_properties(cycles(p), alpha[0])
+    return _hook_properties(max(cycles(p), key=len), len(p))
 
 
-def _hook_properties(cycs: tuple[Cycle, ...], k: int) -> bool:
-    """`hook_properties` from the `cycles` of a permutation whose cycle type
-    is that of the hook with long part k, which the caller has checked:
-    only the long cycle can be longer than 2.  The cheap support test runs
-    first.  A long cycle of length n needs no standardizing: `cycles`
-    writes it on 1..n from 1."""
-    if k == 1:
-        return True
-    long = next(c for c in cycs if len(c) == k)
-    n = sum(map(len, cycs))
-    m = (k - 1) // 2 if k % 2 else k // 2
+def _hook_properties(long: Cycle, n: int) -> bool:
+    """`hook_properties` from the long cycle of a permutation of S_n whose
+    cycle type, a hook, the caller has checked.  The cycle is written from
+    its least entry, as `cycles` writes it; a 1-cycle always passes.  The
+    cheap support test runs first.  A cycle of length n needs no
+    standardizing: it is written on 1..n from 1."""
+    k = len(long)
+    m = k // 2
     if not all(i in long and n - i + 1 in long for i in range(1, m + 1)):
         return False
     std = long if k == n else standardize_cycle(long)
@@ -225,12 +228,10 @@ def _hook_properties(cycs: tuple[Cycle, ...], k: int) -> bool:
 
 
 def _is_cycle_class_member(sigma: Perm) -> bool:
-    """Whether `sigma` is in the one-part class of its degree: a single
-    cycle, which `cycles` writes from 1, oscillating with connected
-    intervals."""
+    """Whether `sigma` is in the one-part class of its degree, the hook
+    (n,): a single cycle with the hook properties."""
     cycs = cycles(sigma)
-    return (len(cycs) == 1 and is_oscillating_cycle(cycs[0])
-            and has_connected_intervals_cycle(cycs[0]))
+    return len(cycs) == 1 and _hook_properties(cycs[0], len(sigma))
 
 
 def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
@@ -327,7 +328,7 @@ def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
         raise ValueError("degree-lowering map needs n >= 4")
     if not _is_cycle_class_member(sigma):
         raise ValueError(f"{sigma} is not in the one-part class of degree {n}")
-    m = n // 2 + 1 if n % 2 == 0 else (n + 1) // 2
+    m = n // 2 + 1
     inv = inverse(sigma)
     before, after = inv[m - 1], sigma[m - 1]
     q = None

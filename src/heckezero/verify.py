@@ -16,39 +16,32 @@ from .compositions import enumerate_maximal, hook_kind
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import label_max_classes
 from .inductive_product import iprod, iprod_length_law
-from .permutations import (
-    Perm, all_perms, conj_w0, cycles, lengths,
-)
+from .permutations import Cycle, Perm, all_perms, conj_w0, lengths
 from .stair_classes import (
-    _hook_properties, cycle_class, member_sigma_alpha, sigma_class, stair_form,
+    _hook_properties, _invariants, cycle_class, member_sigma_alpha,
+    sigma_class, stair_form,
 )
 
 __all__ = ["SUITES", "suite_classes", "suite_hooks", "suite_iprod",
            "suite_center", "run_suites"]
 
 
-def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
-    """The cycle type and the even-size orbits of `p`, both read off one
-    call of `cycles`."""
-    cycs = cycles(p)
-    ctype = tuple(sorted(map(len, cycs), reverse=True))
-    return ctype, tuple(frozenset(c) for c in cycs if not len(c) % 2)
-
-
-def _hook_type(n: int, k: int) -> Iterator[Perm]:
+def _hook_type(n: int, k: int) -> Iterator[tuple[Perm, Cycle]]:
     """Every permutation of S_n with one k-cycle and n - k fixed points,
-    each once: a k-cycle through each k-subset of [n], written from the
-    least point of the subset."""
+    each once, paired with that cycle: a k-cycle through each k-subset of
+    [n], written from the least point of the subset (the 1-cycle (1,) when
+    k = 1)."""
     if k == 1:
-        yield tuple(range(1, n + 1))
+        yield tuple(range(1, n + 1)), (1,)
         return
     for support in combinations(range(1, n + 1), k):
         first = support[0]
         for rest in permutations(support[1:]):
+            cycle = (first,) + rest
             img = list(range(1, n + 1))
-            for a, b in zip((first,) + rest, rest + (first,)):
+            for a, b in zip(cycle, rest + (first,)):
                 img[a - 1] = b
-            yield tuple(img)
+            yield tuple(img), cycle
 
 
 def suite_classes(n: int, force: bool = False) -> dict:
@@ -107,8 +100,8 @@ def suite_hooks(n: int, force: bool = False) -> dict:
 
     The filter runs over every permutation of S_n of the label's cycle
     type, generated directly.  They already have that type, so the filter
-    takes the `cycles` of each once and skips the input checks of
-    `hook_properties`."""
+    hands the cycle each was built from to `_hook_properties` and skips the
+    input checks of `hook_properties`."""
     labelled = label_max_classes(n, force=force)
     checks = []
     ok = True
@@ -118,8 +111,8 @@ def suite_hooks(n: int, force: bool = False) -> dict:
             continue
         brute = labelled[alpha].elements
         filtered = frozenset(
-            p for p in _hook_type(n, alpha[0])
-            if _hook_properties(cycles(p), alpha[0])
+            p for p, cycle in _hook_type(n, alpha[0])
+            if _hook_properties(cycle, n)
         )
         good = filtered == brute
         ok = ok and good
@@ -163,7 +156,7 @@ def suite_iprod(n: int, force: bool = False) -> dict:
     # S_{n - n1}, its products' lengths counted in blocks of 4096 pairs
     law_ok = True
     for n1 in range(1, n):
-        full_cycles = list(_hook_type(n1, n1))
+        full_cycles = [p for p, _ in _hook_type(n1, n1)]
         pairs = ((s1, s2) for s2 in all_perms(n - n1) for s1 in full_cycles)
         while block := list(islice(pairs, 4096)):
             law = list(starmap(iprod_length_law, block))

@@ -8,6 +8,7 @@ import pytest
 
 from heckezero import hecke
 from heckezero.compositions import enumerate_maximal
+from heckezero.counting import dim_center
 from heckezero.errors import DegreeLimitError
 from heckezero.hecke import (
     HeckeElement, integer_matrix_rank, is_central, left_mul_gen, mul,
@@ -469,6 +470,31 @@ class TestVerifyCenterBasis:
             rows.append([int(w in ideal) for w in perms])
         rank = oracles.fraction_rank(rows)
         assert verify_center_basis(n).rank == rank == len(alphas)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rank_masks_are_the_principal_up_sets_of_the_labels(self, n):
+        # the rank array holds exactly k = dim_center(n) distinct nonzero
+        # masks, each the up-set {beta : I_alpha <= I_beta} of one label
+        # alpha.  Through n = 6 the inclusions come from the oracle's own
+        # ideals of its own classes; beyond, I_alpha <= I_beta when every
+        # mask with bit alpha has bit beta
+        alphas = enumerate_maximal(n)
+        k = len(alphas)
+        ids, table = hecke._ideal_masks(
+            [sigma_class(alpha).elements for alpha in alphas], by_rank=True)
+        masks = {table[j] for j in set(ids)} - {0}
+        if n <= 6:
+            classes = oracles.invariant_classes(alphas)
+            ideals = [oracles.ideal_by_inversions(classes[alpha])
+                      for alpha in alphas]
+            below = [[ideals[a] <= ideals[b] for b in range(k)]
+                     for a in range(k)]
+        else:
+            below = [[all(m >> b & 1 for m in masks if m >> a & 1)
+                      for b in range(k)] for a in range(k)]
+        up = {sum(1 << b for b in range(k) if below[a][b]) for a in range(k)}
+        assert len(masks) == len(up) == k == dim_center(n)
+        assert masks == up
 
     @pytest.mark.parametrize("n", range(3, 7))
     @pytest.mark.parametrize("family", ["duplicate", "disjoint_or"])

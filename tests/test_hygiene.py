@@ -2,9 +2,9 @@
 benchmark's commands, checked by the CLI parser."""
 
 import ast
+import doctest
 import json
 import os
-import re
 import runpy
 import subprocess
 import sys
@@ -35,24 +35,33 @@ def test_no_bare_assert(path):
     assert lines == []
 
 
+def _loads(tree):
+    """Every bare name that code in `tree` loads, the base of an attribute
+    included."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    # a name counts as used when it occurs anywhere outside the import
-    # statements, doctests and __all__ included
-    text, tree = _parse(path)
-    imports = [node for node in ast.walk(tree)
-               if isinstance(node, (ast.Import, ast.ImportFrom))
-               and getattr(node, "module", None) != "__future__"]
-    lines = text.splitlines()
-    for node in imports:
-        for r in range(node.lineno - 1, node.end_lineno):
-            lines[r] = ""
-    rest = "\n".join(lines)
+    # a name counts as used where code or a doctest example loads it, or
+    # as a string in __all__; prose in docstrings and comments does not
+    _, tree = _parse(path)
+    used = _loads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            for example in doctest.DocTestParser().get_examples(
+                    ast.get_docstring(node, clean=False) or ""):
+                used |= _loads(ast.parse(example.source))
+    used |= {node.value for top in tree.body if isinstance(top, ast.Assign)
+             and any(getattr(t, "id", None) == "__all__" for t in top.targets)
+             for node in ast.walk(top.value) if isinstance(node, ast.Constant)}
     names = [(alias.asname or alias.name).split(".")[0]
-             for node in imports for alias in node.names]
-    unused = [name for name in names
-              if not re.search(rf"\b{re.escape(name)}\b", rest)]
-    assert unused == []
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    assert [name for name in names if name not in used] == []
 
 
 def _reads(tree, skip=None):

@@ -29,7 +29,7 @@ def test_construction_fault_fails_the_suite(monkeypatch):
 
 
 def test_hook_filter_rejecting_all_fails_the_suite(monkeypatch):
-    monkeypatch.setattr(verify, "_hook_properties", lambda cycs, k: False)
+    monkeypatch.setattr(verify, "_hook_properties", lambda long, n: False)
     report = verify.suite_hooks(5)
     assert report["ok"] is False
     assert report["checks"]
@@ -37,7 +37,7 @@ def test_hook_filter_rejecting_all_fails_the_suite(monkeypatch):
 
 
 def test_hook_filter_accepting_all_fails_the_suite(monkeypatch):
-    monkeypatch.setattr(verify, "_hook_properties", lambda cycs, k: True)
+    monkeypatch.setattr(verify, "_hook_properties", lambda long, n: True)
     report = verify.suite_hooks(5)
     assert report["ok"] is False
     # the filter now returns the whole conjugacy class, which is the
@@ -50,9 +50,13 @@ def test_hook_filter_accepting_all_fails_the_suite(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hook_type_lists_each_permutation_of_the_type_once(n):
     for k in range(1, n + 1):
-        got = list(verify._hook_type(n, k))
+        pairs = list(verify._hook_type(n, k))
+        got = [p for p, _ in pairs]
         assert len(got) == len(set(got))
         assert set(got) == set(perms_of_type(n, (k,) + (1,) * (n - k)))
+        # the cycle handed to the hook filter is the one `cycles` finds
+        for p, cycle in pairs:
+            assert len(cycle) == k and cycle in permutations.cycles(p)
 
 
 def test_all_suites_walk_the_degree_once(monkeypatch):
