@@ -95,8 +95,7 @@ def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
 def member_sigma_alpha(p: Perm, alpha: Composition) -> bool:
     """Membership of `p` in the class labelled by the maximal composition
     `alpha`, decided by three invariants of the stair form: equal cycle
-    type, equal length, equal even-size orbit partition (`_invariants`
-    reads the first and the last).
+    type, equal length, equal even-size orbit partition.
 
     >>> member_sigma_alpha(stair_form((4, 2)), (4, 2))
     True
