@@ -12,7 +12,7 @@ class, with three insertion slots when n is odd; so the counts go 1, 1, 2,
 the insertion and names the slot it used.
 """
 
-from heckezero import cycle_class, cycle_string, size_sigma_n
+from heckezero import cycle_class, cycle_string, size_sigma_formula
 from heckezero.stair_classes import (
     has_connected_intervals_cycle, is_oscillating_cycle, lift_cycle_class,
     lower_cycle_class,
@@ -21,7 +21,7 @@ from heckezero.stair_classes import (
 for n in range(1, 11):
     generated = cycle_class(n)
     print(f"n={n:2d}: {len(generated):4d} class members "
-          f"(closed form {size_sigma_n(n)})")
+          f"(closed form {size_sigma_formula((n,))})")
 
 print("\nthe degree-5 class, traced back to degree 4:")
 for sigma in sorted(cycle_class(5)):

@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "compositions": ("enumerate_maximal", "hook_kind", "is_maximal",
                      "sort_to_partition", "split_even_odd"),
-    "counting": ("dim_center", "size_sigma_formula", "size_sigma_n"),
+    "counting": ("dim_center", "size_sigma_formula"),
     "cyclic_shift": ("EquivClass", "approx_class", "equiv_classes",
                      "label_max_classes", "min_representatives", "one_step"),
     "hecke": ("HeckeElement", "is_central", "mul", "order_ideal", "t_basis",

@@ -27,7 +27,7 @@ from . import (
     compositions, counting, cyclic_shift, hecke, permutations, stair_classes,
     verify,
 )
-from .errors import InvariantError
+from .errors import DegreeLimitError, InvariantError
 
 __all__ = ["main"]
 
@@ -341,7 +341,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()      # a closed stdout raises here, not at exit
         return code
     except (_CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = " (the --force flag)" if isinstance(exc, DegreeLimitError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)

@@ -30,10 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .compositions import (
-    Composition, enumerate_maximal, hook_kind, split_even_odd,
-)
-from .counting import _size_factors
+from .compositions import Composition, enumerate_maximal
 from .errors import DegreeLimitError, InvariantError
 from .permutations import (
     Perm, all_perms, compose, length, lengths, longest_element,
@@ -44,18 +41,13 @@ __all__ = [
     "TWISTS", "EquivClass", "make_equiv_class",
     "one_step", "approx_class",
     "equiv_classes", "label_max_classes", "min_representatives",
-    "DEGREE_SOFT_LIMIT", "ELEMENT_SOFT_LIMIT",
+    "DEGREE_SOFT_LIMIT",
 ]
 
 TWISTS = ("id", "nu")
 
 #: Largest degree brute-forced without `force=True` (8! = 40320 vertices).
 DEGREE_SOFT_LIMIT = 8
-
-#: Largest class `sigma_class` builds without `force=True`: the benchmark's
-#: largest, (19,), has 13,122 elements, and (23,), with 118,098, takes
-#: about 1.2 s and 78 MB in a fresh CLI process.
-ELEMENT_SOFT_LIMIT = 200_000
 
 
 class _Record:
@@ -219,32 +211,6 @@ def _check_degree(n: int, force: bool) -> None:
             f"degree {n} exceeds the practical bound {DEGREE_SOFT_LIMIT} "
             "for brute-force enumeration; pass force=True to override"
         )
-
-
-def _check_size(alpha: Composition, force: bool) -> int | None:
-    """Refuse, unless `force`, the class of the maximal composition `alpha`
-    when its predicted size exceeds `ELEMENT_SOFT_LIMIT`; else return the
-    limit divided by that size, the budget of a non-hook tail's search.
-
-    The size is the even-prefix factor 2^p * 3^q times the size of a hook
-    tail, c * 2 * 3^((r-3)/2) for the tail (r, 1, ..., 1).  It is decided
-    from the exponents before any power is evaluated: a factor 2^p or 3^q
-    with an exponent of the limit's bit length or more exceeds the limit on
-    its own.  A non-hook odd tail has no size formula yet, so only its even
-    prefix counts here, and the search for the tail is held to the budget.
-    """
-    if force:
-        return None
-    evens, odds, _ = split_even_odd(alpha)
-    c, p, q = _size_factors(evens, odds if hook_kind(odds) == "odd_hook" else ())
-    bits = ELEMENT_SOFT_LIMIT.bit_length()
-    if p < bits and q < bits and c * 2 ** p * 3 ** q <= ELEMENT_SOFT_LIMIT:
-        return ELEMENT_SOFT_LIMIT // (c * 2 ** p * 3 ** q)
-    raise DegreeLimitError(
-        f"the class of {alpha} holds more than {ELEMENT_SOFT_LIMIT} elements, "
-        "the practical bound for constructing a class; pass force=True to "
-        "override"
-    )
 
 
 def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:

@@ -36,7 +36,7 @@ from .compositions import (
     Composition, check_composition, hook_kind, is_maximal, sort_to_partition,
     split_even_odd,
 )
-from .counting import size_sigma_n
+from .counting import _check_size, size_sigma_formula
 from .errors import InvariantError
 from .inductive_product import iprod
 from .permutations import (
@@ -356,17 +356,16 @@ def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
     keeping the count and each odd step tripling it, as one-line lists of
     length n in which a value not yet inserted is a fixed point in the
     middle.  The inputs are class members by construction, so the step
-    skips the membership check; one count against `size_sigma_n` instead
-    catches a lift that leaves the class or is not injective, and raises
-    InvariantError.
+    skips the membership check; one count against the closed count
+    `size_sigma_formula((n,))` instead catches a lift that leaves the class
+    or is not injective, and raises InvariantError.
 
-    Unless `force` is set, a class over `ELEMENT_SOFT_LIMIT` elements
-    raises DegreeLimitError before any work.
+    Unless `force` is set, a class over the soft limit of `counting`
+    (`ELEMENT_SOFT_LIMIT`) raises DegreeLimitError before any work.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > 2:
-        from .cyclic_shift import _check_size
         _check_size((n,), force)
     return _cycle_class(n)
 
@@ -391,11 +390,10 @@ def _cycle_class(n: int) -> frozenset[Perm]:
     for k in range(4, n + 1):
         level = _lift_all(level, labels[k])
     result = frozenset(map(tuple, level))
-    if len(result) != size_sigma_n(n):
+    expected = size_sigma_formula((n,))
+    if len(result) != expected:
         raise InvariantError(
-            f"the lift built {len(result)} full {n}-cycles, expected "
-            f"{size_sigma_n(n)}"
-        )
+            f"the lift built {len(result)} full {n}-cycles, expected {expected}")
     return result
 
 
@@ -442,12 +440,12 @@ def sigma_class(alpha: Composition, force: bool = False):
     """The full class labelled by the maximal composition `alpha`, as an
     EquivClass.
 
-    Unless `force` is set, a class of more than `ELEMENT_SOFT_LIMIT`
-    elements raises DegreeLimitError.  The size is predicted before any
-    work, as the closed count of the even prefix times that of a hook
-    tail; a non-hook odd tail has no closed count yet, so its search stops
-    once the tail's class outgrows the limit divided by the even prefix's
-    count.
+    Unless `force` is set, a class over the soft limit of `counting`
+    (`ELEMENT_SOFT_LIMIT`) raises DegreeLimitError.  The size is predicted
+    before any work, as the closed count of the even prefix times that of
+    a hook tail; a non-hook odd tail has no closed count yet, so its search
+    stops once the tail's class outgrows the limit divided by the even
+    prefix's count.
 
     The odd tail is built first: when it is a hook with long part k >= 3,
     the hook embedding (`_embed`) of every full k-cycle class member onto
@@ -457,7 +455,7 @@ def sigma_class(alpha: Composition, force: bool = False):
     Each even part, right to left, then joins through the interleaving
     product with the class of full cycles of that size.
     """
-    from .cyclic_shift import _check_size, approx_class, make_equiv_class
+    from .cyclic_shift import approx_class, make_equiv_class
 
     budget = _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from heckezero.compositions import enumerate_maximal, hook_kind
-from heckezero.counting import dim_center, size_sigma_formula, size_sigma_n
+from heckezero.counting import dim_center, size_sigma_formula
 from heckezero.cyclic_shift import (
     approx_class, equiv_classes, label_max_classes, min_representatives,
 )
@@ -138,7 +138,8 @@ def test_criterion_06_insertion_bijection():
             assert set(images) == approx_class(stair_form((n,)))
         for (s, q), img in zip(domain, images):
             assert lower_cycle_class(img) == (s, q)
-        assert len(images) == size_sigma_n(n) == 2 * 3 ** ((n - 3) // 2)
+        assert (len(images) == size_sigma_formula((n,))
+                == 2 * 3 ** ((n - 3) // 2))
 
     # the published 2x3 table at n=5
     table = {

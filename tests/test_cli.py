@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezero import cli, cyclic_shift, stair_classes
+from heckezero import cli, counting, cyclic_shift, stair_classes
 from heckezero.cli import main
 from heckezero.errors import InvariantError
 
@@ -196,7 +196,7 @@ class TestCount:
         assert doc["enumerated"] == 664
 
     def test_force_lifts_the_size_gate(self, capsys, monkeypatch):
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 100)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 100)
         for command in ("sigma", "count"):
             code, out, err = run(capsys, command, "--alpha", "11")
             assert (code, out) == (1, "")
@@ -274,6 +274,16 @@ class TestVerify:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv", [
+        "sigma --alpha 5001", "count --alpha 99999999999", "classes --n 9",
+        "verify --n 9", "basis --n 9 --alpha 9", "sigma --alpha 3,3,3,3,3",
+    ])
+    def test_a_refusal_names_the_flag(self, capsys, argv):
+        # the library's message names its keyword, force=True
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert "--force" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dim.json"
         code, out, _ = run(capsys, "dim", "--n", "3", "--out", str(target))

@@ -3,26 +3,29 @@
 import pytest
 
 from heckezero.compositions import enumerate_maximal, hook_kind
-from heckezero.counting import dim_center, size_sigma_formula, size_sigma_n
+from heckezero.counting import dim_center, size_sigma_formula
 from heckezero.cyclic_shift import equiv_classes, label_max_classes
 from heckezero.stair_classes import cycle_class, odd_hook_embed, sigma_class
 
 
 class TestSizeSigmaN:
+    """The closed count on one-part labels (n,): 1 for n <= 2, else
+    2 * 3^((n-3)/2)."""
+
     def test_small_values(self):
-        assert size_sigma_n(1) == 1
-        assert size_sigma_n(2) == 1
-        assert size_sigma_n(5) == 6
-        assert size_sigma_n(6) == 6
-        assert size_sigma_n(9) == 54
+        assert size_sigma_formula((1,)) == 1
+        assert size_sigma_formula((2,)) == 1
+        assert size_sigma_formula((5,)) == 6
+        assert size_sigma_formula((6,)) == 6
+        assert size_sigma_formula((9,)) == 54
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            size_sigma_n(0)
+            size_sigma_formula((0,))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_generated_class(self, n):
-        assert size_sigma_n(n) == len(cycle_class(n))
+        assert size_sigma_formula((n,)) == len(cycle_class(n))
 
 
 class TestSizeSigmaOddHook:

@@ -17,8 +17,9 @@ SOURCES = sorted((ROOT / "src" / "heckezero").glob("*.py"))
 LIBRARY = [path for path in SOURCES if path.name != "__init__.py"]
 # outside the library, a public name is reached from a demo or an
 # acceptance test of a paper claim
-READERS = sorted((ROOT / "demos").glob("*.py")) + [
-    ROOT / "tests" / "test_acceptance.py"]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+READERS = DEMOS + [ROOT / "tests" / "test_acceptance.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _parse(path):
@@ -42,7 +43,8 @@ def _loads(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS + DEMOS,
+                         ids=lambda p: p.name)
 def test_every_import_is_used(path):
     # a name counts as used where code or a doctest example loads it, or
     # as a string in __all__; prose in docstrings and comments does not
@@ -62,6 +64,18 @@ def test_every_import_is_used(path):
              and getattr(node, "module", None) != "__future__"
              for alias in node.names]
     assert [name for name in names if name not in used] == []
+
+
+def test_the_one_import_in_a_function_body():
+    # the one import cycle: cyclic_shift reads stair_form at its top, so
+    # sigma_class reads cyclic_shift when it runs; every other import is
+    # at the top of its module
+    found = [(path.stem, func.name, getattr(node, "module", None))
+             for path in SOURCES for func in ast.walk(_parse(path)[1])
+             if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == [("stair_classes", "sigma_class", "cyclic_shift")]
 
 
 def _reads(tree, skip=None):

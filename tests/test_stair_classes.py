@@ -15,7 +15,7 @@ from heckezero.stair_classes import (
     member_sigma_alpha, odd_hook_embed, sigma_class, stair_form,
     stair_sequence, standardize_cycle,
 )
-from heckezero import cyclic_shift, stair_classes
+from heckezero import counting, stair_classes
 from heckezero.compositions import (
     enumerate_maximal, hook_kind, is_maximal, odd_partitions,
 )
@@ -461,7 +461,7 @@ class TestSizeGate:
         assert time.perf_counter() - start < 1
 
     def test_force_lifts_the_limit(self, monkeypatch):
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 100)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 100)
         assert sigma_class((9,)).size == 54
         with pytest.raises(DegreeLimitError):
             sigma_class((11,))
@@ -469,29 +469,29 @@ class TestSizeGate:
 
     def test_the_limit_is_inclusive_and_counts_the_hook_tail(self, monkeypatch):
         # (5, 1, 1) has 3 * 2 * 3 = 18 elements
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 18)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 18)
         assert sigma_class((5, 1, 1)).size == 18
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 17)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 17)
         with pytest.raises(DegreeLimitError):
             sigma_class((5, 1, 1))
 
     def test_a_non_hook_tail_is_gated_by_its_search(self, monkeypatch):
         # (5, 5) has 664 elements but no closed count, so its search stops
         # once the class outgrows the limit
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 664)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 664)
         assert sigma_class((5, 5)).size == 664
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 663)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 663)
         with pytest.raises(DegreeLimitError, match="force"):
             sigma_class((5, 5))
         assert sigma_class((5, 5), force=True).size == 664
         # (8, 3, 3) has 18 * 22 elements: the even part 8 alone has 18, and
         # the search for (3, 3) gets the limit divided by 18
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 396)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 396)
         assert sigma_class((8, 3, 3)).size == 396
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 395)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 395)
         with pytest.raises(DegreeLimitError):
             sigma_class((8, 3, 3))
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 17)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 17)
         with pytest.raises(DegreeLimitError):
             sigma_class((8, 3, 3))
 
@@ -506,7 +506,7 @@ class TestSizeGate:
         assert cycle_class.cache_info().currsize == cached
 
     def test_cycle_class_force_lifts_the_limit(self, monkeypatch):
-        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 18)
+        monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 18)
         assert len(cycle_class(8)) == 18
         with pytest.raises(DegreeLimitError):
             cycle_class(9)
@@ -516,7 +516,7 @@ class TestSizeGate:
 
     def test_the_benchmark_labels_pass_without_force(self):
         for alpha in [(19,), (2, 8, 4, 5, 1, 1, 1), (3, 3, 3)]:
-            cyclic_shift._check_size(alpha, force=False)
+            counting._check_size(alpha, force=False)
 
 
 # The size of every class whose label is an odd partition of n <= 12 and
