@@ -13,7 +13,7 @@ from heckezero import (
     cycle_string, cycle_type, even_orbits, is_maximal, length,
     member_sigma_alpha, stair_form,
 )
-from heckezero.stair_classes import stair_sequence
+from heckezero.permutations import stair_sequence
 
 n = 9
 print(f"interleaved sequence for n={n}: {stair_sequence(n)}")

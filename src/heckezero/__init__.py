@@ -2,17 +2,18 @@
 Cyclic-shift classes of maximal-length permutations and the center of the
 0-Hecke algebra of the symmetric group.
 
-The package has two halves that check each other:
+The package has two halves that check each other, both resting on a shared
+base (`errors`, `compositions`, and `permutations` with the stair forms):
 
-* a brute-force half (`cyclic_shift`) that computes the equivalence
-  classes of the length-non-increasing conjugation relation on all of S_n
-  as the connected components of its length-preserving steps, and
+* a brute-force half (`cyclic_shift`), importing nothing else, that finds
+  the classes of the length-non-increasing conjugation relation on S_n as
+  the connected components of its length-preserving steps, and
 * a constructive half (`stair_classes`, `inductive_product`, `counting`)
   whose single route, `sigma_class`, builds each maximal-stratum class from
-  its odd tail (a hook embedding of a grown full-cycle class, or else the
-  class search from the tail's stair form) and then joins the even parts
-  through the interleaving product, together with closed counting
-  formulas.
+  its odd tail (a hook embedding of a grown full-cycle class; only a
+  non-hook tail takes the brute half's search from its stair form) and
+  joins the even parts through the interleaving product, together with
+  closed counting formulas.
 
 On top of both, `hecke` realizes the center of the 0-Hecke algebra as
 indicator sums over Bruhat order ideals of the maximal classes and
@@ -44,11 +45,11 @@ _EXPORTS = {
     "inductive_product": ("iprod", "iprod_length_law"),
     "permutations": ("compose", "conj_w0", "cycle_string", "cycle_type",
                      "cycles", "even_orbits", "from_cycles", "identity",
-                     "inverse", "length", "longest_element"),
+                     "inverse", "length", "longest_element", "stair_form"),
     "stair_classes": ("cycle_class", "has_connected_intervals",
                       "hook_properties", "is_oscillating", "lift_cycle_class",
                       "lower_cycle_class", "member_sigma_alpha",
-                      "odd_hook_embed", "sigma_class", "stair_form"),
+                      "odd_hook_embed", "sigma_class"),
     "verify": (),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -5,8 +5,8 @@ Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  The stdlib json writes the
 document but for its row lists (class elements, basis terms), which are
-spliced in as pieces of one `%d` template each; the whole is written in
-blocks of about 64 KB and never built whole.  Exit codes: 0 success,
+spliced in as pieces of one `%d` template each; each piece is written as
+it comes, and the whole is never built.  Exit codes: 0 success,
 1 invalid input, a degree or class size beyond its soft limit without
 --force, or stdout closed by its reader before the document was written
 (quietly, as in `| head`), 2 verification failure or internal invariant
@@ -62,7 +62,6 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
 
 
 _ROWS_PER_PIECE = 256           # rows joined into one piece
-_BLOCK_CHARS = 1 << 16          # characters gathered before each write
 # the stdlib's stand-in for a row list; a str that can be encoded as UTF-8
 # holds no lone surrogate, so it cannot hold this one
 _HELD = "\udc00heckezero rows\udc00"
@@ -151,25 +150,14 @@ def _json_text(value) -> str:
 
 
 def _write(fh, doc) -> None:
-    """Write `doc` as JSON and a newline to `fh` in blocks: the pieces of
-    `_json_chunks` are joined and written once `_BLOCK_CHARS` characters
-    have gathered, so no write is longer than that plus one piece and the
-    document is never built whole."""
-    block = []
-    size = 0
+    """Write `doc` as JSON and a newline to `fh`, one piece at a time."""
     for piece in _json_chunks(doc):
-        block.append(piece)
-        size += len(piece)
-        if size >= _BLOCK_CHARS:
-            fh.write("".join(block))
-            block.clear()
-            size = 0
-    block.append("\n")
-    fh.write("".join(block))
+        fh.write(piece)
+    fh.write("\n")
 
 
 def _emit(doc, args, summary: str) -> None:
-    """Write `doc` as JSON, block by block, to `--out` or stdout."""
+    """Write `doc` as JSON, piece by piece, to `--out` or stdout."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
@@ -222,7 +210,7 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_stairform(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    sf = stair_classes.stair_form(alpha)
+    sf = permutations.stair_form(alpha)
     doc = {
         "alpha": list(alpha),
         "one_line": list(sf),

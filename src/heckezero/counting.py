@@ -76,11 +76,15 @@ def _check_size(alpha: Composition, force: bool) -> int | None:
     bits = ELEMENT_SOFT_LIMIT.bit_length()
     if p < bits and q < bits and c * 2 ** p * 3 ** q <= ELEMENT_SOFT_LIMIT:
         return ELEMENT_SOFT_LIMIT // (c * 2 ** p * 3 ** q)
-    raise DegreeLimitError(
+    raise _too_large(alpha)
+
+
+def _too_large(alpha: Composition) -> DegreeLimitError:
+    """The refusal of the class of `alpha`, by `_check_size` or `sigma_class`."""
+    return DegreeLimitError(
         f"the class of {alpha} holds more than {ELEMENT_SOFT_LIMIT} elements, "
         "the practical bound for constructing a class; pass force=True to "
-        "override"
-    )
+        "override")
 
 
 def dim_center(n: int) -> int:

@@ -33,9 +33,8 @@ from itertools import product
 from .compositions import Composition, enumerate_maximal
 from .errors import DegreeLimitError, InvariantError
 from .permutations import (
-    Perm, all_perms, compose, length, lengths, longest_element,
+    Perm, all_perms, compose, length, lengths, longest_element, stair_form,
 )
-from .stair_classes import stair_form
 
 __all__ = [
     "TWISTS", "EquivClass", "make_equiv_class",

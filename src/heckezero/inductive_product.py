@@ -10,8 +10,7 @@ a class whose label starts with an even part is the product of the class
 of that part with the class of the remaining label.  `sigma_class` builds
 every labelled class from that factorization.
 
->>> from .stair_classes import stair_form
->>> from .permutations import cycle_string
+>>> from .permutations import cycle_string, stair_form
 >>> cycle_string(iprod(stair_form((6,)), stair_form((3, 1))), include_trivial=False)
 '(1,10,2,9,3,8)(4,7,5)'
 """

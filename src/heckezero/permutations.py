@@ -7,6 +7,10 @@ permutations can be shared freely between threads.
 
 The degree-0 permutation is the empty tuple `()`.
 
+The *stair form* of a composition alpha, the representative of its class
+that both halves of the package share, cuts 1, n, 2, n-1, ... into blocks
+of sizes alpha_1, alpha_2, ... and reads each block as a cycle.
+
 >>> compose((2, 1, 3), (1, 3, 2))
 (2, 3, 1)
 >>> cycles((6, 5, 4, 3, 1, 2))
@@ -22,12 +26,14 @@ from array import array
 from itertools import chain, permutations as _lex_permutations
 from typing import Iterable, Iterator
 
+from .compositions import Composition, check_composition
+
 __all__ = [
     "Perm", "Cycle", "OrbitPartition",
     "identity", "all_perms", "compose", "inverse", "length", "lengths",
     "longest_element", "conj_w0",
     "cycles", "from_cycles", "cycle_type", "orbits", "even_orbits",
-    "cycle_string",
+    "cycle_string", "stair_sequence", "stair_form",
 ]
 
 Perm = tuple[int, ...]
@@ -259,3 +265,33 @@ def cycle_string(p: Perm, include_trivial: bool = True) -> str:
     if not cycs:
         return "()"
     return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
+
+
+def stair_sequence(n: int) -> tuple[int, ...]:
+    """The interleaved sequence x with x_{2i-1} = i and x_{2i} = n-i+1.
+
+    >>> stair_sequence(6)
+    (1, 6, 2, 5, 3, 4)
+    >>> stair_sequence(5)
+    (1, 5, 2, 4, 3)
+    """
+    return tuple((r + 1) // 2 if r % 2 else n - r // 2 + 1 for r in range(1, n + 1))
+
+
+def stair_form(alpha: Composition) -> Perm:
+    """The stair-form permutation of the composition `alpha`.
+
+    >>> cycle_string(stair_form((4, 2)))
+    '(1,6,2,5)(3,4)'
+    >>> stair_form((1, 1, 1))
+    (1, 2, 3)
+    """
+    check_composition(alpha)
+    n = sum(alpha)
+    seq = stair_sequence(n)
+    cycs = []
+    start = 0
+    for part in alpha:
+        cycs.append(seq[start:start + part])
+        start += part
+    return from_cycles(n, cycs)

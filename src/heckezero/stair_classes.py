@@ -1,28 +1,22 @@
 """
 Constructive descriptions of the maximal cyclic-shift classes.
 
-The canonical representative of the class labelled by a composition alpha
-is its *stair form*: split the interleaved sequence 1, n, 2, n-1, ... into
-consecutive blocks of sizes alpha_1, alpha_2, ... and read each block as a
-cycle.
+Membership in the class labelled by a composition alpha is decided by
+three invariants (cycle type, length, even-size orbits) of its *stair
+form*, the representative defined in `permutations`.  For a one-part label
+the class is exactly the set of full cycles that are *oscillating* with
+*connected intervals*, and it grows degree by degree through an insertion
+bijection.  One step, `_lift_all`, inserts the middle value into a whole
+level of one-line lists written in the labels of the final degree, by
+setting two entries of each; `cycle_class` is one loop of it from degree
+3, `lift_cycle_class` one step of it, and `lower_cycle_class` the inverse.
+Membership is tested by the two predicates on the one cycle, never by
+building the class.  `sigma_class` is the one constructive route to every
+labelled class: the even parts split off through the interleaving
+product, an odd tail shaped like a hook comes from the hook embedding, and
+any other odd tail is the cyclic-shift class of its stair form.  A class
+over the element soft limit is refused unless forced.
 
-Membership in a labelled class is decided by three invariants (cycle type,
-length, even-size orbits).  For a one-part label the class is exactly the
-set of full cycles that are *oscillating* with *connected intervals*, and
-it grows degree by degree through an insertion bijection.  One step,
-`_lift_all`, inserts the middle value into a whole level of one-line lists
-written in the labels of the final degree, by setting two entries of each;
-`cycle_class` is one loop of it from degree 3, `lift_cycle_class` one step
-of it, and `lower_cycle_class` the inverse.  Membership is tested by the
-two predicates on the one cycle, never by building the class.
-`sigma_class` is the one constructive route to every labelled class: the
-even parts split off through the interleaving product, an odd tail shaped
-like a hook comes from the hook embedding, and any other odd tail is the
-cyclic-shift class of its stair form.  A class predicted to exceed the
-element soft limit is refused before any work unless forced.
-
->>> cycle_string(stair_form((4, 2)))
-'(1,6,2,5)(3,4)'
 >>> sorted(cycle_class(4)) == sorted([from_cycles(4, [(1, 4, 2, 3)]),
 ...                                   from_cycles(4, [(1, 3, 2, 4)])])
 True
@@ -33,54 +27,23 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .compositions import (
-    Composition, check_composition, hook_kind, is_maximal, sort_to_partition,
-    split_even_odd,
+    Composition, hook_kind, is_maximal, sort_to_partition, split_even_odd,
 )
-from .counting import _check_size, size_sigma_formula
-from .errors import InvariantError
+from .counting import _check_size, _too_large, size_sigma_formula
+from .cyclic_shift import approx_class, make_equiv_class
+from .errors import DegreeLimitError, InvariantError
 from .inductive_product import iprod
 from .permutations import (
     Cycle, Perm, cycle_string, cycle_type, cycles, from_cycles, inverse,
-    length,
+    length, stair_form,
 )
 
 __all__ = [
-    "stair_sequence", "stair_form", "member_sigma_alpha",
-    "standardize_cycle", "is_oscillating_cycle", "has_connected_intervals_cycle",
-    "is_oscillating", "has_connected_intervals", "hook_properties",
-    "lift_cycle_class", "lower_cycle_class", "cycle_class", "odd_hook_embed",
-    "sigma_class",
+    "member_sigma_alpha", "standardize_cycle", "is_oscillating_cycle",
+    "has_connected_intervals_cycle", "is_oscillating", "has_connected_intervals",
+    "hook_properties", "lift_cycle_class", "lower_cycle_class", "cycle_class",
+    "odd_hook_embed", "sigma_class",
 ]
-
-
-def stair_sequence(n: int) -> tuple[int, ...]:
-    """The interleaved sequence x with x_{2i-1} = i and x_{2i} = n-i+1.
-
-    >>> stair_sequence(6)
-    (1, 6, 2, 5, 3, 4)
-    >>> stair_sequence(5)
-    (1, 5, 2, 4, 3)
-    """
-    return tuple((r + 1) // 2 if r % 2 else n - r // 2 + 1 for r in range(1, n + 1))
-
-
-def stair_form(alpha: Composition) -> Perm:
-    """The stair-form permutation of the composition `alpha`.
-
-    >>> cycle_string(stair_form((4, 2)))
-    '(1,6,2,5)(3,4)'
-    >>> stair_form((1, 1, 1))
-    (1, 2, 3)
-    """
-    check_composition(alpha)
-    n = sum(alpha)
-    seq = stair_sequence(n)
-    cycs = []
-    start = 0
-    for part in alpha:
-        cycs.append(seq[start:start + part])
-        start += part
-    return from_cycles(n, cycs)
 
 
 def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
@@ -455,8 +418,6 @@ def sigma_class(alpha: Composition, force: bool = False):
     Each even part, right to left, then joins through the interleaving
     product with the class of full cycles of that size.
     """
-    from .cyclic_shift import approx_class, make_equiv_class
-
     budget = _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)
     if hook_kind(odds) == "odd_hook" and odds[0] >= 3:
@@ -471,7 +432,10 @@ def sigma_class(alpha: Composition, force: bool = False):
                 for tau in _cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
             }
     else:
-        current = approx_class(stair_form(odds), budget=budget)
+        try:
+            current = approx_class(stair_form(odds), budget=budget)
+        except DegreeLimitError:
+            raise _too_large(alpha) from None
     for part in reversed(evens):
         current = {iprod(a, b) for a in _cycle_class(part) for b in current}
     return make_equiv_class(current, alpha=alpha)

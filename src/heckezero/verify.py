@@ -16,10 +16,9 @@ from .compositions import enumerate_maximal, hook_kind
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import label_max_classes
 from .inductive_product import iprod, iprod_length_law
-from .permutations import Cycle, Perm, all_perms, conj_w0, lengths
+from .permutations import Cycle, Perm, all_perms, conj_w0, lengths, stair_form
 from .stair_classes import (
-    _hook_properties, _invariants, cycle_class, member_sigma_alpha,
-    sigma_class, stair_form,
+    _hook_properties, _invariants, cycle_class, member_sigma_alpha, sigma_class,
 )
 
 __all__ = ["SUITES", "suite_classes", "suite_hooks", "suite_iprod",

@@ -292,11 +292,11 @@ class TestPlumbing:
         assert json.loads(target.read_text()) == 3
 
     def test_out_file_bytes_equal_stdout(self, capsys, tmp_path):
-        # 1,458 rows: several pieces and several blocks
+        # 1,458 rows: several pieces
         target = tmp_path / "sigma.json"
         code, out, _ = run(capsys, "sigma", "--alpha", "15")
         assert code == 0
-        assert len(out) > 2 * cli._BLOCK_CHARS
+        assert json.loads(out)["size"] > 2 * cli._ROWS_PER_PIECE
         code, quiet, _ = run(capsys, "sigma", "--alpha", "15",
                              "--out", str(target))
         assert code == 0 and quiet == ""
@@ -326,7 +326,7 @@ class TestPlumbing:
         assert err == b""
 
     def test_unbuffered_stdout_matches_the_recorded_digest(self):
-        # with PYTHONUNBUFFERED every write of the blocks reaches the pipe
+        # with PYTHONUNBUFFERED every write of a piece reaches the pipe
         text = "sigma --alpha 19"
         proc = subprocess.run(
             [sys.executable, "-m", "heckezero.cli", *text.split()],
@@ -346,7 +346,7 @@ class TestPlumbing:
     # commands and two more with large or twisted catalogues; the next two,
     # the id-twisted minimal and nu-twisted maximal strata, from commit
     # 0e45d3c, before the strata came from one pass over S_n; the last two,
-    # the whole catalogue of S_6 (184 row lists, past the block bound) and
+    # the whole catalogue of S_6 (184 row lists) and
     # the terms of S_0 (a word of length 0), from commit e8ed2b2, before the
     # stdlib wrote the documents
     GOLDEN = [
@@ -488,6 +488,9 @@ class TestArgvFuzz:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "force" in err and "Traceback" not in err
+        # the refusal names the label, not its stair form
+        label = tuple(map(int, argv[1].split("=")[1].split(",")))
+        assert f"the class of {label} " in err
 
     @pytest.mark.parametrize("argv", [
         ["basis", "--n=3", "--alpha=--"], ["stairform", "--alpha=--"],
@@ -608,33 +611,29 @@ class TestJsonText:
             objects, sort_keys=True, indent=2)
 
     @staticmethod
-    def emitted_blocks(monkeypatch, doc):
+    def emitted_pieces(monkeypatch, doc):
         """The writes `_emit` makes to stdout for `doc`, checked against
-        the whole text and the block bound."""
+        the pieces of `_json_chunks` and the whole text."""
         writes = []
         monkeypatch.setattr(cli.sys, "stdout",
                             types.SimpleNamespace(write=writes.append))
         cli._emit(doc, None, "summary")
-        text = cli._json_text(doc) + "\n"
-        bound = cli._BLOCK_CHARS
-        assert "".join(writes) == text
-        assert max(map(len, writes)) <= bound + max(
-            map(len, cli._json_chunks(doc)))
-        assert min(map(len, writes[:-1])) >= bound
+        assert writes == [*cli._json_chunks(doc), "\n"]
+        assert "".join(writes) == cli._json_text(doc) + "\n"
         # more than one write: the document was never built whole
-        assert 1 < len(writes) <= len(text) // bound + 2
+        assert len(writes) > 1
         return writes
 
     def test_emit_writes_terms_in_bounded_blocks(self, monkeypatch):
         terms = {(k,): k % 7 - 3 for k in range(10_000)}
-        self.emitted_blocks(monkeypatch, {"terms": cli._Terms(terms)})
+        self.emitted_pieces(monkeypatch, {"terms": cli._Terms(terms)})
         pieces = list(cli._json_chunks(cli._Terms(terms)))
         # 39 pieces of 256 terms, a last one of 16, and the closing bracket
         assert [p.count("}") for p in pieces] == [256] * 39 + [16, 0]
 
     def test_emit_writes_rows_in_bounded_blocks(self, monkeypatch):
         rows = [(k, -k, 2**40) for k in range(12 * 256 + 100)]
-        self.emitted_blocks(monkeypatch, {"rows": cli._Rows(rows)})
+        self.emitted_pieces(monkeypatch, {"rows": cli._Rows(rows)})
         pieces = list(cli._json_chunks(cli._Rows(rows)))
         assert [p.count("]") for p in pieces] == [256] * 12 + [100, 1]
         assert "".join(pieces) == json.dumps([list(w) for w in rows], indent=2)

@@ -7,13 +7,13 @@ import pytest
 from heckezero.cyclic_shift import approx_class, label_max_classes
 from heckezero.permutations import (
     all_perms, conj_w0, cycle_type, from_cycles, identity, inverse, length,
+    stair_form, stair_sequence,
 )
 from heckezero.stair_classes import (
     cycle_class, has_connected_intervals,
     has_connected_intervals_cycle, hook_properties, is_oscillating,
     is_oscillating_cycle, lift_cycle_class, lower_cycle_class,
-    member_sigma_alpha, odd_hook_embed, sigma_class, stair_form,
-    stair_sequence, standardize_cycle,
+    member_sigma_alpha, odd_hook_embed, sigma_class, standardize_cycle,
 )
 from heckezero import counting, stair_classes
 from heckezero.compositions import (
