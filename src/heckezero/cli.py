@@ -145,10 +145,6 @@ def _json_chunks(doc) -> Iterator[str]:
         yield parts[-1]
 
 
-def _json_text(value) -> str:
-    return "".join(_json_chunks(value))
-
-
 def _write(fh, doc) -> None:
     """Write `doc` as JSON and a newline to `fh`, one piece at a time."""
     for piece in _json_chunks(doc):
@@ -232,10 +228,7 @@ def _cmd_count(args) -> int:
     # the class is gated by its predicted size before the formula is
     # evaluated, which for a huge label is a huge power
     enumerated = stair_classes.sigma_class(alpha, force=args.force).size
-    _, odds, _ = compositions.split_even_odd(alpha)
-    formula = None
-    if not odds or compositions.hook_kind(odds) != "not_hook":
-        formula = counting.size_sigma_formula(alpha)
+    formula = counting.size_sigma_formula(alpha)
     doc = {"alpha": list(alpha), "formula": formula, "enumerated": enumerated}
     _emit(doc, args,
           f"size of the class of {alpha}: formula={formula} "

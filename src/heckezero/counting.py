@@ -7,7 +7,7 @@ All arithmetic is exact (Python integers); no floats anywhere.
 
 from __future__ import annotations
 
-from .compositions import Composition, hook_kind, is_maximal, split_even_odd
+from .compositions import Composition, hook_kind, split_even_odd
 from .errors import DegreeLimitError
 
 __all__ = ["size_sigma_formula", "dim_center", "ELEMENT_SOFT_LIMIT"]
@@ -18,9 +18,10 @@ __all__ = ["size_sigma_formula", "dim_center", "ELEMENT_SOFT_LIMIT"]
 ELEMENT_SOFT_LIMIT = 200_000
 
 
-def size_sigma_formula(alpha: Composition) -> int:
+def size_sigma_formula(alpha: Composition) -> int | None:
     """Cardinality of the class of a maximal composition whose odd parts
-    form a hook.
+    form a hook, or None when they do not: such a class has no closed
+    count yet.
 
     Writing P for the set of even parts >= 4, p = |P| and
     q = -2p + (sum of P)/2, the even prefix contributes 2^p * 3^q; an odd
@@ -34,27 +35,27 @@ def size_sigma_formula(alpha: Composition) -> int:
     864
     >>> [size_sigma_formula((n,)) for n in range(1, 7)]
     [1, 1, 2, 2, 6, 6]
+    >>> size_sigma_formula((3, 3)) is None
+    True
     """
-    if not is_maximal(alpha):
-        raise ValueError(f"not a maximal composition: {alpha}")
+    c, p, q, counted = _size_factors(alpha)
+    return c * 2 ** p * 3 ** q if counted else None
+
+
+def _size_factors(alpha: Composition) -> tuple[int, int, int, bool]:
+    """The factors (c, p, q) of the size c * 2^p * 3^q of the class of the
+    maximal composition `alpha`, and whether they count its odd tail: they
+    do when the tail is a hook or empty, else they are the even prefix's
+    alone.  None of them is a power, so a caller can bound the size first."""
     evens, odds, _ = split_even_odd(alpha)
-    if odds and hook_kind(odds) == "not_hook":
-        raise ValueError(f"odd parts of {alpha} do not form a hook: {odds}")
-    c, p, q = _size_factors(evens, odds)
-    return c * 2 ** p * 3 ** q
-
-
-def _size_factors(evens: Composition, odds: Composition) -> tuple[int, int, int]:
-    """The factors (c, p, q) of the size c * 2^p * 3^q of the class with
-    even prefix `evens` and odd tail `odds`, which must be a hook or empty;
-    none of them is a power, so a caller can bound the size first."""
     big = [a for a in evens if a >= 4]
     p = len(big)
     q = -2 * p + sum(big) // 2
-    if not odds or odds[0] == 1:
-        return 1, p, q
+    counted = not odds or hook_kind(odds) == "odd_hook"
+    if not counted or not odds or odds[0] == 1:
+        return 1, p, q, counted
     r = odds[0]
-    return sum(odds) - r + 1, p + 1, q + (r - 3) // 2
+    return sum(odds) - r + 1, p + 1, q + (r - 3) // 2, True
 
 
 def _check_size(alpha: Composition, force: bool) -> int | None:
@@ -71,8 +72,7 @@ def _check_size(alpha: Composition, force: bool) -> int | None:
     """
     if force:
         return None
-    evens, odds, _ = split_even_odd(alpha)
-    c, p, q = _size_factors(evens, odds if hook_kind(odds) == "odd_hook" else ())
+    c, p, q, _ = _size_factors(alpha)
     bits = ELEMENT_SOFT_LIMIT.bit_length()
     if p < bits and q < bits and c * 2 ** p * 3 ** q <= ELEMENT_SOFT_LIMIT:
         return ELEMENT_SOFT_LIMIT // (c * 2 ** p * 3 ** q)

@@ -66,28 +66,46 @@ class TestSizeSigmaFormula:
     def test_all_ones(self):
         assert size_sigma_formula((1, 1, 1, 1)) == 1
 
-    def test_rejects_non_hook_odds(self):
+    def test_non_hook_odds_have_no_closed_count(self):
+        assert size_sigma_formula((3, 3)) is None
+        assert size_sigma_formula((5, 3, 1)) is None
+        assert size_sigma_formula((2, 3, 3)) is None
         with pytest.raises(ValueError):
-            size_sigma_formula((3, 3))
+            size_sigma_formula((3, 2))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_constructive_assembly(self, n):
+        skipped = []
         for alpha in enumerate_maximal(n):
-            try:
-                value = size_sigma_formula(alpha)
-            except ValueError:
+            value = size_sigma_formula(alpha)
+            if value is None:
+                skipped.append(alpha)
                 continue
             assert value == sigma_class(alpha).size, alpha
+        assert skipped == _non_hook_odds(n)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_brute_force(self, n):
         labelled = label_max_classes(n)
+        skipped = []
         for alpha in enumerate_maximal(n):
-            try:
-                value = size_sigma_formula(alpha)
-            except ValueError:
+            value = size_sigma_formula(alpha)
+            if value is None:
+                skipped.append(alpha)
                 continue
             assert value == labelled[alpha].size, alpha
+        assert skipped == _non_hook_odds(n)
+
+
+def _non_hook_odds(n):
+    """The maximal compositions of n whose odd parts are not a hook: a part
+    after the first odd one is not 1."""
+    out = []
+    for alpha in enumerate_maximal(n):
+        odds = [a for a in alpha if a % 2 == 1]
+        if any(a != 1 for a in odds[1:]):
+            out.append(alpha)
+    return out
 
 
 class TestDimCenter:

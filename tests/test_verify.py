@@ -47,6 +47,44 @@ def test_hook_filter_accepting_all_fails_the_suite(monkeypatch):
     assert not all(c["ok"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_classes_suite_checks_the_closed_count_on_every_hook_tail(n):
+    report = verify.suite_classes(n)
+    assert report["ok"] is True
+    counted = []
+    for c in report["checks"]:
+        odds = [a for a in c["alpha"] if a % 2 == 1]
+        if any(a != 1 for a in odds[1:]):
+            assert c["formula"] is None, c
+        else:
+            assert type(c["formula"]) is int and c["formula"] == c["size"], c
+            counted.append(tuple(c["alpha"]))
+    if n == 7:
+        assert {(2, 2, 3), (2, 2, 2, 1), (7,), (5, 1, 1)} <= set(counted)
+        assert len(counted) == 15 and len(report["checks"]) == 16
+
+
+def test_a_wrong_closed_count_fails_its_label(monkeypatch):
+    wrong = (2, 2, 3)
+    formula = verify.size_sigma_formula
+
+    def off_by_one(alpha):
+        value = formula(alpha)
+        return value + 1 if alpha == wrong else value
+
+    monkeypatch.setattr(verify, "size_sigma_formula", off_by_one)
+    report = verify.suite_classes(7)
+    assert report["ok"] is False
+    for c in report["checks"]:
+        assert c["ok"] is (tuple(c["alpha"]) != wrong), c
+
+
+def test_iprod_suite_leaves_the_closed_count_to_the_classes_suite():
+    report = verify.suite_iprod(6)
+    assert report["ok"] is True and report["checks"]
+    assert not any("formula" in c for c in report["checks"])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hook_type_lists_each_permutation_of_the_type_once(n):
     for k in range(1, n + 1):
