@@ -41,7 +41,8 @@ for alpha, cls in label_max_classes(4).items():
         for v in cls.sorted_elements())
     print(f"  {alpha}: size {cls.size:2d}  {{{members}}}")
 
-# The same machinery runs with the twisted relation w -> s_i w s_{n-i}
-# ("nu"), whose minimal stratum is labelled by the same compositions.
+# The twisted relation w -> s_i w s_{n-i} ("nu") is the plain one moved
+# by w0: its minimal stratum is the maximal one times w0, labelled by the
+# same compositions.
 print("\nnu-twisted minimal classes of S_3:",
       len(equiv_classes(3, "nu", "min")))

@@ -7,6 +7,8 @@ element, selected by the strings "id" and "nu"), a single step sends w to
 reflexive-transitive closure of these steps is a preorder; mutual
 reachability is an equivalence whose classes partition the strata of
 minimal- and maximal-length elements of each twisted conjugacy class.
+The "nu" classes are the "id" ones times w0, min and max exchanged, as
+s_i (w*w0) s_{n-i} = (s_i w s_i)*w0 and l(w*w0) = C(n, 2) - l(w).
 
 Steps never increase length, so a round trip keeps the length constant,
 and the same step undoes a length-preserving step.  The classes are
@@ -16,11 +18,11 @@ the length change of each step from two comparisons, computes no length,
 and builds a neighbour only for the steps it keeps.
 
 The full partition ("all") runs that search from every permutation of S_n
-not yet covered.  A stratum ("min" or "max") is found first, by one
-streaming pass that reaches S_n from S_{n-1} and keeps, per twisted
-conjugacy class, the extreme length and the permutations reaching it; the
-members of a class share their length and their twisted conjugacy class,
-so the search then runs only inside the stratum.  Enumerations walk in
+not yet covered.  An "id" stratum ("min" or "max") is found first, by one
+streaming pass that reaches S_n from S_{n-1} and keeps, per conjugacy
+class, the extreme length and the permutations reaching it; the members
+of a class share their length and their conjugacy class, so the search
+then runs only inside the stratum.  Enumerations walk in
 lexicographic one-line order, so everything here is deterministic; the
 practical degree bound n <= 8 is a soft limit lifted by `force=True`.
 """
@@ -212,24 +214,22 @@ def _check_degree(n: int, force: bool) -> None:
         )
 
 
-def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
+def _extreme_lengths(n: int, longest: bool) -> dict[Perm, int]:
     """The permutations of S_n of least (with `longest`, greatest) length in
-    their twisted conjugacy class, each mapped to its length.
+    their conjugacy class, each mapped to its length.
 
     Each w in S_n is one child of one w' in S_{n-1}: w' with n fixed, or
     w(j) = n and w(n) = w'(j), n after j on its cycle.  The pass walks the
     cycles of each w' once; the fixed child adds a part 1 to its type, child
     j raises the part of j's cycle.  `product` lists the Lehmer codes of
     `all_perms` in order, so l(w') is a code sum; the fixed child keeps it,
-    child j adds 1 + 2(n - 1 - j - code[j - 1]).  For `nu` the pass runs
-    over v = w*w0, w read backwards: twisted conjugacy of w is conjugacy of
-    v, and l(w) = C(n, 2) - l(v).
+    child j adds 1 + 2(n - 1 - j - code[j - 1]).
     """
     if n <= 1:
         return {tuple(range(1, n + 1)): 0}
     m = n - 1
     # a score is a length, negated when the least is kept: the top one wins
-    sign = 1 if longest == (twist == "id") else -1
+    sign = 1 if longest else -1
     twice = 2 * sign
     # a type counts its parts of size k in digit k; no count carries over
     digit = [0] + [1 << n.bit_length() * k for k in range(n)]
@@ -269,10 +269,7 @@ def _extreme_lengths(n: int, twist: str, longest: bool) -> dict[Perm, int]:
                     kept[ctype] = best = [score, []]
                     bar = score
                 best[1].append(p[:j - 1] + (n,) + p[j:] + (p[j - 1],))
-    if twist == "id":
-        return {v: sign * s for s, vs in kept.values() for v in vs}
-    return {v[::-1]: n * m // 2 - sign * s
-            for s, vs in kept.values() for v in vs}
+    return {v: sign * s for s, vs in kept.values() for v in vs}
 
 
 def equiv_classes(
@@ -287,9 +284,9 @@ def equiv_classes(
     Classes are sorted by their lexicographically smallest member.
     """
     _check_twist(twist)
-    _check_degree(n, force)
     if stratum not in ("all", "min", "max"):
         raise ValueError(f"unknown stratum {stratum!r}")
+    _check_degree(n, force)
     return list(_stratum(n, twist, stratum))
 
 
@@ -297,14 +294,18 @@ def equiv_classes(
 def _stratum(n: int, twist: str, stratum: str) -> tuple[EquivClass, ...]:
     """The classes of `equiv_classes`, kept as a tuple of frozen classes.
 
-    The candidates are S_n for "all" and the stratum otherwise; each one
-    not yet covered, in lexicographic order, starts the search for its
-    class, so each class starts from its least member.  The search only
-    takes length-preserving steps, so that member gives the length of its
-    whole class.
+    A "nu" stratum is the cached "id" stratum of the other extreme, each
+    member read backwards.  Else each candidate not yet covered (S_n for
+    "all", the stratum otherwise), in lexicographic order, starts the search
+    for its class, so each class starts from its least member, whose length
+    is the class's: the search takes only length-preserving steps.
     """
-    extreme = (None if stratum == "all"
-               else _extreme_lengths(n, twist, stratum == "max"))
+    if twist == "nu" and stratum != "all":
+        moved = (EquivClass(frozenset(w[::-1] for w in cls.elements),
+                            n * (n - 1) // 2 - cls.common_length)
+                 for cls in _stratum(n, "id", "max" if stratum == "min" else "min"))
+        return tuple(sorted(moved, key=lambda cls: cls.min_element))
+    extreme = None if stratum == "all" else _extreme_lengths(n, stratum == "max")
     covered: set[Perm] = set()
     classes = []
     for w in all_perms(n) if extreme is None else sorted(extreme):
@@ -363,9 +364,8 @@ def min_representatives(n: int, force: bool = False) -> dict[Composition, Perm]:
     """Representatives `stair_form(alpha) * w0` of the nu-twisted minimal
     stratum, one per maximal composition of n.
 
-    Verifies that the representatives lie in pairwise distinct classes of
-    the nu-minimal stratum and that every such class is hit; any failure
-    raises InvariantError.
+    It is the maximal "id" stratum times w0, cached by `label_max_classes`;
+    each of its classes must hold one representative, else InvariantError.
     """
     classes = equiv_classes(n, "nu", "min", force)
     w0 = longest_element(n)

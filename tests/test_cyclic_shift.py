@@ -250,6 +250,12 @@ class TestEquivClasses:
             equiv_classes(-1)
         assert not isinstance(exc.value, DegreeLimitError)
 
+    def test_unknown_stratum_is_invalid_input_beyond_the_gate(self):
+        # invalid input is reported as such, not as a resource limit
+        with pytest.raises(ValueError, match="unknown stratum") as exc:
+            equiv_classes(9, "id", "bogus")
+        assert not isinstance(exc.value, DegreeLimitError)
+
     def test_approx_class_matches_scc(self):
         for n in range(1, 6):
             for cls in equiv_classes(n):
@@ -277,16 +283,59 @@ class TestStrataPass:
         assert all(approx_class(w, twist) == cls.elements
                    for w, cls in zip(least, classes))
 
-    @pytest.mark.parametrize("n, sizes", [(8, (371, 610)), (9, (1287, 1597))])
-    @pytest.mark.parametrize("twist", ["id", "nu"])
+    @pytest.mark.parametrize("n, sizes", [(8, (371, 610)), (9, (1287, 1597))],
+                             ids=["id-8-sizes0", "id-9-sizes1"])
     @pytest.mark.parametrize("longest", [True, False])
-    def test_kept_lengths_beyond_the_oracle(self, n, sizes, twist, longest):
+    def test_kept_lengths_beyond_the_oracle(self, n, sizes, longest):
         # the oracle is too slow here, so the batch kernel recounts every
         # kept length; the id-max stratum is the union of the labelled
         # classes, 371 elements at n = 8 and 1,287 at n = 9
-        kept = cyclic_shift._extreme_lengths(n, twist, longest)
-        assert len(kept) == sizes[longest != (twist == "id")]
+        kept = cyclic_shift._extreme_lengths(n, longest)
+        assert len(kept) == sizes[not longest]
         assert lengths(kept) == list(kept.values())
+
+    @pytest.mark.parametrize("n, sizes", [(8, (371, 610)), (9, (1287, 1597))])
+    @pytest.mark.parametrize("stratum", ["min", "max"])
+    def test_moved_nu_strata_beyond_the_oracle(self, n, sizes, stratum):
+        # a nu stratum is the id stratum of the other extreme moved by w0,
+        # so nu-min holds as many elements as id-max; the twisted search
+        # and the batch kernel recheck every moved class and length
+        classes = equiv_classes(n, "nu", stratum, force=True)
+        assert sum(cls.size for cls in classes) == sizes[stratum == "max"]
+        for cls in classes:
+            assert approx_class(cls.min_element, "nu") == cls.elements
+            assert lengths(cls.elements) == [cls.common_length] * cls.size
+
+    def test_one_pass_per_degree_across_both_twists(self, monkeypatch):
+        # the nu strata are read off the cached id strata: after the
+        # labelling, the twisted-minimal stratum makes no pass and no walk
+        passes, walks = [], []
+        stratum_pass = cyclic_shift._extreme_lengths
+
+        def counting_pass(n, longest):
+            passes.append((n, longest))
+            return stratum_pass(n, longest)
+
+        def counting_all_perms(n):
+            walks.append(n)
+            return all_perms(n)
+
+        cyclic_shift._stratum.cache_clear()
+        monkeypatch.setattr(cyclic_shift, "_extreme_lengths", counting_pass)
+        monkeypatch.setattr(cyclic_shift, "all_perms", counting_all_perms)
+        try:
+            label_max_classes(7)
+            assert passes == [(7, True)] and walks == [6]
+            assert equiv_classes(7, "nu", "min")
+            assert len(min_representatives(7)) == len(enumerate_maximal(7))
+            assert passes == [(7, True)] and walks == [6]
+            # a nu stratum first makes the id pass it is moved from, which
+            # the id stratum then reuses
+            assert equiv_classes(6, "nu", "max")
+            assert equiv_classes(6, "id", "min")
+            assert passes == [(7, True), (6, False)] and walks == [6, 5]
+        finally:
+            cyclic_shift._stratum.cache_clear()
 
     def test_strata_never_partition_sn(self, monkeypatch):
         def no_partition(n):
@@ -408,8 +457,9 @@ class TestNuInvariance:
 class TestTwistedConjugacyKey:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_nu_classes_match_twisted_conjugation_orbits(self, n):
-        # orbits of w -> s_i w s_{n-i} (any length) vs the stratum pass's
-        # key: the cycle type of w*w0, which is w read backwards
+        # the conjugacy half of the w0 relation: the orbits of
+        # w -> s_i w s_{n-i} (any length) are the conjugacy classes moved
+        # by w0, keyed by the cycle type of w*w0, which is w read backwards
         w0 = longest_element(n)
         seen = set()
         orbits_list = []

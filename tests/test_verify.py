@@ -99,7 +99,7 @@ def test_hook_type_lists_each_permutation_of_the_type_once(n):
 
 def test_all_suites_walk_the_degree_once(monkeypatch):
     # the stratum pass reaches S_n from one walk of S_{n-1}, made once per
-    # (n, twist, stratum); the length law walks each lower degree once
+    # (n, longest); the length law walks each lower degree once
     pass_walks, law_walks, passes = [], [], []
     stratum_pass = cyclic_shift._extreme_lengths
 
@@ -109,10 +109,10 @@ def test_all_suites_walk_the_degree_once(monkeypatch):
             return permutations.all_perms(n)
         return counting_all_perms
 
-    def counting_pass(n, twist, longest):
+    def counting_pass(n, longest):
         before = len(pass_walks)
-        kept = stratum_pass(n, twist, longest)
-        passes.append(((n, twist, longest), pass_walks[before:]))
+        kept = stratum_pass(n, longest)
+        passes.append(((n, longest), pass_walks[before:]))
         return kept
 
     cyclic_shift._stratum.cache_clear()
@@ -124,9 +124,9 @@ def test_all_suites_walk_the_degree_once(monkeypatch):
     finally:
         cyclic_shift._stratum.cache_clear()
     keys = [key for key, _ in passes]
-    assert [key for key in keys if key[0] == 6] == [(6, "id", True)]
+    assert [key for key in keys if key[0] == 6] == [(6, True)]
     assert len(keys) == len(set(keys))
-    for (n, _, _), walks in passes:
+    for (n, _), walks in passes:
         assert walks == ([n - 1] if n > 1 else [])
     # no walk of cyclic_shift outside a pass, and no degree walked twice:
     # a second pass at any degree, under any twist or stratum, fails here
