@@ -5,8 +5,10 @@ Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  The stdlib json writes the
 document but for its row lists (class elements, basis terms), which are
-spliced in as pieces of one `%d` template each; each piece is written as
-it comes, and the whole is never built.  Exit codes: 0 success,
+spliced in as pieces of one bytes `%d` template each; each piece is
+written as it comes, and the whole is never built.  `basis` reads every
+ideal off one rank walk (`hecke.ideal_sums`) and streams each label's
+terms from it, so no term is held.  Exit codes: 0 success,
 1 invalid input, a degree or class size beyond its soft limit without
 --force, or stdout closed by its reader before the document was written
 (quietly, as in `| head`), 2 verification failure or internal invariant
@@ -20,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 from . import (
@@ -79,41 +81,48 @@ class _Rows:
 
 
 class _Terms(_Rows):
-    """The terms dict {w: c} of a Hecke element, keys in lexicographic
-    order, written as the list of objects {"c": c, "w": w} without building
-    them."""
+    """The terms of a Hecke element, words in lexicographic order, written
+    as the list of objects {"c": c, "w": w} without building them: a dict
+    {w: c}, or, given `c`, words that all have the coefficient c."""
 
-    __slots__ = ()
+    __slots__ = ("c",)
+
+    def __init__(self, rows, c=None) -> None:
+        self.rows, self.c = rows, c
 
 
 def _row_chunks(held: _Rows, indent: str) -> Iterator[str]:
     """The rows of `held`, on a line indented by `indent`, as `json.dumps`
     writes the lists or objects they stand for: pieces of up to
-    `_ROWS_PER_PIECE` rows, each one join over one `%d` template.  Every
-    word must be a tuple of exact ints of one length and every coefficient
-    an exact int, as all the commands write (`%d` would write True as 1).
+    `_ROWS_PER_PIECE` rows, each one join over one bytes `%d` template
+    (JSON numbers are ASCII), read back as text.  A coefficient common to
+    all the terms is written into the template.  Every word must be a
+    tuple of exact ints of one length and every coefficient an exact int,
+    as all the commands write (`%d` would write True as 1).
     """
+    terms = isinstance(held, _Terms)
+    each = terms and held.c is None     # a coefficient per term
     rows = held.rows
-    if not rows:
+    rows = iter(map(tuple.__add__, zip(rows.values()), rows) if each else rows)
+    first = next(rows, None)            # () is a row, [()] is not empty
+    if first is None:
         yield "[]"
         return
     inner = indent + "  "       # the lines of the rows
-    terms = type(held) is _Terms
     member = inner + "  " if terms else inner   # the brackets of each word
     entry = member + "  "                       # the values of each word
-    size = len(next(iter(rows)))
+    size = len(first) - each
     template = ("[" + entry + ("," + entry).join(("%d",) * size) + member
                 + "]" if size else "[]")
     if terms:
-        template = ("{" + member + '"c": %d,' + member + '"w": ' + template
-                    + inner + "}")
-        rows = map(tuple.__add__, zip(rows.values()), rows)
-    fill = template.__mod__
-    join = ("," + inner).join
-    rows = iter(rows)
+        template = ("{" + member + '"c": ' + ("%d" if each else "%d" % held.c)
+                    + "," + member + '"w": ' + template + inner + "}")
+    fill = template.encode().__mod__
+    join = ("," + inner).encode().join
+    rows = chain((first,), rows)
     sep = "[" + inner
     while piece := join(map(fill, islice(rows, _ROWS_PER_PIECE))):
-        yield sep + piece
+        yield sep + piece.decode()
         sep = "," + inner
     yield indent + "]"
 
@@ -236,30 +245,21 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _basis_entry(alpha, n, force) -> dict:
-    element = hecke.t_leq_sigma(alpha, n, force=force)
-    return {
-        "alpha": list(alpha),
-        "ideal_size": element.support_size(),
-        "terms": _Terms(element.terms),
-    }
-
-
 def _cmd_basis(args) -> int:
     cyclic_shift._check_degree(args.n, args.force)
-    if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
-        doc = _basis_entry(alpha, args.n, args.force)
-        _emit(doc, args,
-              f"basis element of {alpha}: {doc['ideal_size']} terms")
+    one = args.alpha is not None
+    alphas = ([_parse_alpha(args.alpha)] if one
+              else compositions.enumerate_maximal(args.n))
+    entries = [{"alpha": list(alpha), "ideal_size": size,
+                "terms": _Terms(terms, 1)} for alpha, (size, terms)
+               in zip(alphas, hecke.ideal_sums(alphas, args.n, args.force))]
+    if one:
+        _emit(entries[0], args, f"basis element of {alphas[0]}: "
+              f"{entries[0]['ideal_size']} terms")
         return 0
-    alphas = compositions.enumerate_maximal(args.n)
-    doc = {
-        "n": args.n,
-        "dim": counting.dim_center(args.n),
-        "elements": [_basis_entry(a, args.n, args.force) for a in alphas],
-    }
-    _emit(doc, args, f"center basis at n={args.n}: {doc['dim']} elements")
+    dim = counting.dim_center(args.n)
+    _emit({"n": args.n, "dim": dim, "elements": entries}, args,
+          f"center basis at n={args.n}: {dim} elements")
     return 0
 
 

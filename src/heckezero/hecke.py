@@ -23,8 +23,11 @@ held as one integer whose bit r stands for rank r, both products move
 ranks by fixed shifts on fixed sets of ranks, so each comparison is a few
 big-integer operations.  Independence is one exact rank: equal masks are
 equal columns, so the rank over S_n is the rank over the few distinct
-masks in the table.  The sparse products and `is_central` stay as the
-algebra API and as the reference the check is tested against.
+masks in the table.  The same walk gives the `basis` command its terms:
+`ideal_sums` counts each label's ideal off the rank array and reads its
+permutations in lex order, one label at a time, so no term is held.  The
+sparse products, `t_leq_sigma` and `is_central` stay as the algebra API
+and as the reference the check is tested against.
 
 Integer coefficients suffice throughout: all structure constants are
 integral, so any field case follows by extension of scalars.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from itertools import compress, permutations
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
@@ -45,7 +48,8 @@ from .stair_classes import sigma_class
 __all__ = [
     "HeckeElement", "t_basis",
     "left_mul_gen", "right_mul_gen", "mul", "reduced_word",
-    "order_ideal", "t_leq_sigma", "is_central",
+    "order_ideal", "center_ideals", "ideal_sums", "t_leq_sigma",
+    "is_central",
     "integer_matrix_rank", "CenterBasisReport", "verify_center_basis",
 ]
 
@@ -178,12 +182,14 @@ def _gale_leq(s: int, p: int) -> bool:
     return True
 
 
-def order_ideal(sigma) -> frozenset[Perm]:
+def order_ideal(sigma, force: bool = False) -> frozenset[Perm]:
     """The downward Bruhat closure of a set of permutations of one degree.
 
     Accepts an EquivClass or any iterable of permutations, of any mix of
     lengths; the closure is the one-ideal case of `_ideal_masks`.  A seed
-    that is not a permutation raises ValueError.
+    that is not a permutation raises ValueError.  An ideal near w0 holds
+    most of S_n, so the degree is gated by `DEGREE_SOFT_LIMIT` before the
+    walk, lifted by `force=True`.
 
     >>> sorted(order_ideal([(2, 3, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
@@ -191,6 +197,7 @@ def order_ideal(sigma) -> frozenset[Perm]:
     seeds = list(getattr(sigma, "elements", sigma))
     for w in seeds:
         cycles(w)
+    _check_degree(max(map(len, seeds), default=0), force)
     return frozenset(_ideal_masks([seeds]))
 
 
@@ -412,25 +419,70 @@ def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int) -> int:
     return bad
 
 
+def center_ideals(alphas: Sequence[Composition], n: int,
+                  force: bool = False) -> tuple[bytearray, list[int]]:
+    """The Bruhat order ideals generated by the classes labelled by
+    `alphas`, all from one prefix walk: the rank array and mask table of
+    `_ideal_masks(..., by_rank=True)`, bit r of a mask standing for
+    alphas[r].  Each label must be a maximal composition of n.  The ideals
+    can hold most of S_n, so n is gated by the brute-force soft limit
+    `DEGREE_SOFT_LIMIT` before any class is built, lifted by `force=True`.
+    """
+    for alpha in alphas:
+        if not is_maximal(alpha):
+            raise ValueError(f"not a maximal composition: {alpha}")
+        if sum(alpha) != n:
+            raise ValueError(f"|{alpha}| != {n}")
+    _check_degree(n, force)
+    return _ideal_masks(
+        [sigma_class(alpha, force).elements for alpha in alphas], by_rank=True)
+
+
+class _IdealTerms:
+    """The permutations of one ideal of a rank array, in lexicographic
+    order.  Each iteration translates the rank array to the ideal's bit,
+    so the copy lives only as long as the iterator."""
+
+    __slots__ = ("n", "ids", "keep")
+
+    def __init__(self, n: int, ids: bytearray, keep: bytes) -> None:
+        self.n, self.ids, self.keep = n, ids, keep
+
+    def __iter__(self) -> Iterator[Perm]:
+        return compress(all_perms(self.n), self.ids.translate(self.keep))
+
+
+def ideal_sums(alphas: Sequence[Composition], n: int,
+               force: bool = False) -> list[tuple[int, Iterable[Perm]]]:
+    """The indicator sums of T_x over the ideals of `center_ideals`, one
+    per label: the size of the ideal, summed from one count per id of the
+    rank array, and its permutations in lexicographic order, each with
+    coefficient 1, as an iterable that holds no term.
+
+    >>> [(size, list(terms)) for size, terms
+    ...  in ideal_sums([(1, 1, 1), (3,)], 3)]  # doctest: +NORMALIZE_WHITESPACE
+    [(1, [(1, 2, 3)]),
+     (5, [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)])]
+    """
+    ids, table = center_ideals(alphas, n, force)
+    counts = list(map(ids.count, range(len(table))))
+    sums = []
+    for r in range(len(alphas)):
+        keep = bytes(m >> r & 1 for m in table).ljust(256, b"\0")
+        sums.append((sum(compress(counts, keep)), _IdealTerms(n, ids, keep)))
+    return sums
+
+
 def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement:
     """The central element of the class labelled by `alpha`: the indicator
-    sum of T_x over the Bruhat order ideal generated by the class.
-
-    The ideal can hold most of S_n, so n is gated by the brute-force soft
-    limit `DEGREE_SOFT_LIMIT`, lifted by `force=True`.
+    sum of T_x over the Bruhat order ideal generated by the class, the
+    one-label case of `ideal_sums`.
 
     >>> t_leq_sigma((1, 1, 1), 3) == t_basis(3, (1, 2, 3))
     True
     """
-    if not is_maximal(alpha):
-        raise ValueError(f"not a maximal composition: {alpha}")
-    if sum(alpha) != n:
-        raise ValueError(f"|{alpha}| != {n}")
-    _check_degree(n, force)
-    # one seed block: every nonzero id stands for mask 1, and the rank
-    # array runs in the lexicographic order of `all_perms`
-    ids, _ = _ideal_masks([sigma_class(alpha, force).elements], by_rank=True)
-    return HeckeElement(n, dict.fromkeys(compress(all_perms(n), ids), 1))
+    [(_, terms)] = ideal_sums([alpha], n, force)
+    return HeckeElement(n, dict.fromkeys(terms, 1))
 
 
 def is_central(x: HeckeElement) -> bool:
@@ -505,8 +557,9 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     central, linearly independent, and as many as the center dimension.
 
     The degree is gated by `DEGREE_SOFT_LIMIT` before any work, lifted by
-    `force=True`.  One prefix walk (`_ideal_masks` by rank) builds every
-    ideal at once, as one mask id per permutation in lex rank order.
+    `force=True`.  One prefix walk (`center_ideals`, which the `basis`
+    command reads too) builds every ideal at once, as one mask id per
+    permutation in lex rank order.
     Centrality is read off the upper boundaries of the ideals by
     big-integer shifts (`_noncentral_labels`), with no Hecke product.
     Independence is the exact rank of the k ideal sums as rows over the
@@ -521,8 +574,7 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     """
     _check_degree(n, force)
     alphas = tuple(enumerate_maximal(n))
-    ids, table = _ideal_masks(
-        [sigma_class(alpha, force).elements for alpha in alphas], by_rank=True)
+    ids, table = center_ideals(alphas, n, force)
     bad = _noncentral_labels(ids, table, n)
     central = tuple(not bad >> r & 1 for r in range(len(alphas)))
     columns = [m for j, m in enumerate(table) if j and j in ids]

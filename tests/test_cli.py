@@ -9,14 +9,16 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from itertools import cycle
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckezero import cli, counting, cyclic_shift, stair_classes
+from heckezero import cli, counting, cyclic_shift, hecke, stair_classes
 from heckezero.cli import main
 from heckezero.errors import InvariantError
 
@@ -256,6 +258,44 @@ class TestBasis:
         assert code == 1
         assert out == ""
         assert "cannot parse composition" in err
+
+    def test_whole_basis_from_one_walk(self, capsys, monkeypatch):
+        # one rank walk serves every label, where each once had its own
+        walks = []
+        sweep = hecke._ideal_masks
+
+        def counted(seeds, by_rank=False):
+            walks.append(len(seeds))
+            return sweep(seeds, by_rank)
+
+        monkeypatch.setattr(hecke, "_ideal_masks", counted)
+        doc, _ = run_json(capsys, "basis", "--n", "6")
+        assert walks == [doc["dim"]] == [12]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_written_terms_are_the_algebra_elements(self, capsys, n):
+        # the terms streamed off the shared walk, in the order written,
+        # are those of the one-label element `t_leq_sigma`
+        doc, _ = run_json(capsys, "basis", "--n", str(n))
+        for entry in doc["elements"]:
+            element = hecke.t_leq_sigma(tuple(entry["alpha"]), n)
+            assert entry["ideal_size"] == element.support_size()
+            assert [(tuple(t["w"]), t["c"]) for t in entry["terms"]] == list(
+                element.terms.items())
+
+    def test_whole_basis_holds_no_term(self, monkeypatch):
+        # S_7 has 5,040 elements and 16 labels; holding every label's terms
+        # as tuples peaked at over 8 MiB
+        sink = types.SimpleNamespace(write=len, flush=lambda: None)
+        monkeypatch.setattr(cli.sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["basis", "--n", "7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3 * 2**20
 
 
 class TestVerify:
@@ -527,9 +567,22 @@ _ROW_LISTS = st.integers(min_value=0, max_value=4).flatmap(
     lambda size: st.lists(_words(size), max_size=6))
 _TERM_DICTS = st.integers(min_value=0, max_value=4).flatmap(
     lambda size: st.dictionaries(_words(size), _INTS, max_size=4))
+
+
+@st.composite
+def _rank_terms(draw):
+    """The terms of one ideal of a rank array of S_n, n <= 4, as `basis`
+    writes them: permutations in lex order, each with one coefficient."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    ids = draw(st.binary(min_size=factorial(n), max_size=factorial(n)))
+    keep = draw(st.binary(min_size=256, max_size=256))
+    return cli._Terms(hecke._IdealTerms(n, bytearray(ids), keep),
+                      draw(_INTS))
+
+
 _HELD_TREES = st.recursive(
     _SCALARS | _INT_LISTS | _ROW_LISTS.map(cli._Rows)
-    | _TERM_DICTS.map(cli._Terms),
+    | _TERM_DICTS.map(cli._Terms) | _rank_terms(),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_STRINGS, inner, max_size=4),
     max_leaves=24)
@@ -538,6 +591,8 @@ _HELD_TREES = st.recursive(
 def _plain(value):
     """`value` with each `_Rows` or `_Terms` replaced by the lists or
     objects it stands for."""
+    if isinstance(value, cli._Terms) and value.c is not None:
+        return [{"c": value.c, "w": list(w)} for w in value.rows]
     if isinstance(value, cli._Terms):
         return [{"c": c, "w": list(w)} for w, c in value.rows.items()]
     if isinstance(value, cli._Rows):
@@ -615,6 +670,10 @@ class TestJsonText:
         terms = dict(zip(rows, cycle((3, -1, 0, 2**70))))
         objects = [{"w": list(w), "c": c} for w, c in terms.items()]
         assert _json_text(cli._Terms(terms)) == json.dumps(
+            objects, sort_keys=True, indent=2)
+        # one coefficient for every word, as `basis` writes its terms
+        objects = [{"w": list(w), "c": 1} for w in rows]
+        assert _json_text(cli._Terms(rows, 1)) == json.dumps(
             objects, sort_keys=True, indent=2)
 
     @staticmethod

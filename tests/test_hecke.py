@@ -16,7 +16,7 @@ from heckezero.hecke import (
     verify_center_basis,
 )
 from heckezero.permutations import (
-    all_perms, compose, from_cycles, identity, length,
+    all_perms, compose, from_cycles, identity, length, longest_element,
 )
 from heckezero.stair_classes import sigma_class, stair_form
 
@@ -217,9 +217,18 @@ class TestOrderIdeal:
         # the walk prunes every prefix no generator stays above
         w = (3, 2, 1) + tuple(range(4, 101))
         start = time.perf_counter()
-        ideal = order_ideal([w])
+        ideal = order_ideal([w], force=True)
         assert time.perf_counter() - start < 1.0
         assert ideal == {p + w[3:] for p in all_perms(3)}
+
+    def test_degree_gate_comes_before_the_walk(self):
+        # the ideal of w0 is all of S_9; the gate refuses it before the walk
+        start = time.perf_counter()
+        with pytest.raises(DegreeLimitError, match="force"):
+            order_ideal([longest_element(9)])
+        assert time.perf_counter() - start < 1.0
+        s1 = (2, 1) + tuple(range(3, 10))
+        assert order_ideal([s1], force=True) == {identity(9), s1}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_inversion_closure_every_label(self, n):
@@ -345,6 +354,33 @@ class TestTLeqSigma:
         x = t_leq_sigma(alpha, sum(alpha))
         ideal = oracles.ideal_by_inversions(sigma_class(alpha).elements)
         assert list(x.terms.items()) == [(w, 1) for w in sorted(ideal)]
+
+
+class TestIdealSums:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_label_reads_its_ideal_in_lex_order(self, n):
+        # one walk for every label; each label's terms come off the rank
+        # array in lexicographic order, and can be read more than once
+        alphas = enumerate_maximal(n)
+        sums = hecke.ideal_sums(alphas, n)
+        assert len(sums) == len(alphas)
+        for alpha, (size, terms) in zip(alphas, sums):
+            ideal = oracles.ideal_by_inversions(sigma_class(alpha).elements)
+            assert list(terms) == list(terms) == sorted(ideal), alpha
+            assert size == len(ideal), alpha
+
+    @pytest.mark.parametrize("alphas, n, match", [
+        ([(3,), (1, 2)], 3, "not a maximal composition"),
+        ([(3,), (2, 1, 1)], 3, re.escape("|(2, 1, 1)| != 3")),
+    ])
+    def test_rejects_a_label_that_is_not_maximal_of_degree_n(
+            self, alphas, n, match):
+        with pytest.raises(ValueError, match=match):
+            hecke.ideal_sums(alphas, n)
+
+    def test_degree_gate(self):
+        with pytest.raises(DegreeLimitError, match="force"):
+            hecke.ideal_sums([(9,)], 9)
 
 
 class TestIsCentral:
