@@ -249,7 +249,7 @@ def _cmd_basis(args) -> int:
     cyclic_shift._check_degree(args.n, args.force)
     one = args.alpha is not None
     alphas = ([_parse_alpha(args.alpha)] if one
-              else compositions.enumerate_maximal(args.n))
+              else compositions.enumerate_maximal(args.n, args.force))
     entries = [{"alpha": list(alpha), "ideal_size": size,
                 "terms": _Terms(terms, 1)} for alpha, (size, terms)
                in zip(alphas, hecke.ideal_sums(alphas, args.n, args.force))]

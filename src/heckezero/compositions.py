@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .errors import ELEMENT_SOFT_LIMIT, DegreeLimitError
+
 __all__ = [
     "Composition",
     "check_composition", "is_maximal", "enumerate_maximal",
@@ -121,9 +123,12 @@ def even_compositions(n: int) -> Iterator[Composition]:
             yield (first,) + rest
 
 
-def enumerate_maximal(n: int) -> list[Composition]:
+def enumerate_maximal(n: int, force: bool = False) -> list[Composition]:
     """All maximal compositions of n, each exactly once, sorted
     lexicographically (even prefix first, then odd tail).
+
+    Unless `force` is set, more of them than `ELEMENT_SOFT_LIMIT` (from
+    n = 34 on) raise DegreeLimitError before any is built.
 
     >>> enumerate_maximal(3)
     [(1, 1, 1), (2, 1), (3,)]
@@ -132,6 +137,12 @@ def enumerate_maximal(n: int) -> list[Composition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    count = _count_maximal(n)
+    if count > ELEMENT_SOFT_LIMIT and not force:
+        raise DegreeLimitError(
+            f"degree {n} has {count} maximal compositions, more than "
+            f"{ELEMENT_SOFT_LIMIT}, the practical bound for listing them; "
+            "pass force=True to override")
     out = []
     for e in range(0, n + 1, 2):
         for prefix in even_compositions(e):
@@ -139,3 +150,15 @@ def enumerate_maximal(n: int) -> list[Composition]:
                 out.append(prefix + tail)
     out.sort()
     return out
+
+
+def _count_maximal(n: int) -> int:
+    """The number of maximal compositions of n >= 0, in O(n^2) steps: an
+    even prefix of size e times an odd tail, a partition of n - e into odd
+    parts.  The even compositions of e number 1 for e = 0 and 2^(e/2 - 1)
+    otherwise; the odd partitions come from a table."""
+    odd = [1] + [0] * n                     # odd[m]: partitions of m into odd parts
+    for part in range(1, n + 1, 2):
+        for m in range(part, n + 1):
+            odd[m] += odd[m - part]
+    return odd[n] + sum(2 ** (e // 2 - 1) * odd[n - e] for e in range(2, n + 1, 2))

@@ -1,21 +1,19 @@
 """
-Closed-form cardinalities of the maximal classes, the class-size soft limit
-(`ELEMENT_SOFT_LIMIT`) that gates a class by them, and the center dimension.
+Closed-form cardinalities of the maximal classes, the gate that holds a
+class to the element soft limit (`ELEMENT_SOFT_LIMIT`) by them, and the
+center dimension.
 
 All arithmetic is exact (Python integers); no floats anywhere.
 """
 
 from __future__ import annotations
 
-from .compositions import Composition, hook_kind, split_even_odd
-from .errors import DegreeLimitError
+from .compositions import (
+    Composition, _count_maximal, hook_kind, split_even_odd,
+)
+from .errors import ELEMENT_SOFT_LIMIT, DegreeLimitError
 
 __all__ = ["size_sigma_formula", "dim_center", "ELEMENT_SOFT_LIMIT"]
-
-#: Largest class `sigma_class` builds without `force=True`: the benchmark's
-#: largest, (19,), has 13,122 elements, and (23,), with 118,098, takes
-#: about 1.2 s and 78 MB in a fresh CLI process.
-ELEMENT_SOFT_LIMIT = 200_000
 
 
 def size_sigma_formula(alpha: Composition) -> int | None:
@@ -88,20 +86,12 @@ def _too_large(alpha: Composition) -> DegreeLimitError:
 
 
 def dim_center(n: int) -> int:
-    """Dimension of the center of the degree-n 0-Hecke algebra.
-
-    This is the number of maximal compositions of n: an even prefix of
-    size e times an odd tail, a partition of n - e into odd parts.  The
-    even compositions of e number 1 for e = 0 and 2^(e/2 - 1) otherwise;
-    the odd partitions come from an O(n^2) table.
+    """Dimension of the center of the degree-n 0-Hecke algebra: the number
+    of maximal compositions of n, counted without listing them.
 
     >>> [dim_center(n) for n in range(8)]
     [1, 1, 2, 3, 5, 7, 12, 16]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    odd = [1] + [0] * n                     # odd[m]: partitions of m into odd parts
-    for part in range(1, n + 1, 2):
-        for m in range(part, n + 1):
-            odd[m] += odd[m - part]
-    return odd[n] + sum(2 ** (e // 2 - 1) * odd[n - e] for e in range(2, n + 1, 2))
+    return _count_maximal(n)

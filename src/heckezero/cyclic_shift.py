@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import product
 
 from .compositions import Composition, enumerate_maximal
-from .errors import DegreeLimitError, InvariantError
+from .errors import ELEMENT_SOFT_LIMIT, DegreeLimitError, InvariantError
 from .permutations import (
     Perm, all_perms, compose, length, lengths, longest_element, stair_form,
 )
@@ -172,8 +172,8 @@ def one_step(w: Perm, i: int, twist: str = "id") -> Perm | None:
     return _step(w, i, i if twist == "id" else n - i, lower=True)
 
 
-def approx_class(w: Perm, twist: str = "id",
-                 budget: int | None = None) -> frozenset[Perm]:
+def approx_class(w: Perm, twist: str = "id", budget: int | None = None,
+                 force: bool = False) -> frozenset[Perm]:
     """The full equivalence class of `w` under mutual reachability.
 
     Steps never increase length, so any round trip w -> ... -> w' -> ... -> w
@@ -185,8 +185,12 @@ def approx_class(w: Perm, twist: str = "id",
 
     With a `budget`, a class found to hold more elements raises
     DegreeLimitError, after at most `budget` + n - 1 of them are built.
+    Without one, the budget is `ELEMENT_SOFT_LIMIT`, lifted by
+    `force=True`.
     """
     _check_twist(twist)
+    if budget is None and not force:
+        budget = ELEMENT_SOFT_LIMIT
     n = len(w)
     gens = [(i, i if twist == "id" else n - i) for i in range(1, n)]
     seen = {w}
@@ -310,7 +314,8 @@ def _stratum(n: int, twist: str, stratum: str) -> tuple[EquivClass, ...]:
     classes = []
     for w in all_perms(n) if extreme is None else sorted(extreme):
         if w not in covered:
-            comp = approx_class(w, twist)
+            # behind the degree gate of `equiv_classes`
+            comp = approx_class(w, twist, force=True)
             if extreme is not None and not extreme.keys() >= comp:
                 raise InvariantError(
                     f"the class of {w} leaves the {stratum} stratum of S_{n}")

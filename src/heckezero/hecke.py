@@ -21,7 +21,9 @@ times the indicator sum of I is the indicator sum of its upper boundary
 with z s_i, so centrality is a comparison of boundaries.  With each ideal
 held as one integer whose bit r stands for rank r, both products move
 ranks by fixed shifts on fixed sets of ranks, so each comparison is a few
-big-integer operations.  Independence is one exact rank: equal masks are
+big-integer operations.  Conjugation by w0 sends T_i to T_{n-i}; when
+every class is stable under it, as each labelled class is, half the
+generators suffice.  Independence is one exact rank: equal masks are
 equal columns, so the rank over S_n is the rank over the few distinct
 masks in the table.  The same walk gives the `basis` command its terms:
 `ideal_sums` counts each label's ideal off the rank array and reads its
@@ -42,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
 from .cyclic_shift import _check_degree, _Record
-from .permutations import Perm, all_perms, cycles
+from .permutations import Perm, all_perms, conj_w0, cycles
 from .stair_classes import sigma_class
 
 __all__ = [
@@ -366,7 +368,8 @@ def _climb_sets(m: int, i: int, memo: dict) -> list[int]:
     return sets
 
 
-def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int) -> int:
+def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int,
+                       stable: bool = False) -> int:
     """The bits r whose ideal sum chi_r = sum of T_w over the w with bit r
     set fails to commute with some generator, from the rank array and
     mask table of `_ideal_masks(..., by_rank=True)`; the masks must
@@ -379,44 +382,85 @@ def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int) -> int:
     chi_I is central exactly when, for every i, the left and right
     boundaries agree outside I.
 
+    With `stable`, the caller has checked that every ideal is stable under
+    conjugation by w0.  That conjugation sends T_i to T_{n-i} and is an
+    algebra automorphism, so chi_I then commutes with T_i exactly when it
+    commutes with T_{n-i}, and only the generators i >= ceil(n/2) are
+    checked.
+
     Each ideal is one int with bit r set for lex rank r, and both climbs
-    move ranks by shifts.  s_i y swaps the values i and i+1; with i at
-    position a left of i+1 it raises the Lehmer digit at a by one, so the
-    rank by (n-1-a)!.  y s_i swaps positions i-1 and i (from 0); at an
-    ascent the digits there are c and c + e with e >= 0, and afterwards
-    c + e + 1 and c, so the rank rises by (e+1)(n-i)! - e(n-i-1)!.  The
-    ranks with a given e recur with period (n-i+1)!.
+    move ranks by shifts (`_moves`).  The ints are built a group of labels
+    at a time, about 64 MB of them, and each group is checked and freed
+    before the next is built.
     """
     fact = [factorial(k) for k in range(n + 1)]
-    flipped = ids[::-1]
-    ideals = []
-    for r in range(max(table).bit_length()):
-        ones = bytes(0x30 | m >> r & 1 for m in table).ljust(256, b"0")
-        ideals.append(int(flipped.translate(ones), 2))
-    bad = 0
+    labels = max(table).bit_length()
+    per_group = max(1, (1 << 29) // fact[n])
+    gens = range((n + 1) // 2 if stable else 1, n)
     memo: dict = {}
-    for i in range(1, n):
-        left = [(climbs, fact[n - 1 - a])
-                for a, climbs in enumerate(_climb_sets(n, i, memo))]
-        block = (1 << fact[n - i - 1]) - 1
-        right = []
-        for e in range(n - i):
-            pattern = 0
-            for c in range(n - i - e):
-                pattern |= block << (c * (n - i + 1) + e) * fact[n - i - 1]
-            right.append((_tile(pattern, fact[n - i + 1], fact[n] // fact[n - i + 1]),
-                          (e + 1) * fact[n - i] - e * fact[n - i - 1]))
-        for r, ideal in enumerate(ideals):
+    bad = 0
+    for first in range(0, labels, per_group):
+        group = range(first, min(first + per_group, labels))
+        bad |= _noncentral_in(_ideal_ints(ids, table, group), n, gens, fact, memo)
+    return bad
+
+
+def _ideal_ints(ids: bytearray, table: Sequence[int],
+                bits: Iterable[int]) -> list[tuple[int, int]]:
+    """Each bit r in `bits` with its ideal as one int, bit q set when the
+    permutation of lex rank q lies in it, read off the rank array; the
+    reversed copy of the array is freed on return."""
+    flipped = ids[::-1]
+    ints = []
+    for r in bits:
+        ones = bytes(0x30 | m >> r & 1 for m in table).ljust(256, b"0")
+        ints.append((r, int(flipped.translate(ones), 2)))
+    return ints
+
+
+def _noncentral_in(ideals: list[tuple[int, int]], n: int, gens: Iterable[int],
+                   fact: Sequence[int], memo: dict) -> int:
+    """The bits r of the pairs (r, ideal) whose boundaries along some
+    generator in `gens` disagree outside the ideal."""
+    bad = 0
+    for i in gens:
+        moves = _moves(n, i, fact, memo)
+        for r, ideal in ideals:
             if bad >> r & 1:
                 continue
             moved = 0
-            for climbs, shift in left:
-                moved ^= (ideal & climbs) << shift
-            for ascents, shift in right:
-                moved ^= (ideal & ascents) << shift
+            for ranks, shift in moves:
+                moved ^= (ideal & ranks) << shift
             if moved | ideal != ideal:
                 bad |= 1 << r
     return bad
+
+
+def _moves(n: int, i: int, fact: Sequence[int], memo: dict) -> list[tuple[int, int]]:
+    """The climbs of S_n by s_i, on the left and on the right, as pairs
+    (the bitset of the lex ranks that climb, the rise of their rank).
+
+    s_i y swaps the values i and i+1; with i at position a left of i+1 it
+    raises the Lehmer digit at a by one, so the rank by (n-1-a)!
+    (`_climb_sets`, whose lower degrees are kept in `memo`).  y s_i swaps
+    positions i-1 and i (from 0); at an ascent the digits there are c and
+    c + e with e >= 0, and afterwards c + e + 1 and c, so the rank rises by
+    (e+1)(n-i)! - e(n-i-1)!.  The ranks with a given e recur with period
+    (n-i+1)!.  Sets with one rise are merged by their symmetric difference,
+    which moves the same ranks: a rank in both climbs twice and cancels.
+    """
+    moves: dict[int, int] = {}
+    for a, climbs in enumerate(_climb_sets(n, i, memo)):
+        moves[fact[n - 1 - a]] = climbs
+    block = (1 << fact[n - i - 1]) - 1
+    for e in range(n - i):
+        pattern = 0
+        for c in range(n - i - e):
+            pattern |= block << (c * (n - i + 1) + e) * fact[n - i - 1]
+        shift = (e + 1) * fact[n - i] - e * fact[n - i - 1]
+        moves[shift] = moves.get(shift, 0) ^ _tile(
+            pattern, fact[n - i + 1], fact[n] // fact[n - i + 1])
+    return [(ranks, shift) for shift, ranks in moves.items()]
 
 
 def center_ideals(alphas: Sequence[Composition], n: int,
@@ -557,11 +601,13 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     central, linearly independent, and as many as the center dimension.
 
     The degree is gated by `DEGREE_SOFT_LIMIT` before any work, lifted by
-    `force=True`.  One prefix walk (`center_ideals`, which the `basis`
-    command reads too) builds every ideal at once, as one mask id per
-    permutation in lex rank order.
+    `force=True`.  One prefix walk over the labelled classes, as in
+    `center_ideals`, which the `basis` command reads, builds every ideal
+    at once, as one mask id per permutation in lex rank order.
     Centrality is read off the upper boundaries of the ideals by
-    big-integer shifts (`_noncentral_labels`), with no Hecke product.
+    big-integer shifts (`_noncentral_labels`), with no Hecke product.  When
+    every class is stable under conjugation by w0, checked first, that
+    reads only the generators i >= ceil(n/2); else every generator.
     Independence is the exact rank of the k ideal sums as rows over the
     columns T_w.  The column of w is its mask, so equal ids give equal
     columns and id 0 a zero column: the rank is that of the k x m matrix
@@ -573,9 +619,12 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     failing assertion at once.
     """
     _check_degree(n, force)
-    alphas = tuple(enumerate_maximal(n))
-    ids, table = center_ideals(alphas, n, force)
-    bad = _noncentral_labels(ids, table, n)
+    alphas = tuple(enumerate_maximal(n, force))
+    seeds = [sigma_class(alpha, force).elements for alpha in alphas]
+    stable = all(conj_w0(w) in seed for seed in seeds for w in seed)
+    ids, table = _ideal_masks(seeds, by_rank=True)
+    del seeds
+    bad = _noncentral_labels(ids, table, n, stable)
     central = tuple(not bad >> r & 1 for r in range(len(alphas)))
     columns = [m for j, m in enumerate(table) if j and j in ids]
     rank = integer_matrix_rank(

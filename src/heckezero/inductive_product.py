@@ -33,15 +33,10 @@ def iprod(s1: Perm, s2: Perm) -> Perm:
     >>> iprod((), (2, 1)) == iprod((2, 1), ()) == (2, 1)
     True
     """
-    n1, n2 = len(s1), len(s2)
-    k = (n1 + 1) // 2
-    img = [0] * (n1 + n2)
-    for i in range(1, n1 + 1):
-        src = i if i <= k else i + n2
-        v = s1[i - 1]
-        img[src - 1] = v if v <= k else v + n2
-    for i in range(1, n2 + 1):
-        img[k + i - 1] = s2[i - 1] + k
+    n2 = len(s2)
+    k = (len(s1) + 1) // 2
+    img = [v if v <= k else v + n2 for v in s1]
+    img[k:k] = [v + k for v in s2]
     return tuple(img)
 
 
@@ -52,11 +47,14 @@ def iprod_length_law(s1: Perm, s2: Perm) -> int:
 
     For an oscillating left factor p = q = floor(n1/2).
     """
-    n1, n2 = len(s1), len(s2)
+    n1 = len(s1)
     if n1 < 1 or cycle_type(s1) != (n1,):
         raise ValueError(f"left factor must be a full cycle, got {s1}")
-    k = (n1 + 1) // 2
-    p = sum(1 for i in range(1, k + 1) if s1[i - 1] > k)
-    q = sum(1 for i in range(k + 1, n1 + 1) if s1[i - 1] <= k)
-    return length(s1) + length(s2) + (p + q) * n2
+    return length(s1) + length(s2) + _crossing(s1) * len(s2)
 
+
+def _crossing(s1: Perm) -> int:
+    """The p + q of `iprod_length_law`: the entries of s1 that cross k =
+    ceil(n1/2), from the first k places upwards or from the others down."""
+    k = (len(s1) + 1) // 2
+    return sum(v > k for v in s1[:k]) + sum(v <= k for v in s1[k:])

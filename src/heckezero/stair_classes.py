@@ -55,6 +55,14 @@ def _invariants(p: Perm) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
     return ctype, tuple(frozenset(c) for c in cycs if not len(c) % 2)
 
 
+@lru_cache
+def _label_key(alpha: Composition) -> tuple[tuple, int]:
+    """The `_invariants` and the length of the stair form of `alpha`, read
+    once per label."""
+    sf = stair_form(alpha)
+    return _invariants(sf), length(sf)
+
+
 def member_sigma_alpha(p: Perm, alpha: Composition) -> bool:
     """Membership of `p` in the class labelled by the maximal composition
     `alpha`, decided by three invariants of the stair form: equal cycle
@@ -67,8 +75,8 @@ def member_sigma_alpha(p: Perm, alpha: Composition) -> bool:
         raise ValueError(f"not a maximal composition: {alpha}")
     if len(p) != sum(alpha):
         raise ValueError(f"degree mismatch: |{alpha}| != {len(p)}")
-    sf = stair_form(alpha)
-    return _invariants(p) == _invariants(sf) and length(p) == length(sf)
+    invariants, ell = _label_key(tuple(alpha))
+    return _invariants(p) == invariants and length(p) == ell
 
 
 def standardize_cycle(c: Cycle) -> Cycle:
@@ -86,11 +94,9 @@ def standardize_cycle(c: Cycle) -> Cycle:
     return std[at:] + std[:at]
 
 
-def _check_full_cycle(c: Cycle) -> int:
-    k = len(c)
-    if sorted(c) != list(range(1, k + 1)):
-        raise ValueError(f"not a full cycle on 1..{k}: {c}")
-    return k
+def _check_full_cycle(c: Cycle) -> None:
+    if sorted(c) != list(range(1, len(c) + 1)):
+        raise ValueError(f"not a full cycle on 1..{len(c)}: {c}")
 
 
 def is_oscillating_cycle(c: Cycle) -> bool:
@@ -105,18 +111,22 @@ def is_oscillating_cycle(c: Cycle) -> bool:
     >>> is_oscillating_cycle((1, 5, 2, 6, 3, 4))
     True
     """
-    k = _check_full_cycle(c)
-    if k <= 2:
+    _check_full_cycle(c)
+    return _oscillating(c)
+
+
+def _oscillating(c: Cycle) -> bool:
+    """`is_oscillating_cycle` of a full cycle on 1..k, unchecked.  With the
+    middle entry of odd k removed, the k//2 lower and the k//2 upper entries
+    alternate exactly when the entries at even places, or those at odd
+    places, are all lower."""
+    half = len(c) // 2
+    if half < 2:
         return True
-    if k % 2 == 0:
-        half = k // 2
-        seq = c
-    else:
-        half = (k - 1) // 2
-        mid = (k + 1) // 2
-        seq = tuple(v for v in c if v != mid)
-    low = [v <= half for v in seq]
-    return all(low[r] != low[r - 1] for r in range(len(seq)))
+    if len(c) % 2:
+        at = c.index(half + 1)
+        c = c[:at] + c[at + 1:]
+    return max(c[::2]) <= half or max(c[1::2]) <= half
 
 
 def has_connected_intervals_cycle(c: Cycle) -> bool:
@@ -128,7 +138,13 @@ def has_connected_intervals_cycle(c: Cycle) -> bool:
     >>> has_connected_intervals_cycle((1, 5, 2, 6, 3, 4))
     False
     """
-    k = _check_full_cycle(c)
+    _check_full_cycle(c)
+    return _connected_intervals(c)
+
+
+def _connected_intervals(c: Cycle) -> bool:
+    """`has_connected_intervals_cycle` of a full cycle on 1..k, unchecked."""
+    k = len(c)
     pos = {v: r for r, v in enumerate(c)}
     for i in range(2, k // 2 + 1):
         idxs = sorted(pos[v] for v in range(i, k - i + 2))
@@ -143,8 +159,7 @@ def has_connected_intervals_cycle(c: Cycle) -> bool:
 def is_oscillating(p: Perm) -> bool:
     """Whether the standardization of every cycle of `p` is oscillating."""
     return all(
-        is_oscillating_cycle(standardize_cycle(c))
-        for c in cycles(p) if len(c) > 2
+        _oscillating(standardize_cycle(c)) for c in cycles(p) if len(c) > 2
     )
 
 
@@ -152,7 +167,7 @@ def has_connected_intervals(p: Perm) -> bool:
     """Whether the standardization of every cycle of `p` has connected
     intervals."""
     return all(
-        has_connected_intervals_cycle(standardize_cycle(c))
+        _connected_intervals(standardize_cycle(c))
         for c in cycles(p) if len(c) > 2
     )
 
@@ -179,14 +194,17 @@ def _hook_properties(long: Cycle, n: int) -> bool:
     """`hook_properties` from the long cycle of a permutation of S_n whose
     cycle type, a hook, the caller has checked.  The cycle is written from
     its least entry, as `cycles` writes it; a 1-cycle always passes.  The
-    cheap support test runs first.  A cycle of length n needs no
-    standardizing: it is written on 1..n from 1."""
+    cheap support test runs first; a cycle of length n holds every point,
+    and needs no standardizing: it is written on 1..n from 1.  The two
+    predicates run unchecked, on a full cycle by construction."""
     k = len(long)
-    m = k // 2
-    if not all(i in long and n - i + 1 in long for i in range(1, m + 1)):
-        return False
-    std = long if k == n else standardize_cycle(long)
-    return is_oscillating_cycle(std) and has_connected_intervals_cycle(std)
+    if k < n:
+        points = set(long)
+        if not all(i in points and n - i + 1 in points
+                   for i in range(1, k // 2 + 1)):
+            return False
+        long = standardize_cycle(long)
+    return _oscillating(long) and _connected_intervals(long)
 
 
 def _is_cycle_class_member(sigma: Perm) -> bool:
@@ -433,7 +451,8 @@ def sigma_class(alpha: Composition, force: bool = False):
             }
     else:
         try:
-            current = approx_class(stair_form(odds), budget=budget)
+            current = approx_class(stair_form(odds), budget=budget,
+                                   force=force)
         except DegreeLimitError:
             raise _too_large(alpha) from None
     for part in reversed(evens):

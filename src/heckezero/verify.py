@@ -8,14 +8,14 @@ mirror what the test suite pins at fixed degrees.
 
 from __future__ import annotations
 
-from itertools import combinations, islice, permutations, starmap
+from itertools import combinations, islice, permutations
 from typing import Iterator
 
 from . import hecke
 from .compositions import enumerate_maximal, hook_kind
 from .counting import dim_center, size_sigma_formula
 from .cyclic_shift import label_max_classes
-from .inductive_product import iprod, iprod_length_law
+from .inductive_product import _crossing, iprod
 from .permutations import Cycle, Perm, all_perms, conj_w0, lengths, stair_form
 from .stair_classes import (
     _hook_properties, _invariants, cycle_class, member_sigma_alpha, sigma_class,
@@ -26,19 +26,23 @@ __all__ = ["SUITES", "suite_classes", "suite_hooks", "suite_iprod",
 
 
 def _hook_type(n: int, k: int) -> Iterator[tuple[Perm, Cycle]]:
-    """Every permutation of S_n with one k-cycle and n - k fixed points,
-    each once, paired with that cycle: a k-cycle through each k-subset of
-    [n], written from the least point of the subset (the 1-cycle (1,) when
-    k = 1)."""
+    """Every permutation of S_n with one k-cycle and n - k fixed points
+    whose cycle holds {1..m} | {n-m+1..n}, m = k // 2 (the support of the
+    hook properties: that set, with one middle point more for odd k), each
+    once, paired with that cycle written from 1 (the identity with the
+    1-cycle (1,) when k = 1)."""
     if k == 1:
         yield tuple(range(1, n + 1)), (1,)
         return
-    for support in combinations(range(1, n + 1), k):
-        first = support[0]
-        for rest in permutations(support[1:]):
-            cycle = (first,) + rest
-            img = list(range(1, n + 1))
-            for a, b in zip(cycle, rest + (first,)):
+    m = k // 2
+    middles = [(j,) for j in range(m + 1, n - m + 1)] if k % 2 else [()]
+    base = list(range(1, n + 1))
+    for middle in middles:
+        rest = (*range(2, m + 1), *middle, *range(n - m + 1, n + 1))
+        for tail in permutations(rest):
+            cycle = (1,) + tail
+            img = base.copy()
+            for a, b in zip(cycle, tail + (1,)):
                 img[a - 1] = b
             yield tuple(img), cycle
 
@@ -101,10 +105,13 @@ def suite_classes(n: int, force: bool = False) -> dict:
 def suite_hooks(n: int, force: bool = False) -> dict:
     """Hook-property filtering vs. brute force for every hook shape of n.
 
-    The filter runs over every permutation of S_n of the label's cycle
-    type, generated directly.  They already have that type, so the filter
-    hands the cycle each was built from to `_hook_properties` and skips the
-    input checks of `hook_properties`."""
+    The filter runs over the permutations of S_n of the label's cycle type
+    whose long cycle has the support of the hook properties, generated
+    directly.  They already have that type, so the filter hands the cycle
+    each was built from to `_hook_properties` and skips the input checks
+    of `hook_properties`.  The support test is checked on the rest of the
+    type by one cycle on each other support, which the filter must
+    reject."""
     labelled = label_max_classes(n, force=force)
     checks = []
     ok = True
@@ -112,12 +119,18 @@ def suite_hooks(n: int, force: bool = False) -> dict:
         kind = hook_kind(alpha)
         if kind == "not_hook":
             continue
+        k = alpha[0]
         brute = labelled[alpha].elements
         filtered = frozenset(
-            p for p, cycle in _hook_type(n, alpha[0])
-            if _hook_properties(cycle, n)
+            p for p, cycle in _hook_type(n, k) if _hook_properties(cycle, n)
         )
-        good = filtered == brute
+        ends = {*range(1, k // 2 + 1), *range(n - k // 2 + 1, n + 1)}
+        rejected = not any(
+            _hook_properties(support, n)
+            for support in combinations(range(1, n + 1), k)
+            if not ends <= set(support)
+        )
+        good = filtered == brute and rejected
         ok = ok and good
         checks.append({
             "alpha": list(alpha),
@@ -149,14 +162,21 @@ def suite_iprod(n: int, force: bool = False) -> dict:
         ok = ok and good
         checks.append({"alpha": list(alpha), "size": len(brute), "ok": good})
     # the length law on each full n1-cycle against each permutation of
-    # S_{n - n1}, its products' lengths counted in blocks of 4096 pairs
+    # S_{n - n1}: the terms of each left factor, and the length of each
+    # right factor, taken once; the right factors streamed in blocks of
+    # about 4096 products, each product built and its length compared
     law_ok = True
     for n1 in range(1, n):
+        n2 = n - n1
         full_cycles = [p for p, _ in _hook_type(n1, n1)]
-        pairs = ((s1, s2) for s2 in all_perms(n - n1) for s1 in full_cycles)
-        while block := list(islice(pairs, 4096)):
-            law = list(starmap(iprod_length_law, block))
-            law_ok = law_ok and lengths(starmap(iprod, block)) == law
+        left = [l1 + _crossing(s1) * n2
+                for s1, l1 in zip(full_cycles, lengths(full_cycles))]
+        rights = all_perms(n2)
+        per_block = max(1, 4096 // len(full_cycles))
+        while block := list(islice(rights, per_block)):
+            law = [base + l2 for l2 in lengths(block) for base in left]
+            products = [iprod(s1, s2) for s2 in block for s1 in full_cycles]
+            law_ok = law_ok and lengths(products) == law
     ok = ok and law_ok
     return {
         "suite": "iprod", "n": n, "length_law_ok": law_ok,

@@ -1,13 +1,17 @@
 """Compositions, partitions, hooks and the maximal-composition enumeration."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from heckezero import compositions
 from heckezero.compositions import (
     enumerate_maximal, even_compositions, hook_kind, is_maximal,
     odd_partitions, sort_to_partition, split_even_odd,
 )
 from heckezero.counting import dim_center
+from heckezero.errors import DegreeLimitError
 
 
 class TestIsMaximal:
@@ -51,6 +55,23 @@ class TestEnumerateMaximal:
     def test_sorted_deterministically(self):
         out = enumerate_maximal(8)
         assert out == sorted(out)
+
+    def test_more_labels_than_the_element_limit_need_force(self, monkeypatch):
+        # dim_center(8) = 26 labels
+        monkeypatch.setattr(compositions, "ELEMENT_SOFT_LIMIT", 25)
+        with pytest.raises(DegreeLimitError, match="force"):
+            enumerate_maximal(8)
+        assert len(enumerate_maximal(8, force=True)) == 26
+        monkeypatch.setattr(compositions, "ELEMENT_SOFT_LIMIT", 26)
+        assert len(enumerate_maximal(8)) == 26
+
+    def test_the_first_refused_degree_is_refused_before_any_work(self):
+        # 171,012 labels at n = 33 and 262,198 at n = 34, over the limit
+        assert dim_center(33) <= compositions.ELEMENT_SOFT_LIMIT < dim_center(34)
+        start = time.perf_counter()
+        with pytest.raises(DegreeLimitError, match="262198"):
+            enumerate_maximal(34)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestSortToPartition:

@@ -148,6 +148,17 @@ class TestArrowClosure:
         with pytest.raises(DegreeLimitError, match="force"):
             approx_class(w, budget=21)
 
+    def test_no_budget_is_the_element_limit_unless_forced(self, monkeypatch):
+        w = stair_form((3, 3))      # a class of 22
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 21)
+        with pytest.raises(DegreeLimitError, match="force"):
+            approx_class(w)
+        assert len(approx_class(w, force=True)) == 22
+        # the strata sit behind the degree gate, and search unbounded
+        assert len(label_max_classes(6)[(3, 3)].elements) == 22
+        monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 22)
+        assert len(approx_class(w)) == 22
+
 
 class TestMakeEquivClass:
     def test_reads_the_common_length(self):
@@ -359,8 +370,11 @@ class TestStrataPass:
     def test_a_class_leaving_the_stratum_is_an_invariant_error(
             self, monkeypatch):
         cyclic_shift._stratum.cache_clear()
-        monkeypatch.setattr(cyclic_shift, "approx_class",
-                            lambda w, twist: frozenset({w, longest_element(4)}))
+        # the stratum search sits behind the degree gate, and lifts the
+        # element gate of the class search
+        monkeypatch.setattr(
+            cyclic_shift, "approx_class",
+            lambda w, twist, force: frozenset({w, longest_element(4)}))
         try:
             # w0 of S_4 is longer than (2,1,4,3), which has its cycle type
             with pytest.raises(InvariantError, match="leaves the min stratum"):

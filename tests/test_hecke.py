@@ -9,6 +9,7 @@ import pytest
 from heckezero import hecke
 from heckezero.compositions import enumerate_maximal
 from heckezero.counting import dim_center
+from heckezero.cyclic_shift import make_equiv_class
 from heckezero.errors import DegreeLimitError
 from heckezero.hecke import (
     HeckeElement, integer_matrix_rank, is_central, left_mul_gen, mul,
@@ -16,7 +17,8 @@ from heckezero.hecke import (
     verify_center_basis,
 )
 from heckezero.permutations import (
-    all_perms, compose, from_cycles, identity, length, longest_element,
+    all_perms, compose, conj_w0, from_cycles, identity, length,
+    longest_element,
 )
 from heckezero.stair_classes import sigma_class, stair_form
 
@@ -435,6 +437,27 @@ class TestIsCentral:
         # the algebra of S_2 is commutative
         assert flagged >= 10 or n == 2
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_half_the_generators_decide_w0_stable_seed_families(self, n):
+        # conjugation by w0 sends T_i to T_{n-i}: on seed sets closed under
+        # it, the generators i >= ceil(n/2) give the Hecke product's verdict
+        rng = random.Random(n)
+        perms = list(all_perms(n))
+        flagged = 0
+        for _ in range(12):
+            seeds = []
+            for _ in range(rng.randint(1, 8)):
+                seed = set(rng.sample(perms, rng.randint(1, min(3, len(perms)))))
+                seeds.append(seed | {conj_w0(w) for w in seed})
+            ids, table = hecke._ideal_masks(seeds, by_rank=True)
+            bad = hecke._noncentral_labels(ids, table, n, stable=True)
+            for r, seed in enumerate(seeds):
+                x = HeckeElement(n, dict.fromkeys(
+                    oracles.ideal_by_inversions(seed), 1))
+                assert (not bad >> r & 1) == is_central(x), seed
+            flagged += bin(bad).count("1")
+        assert flagged >= 5 or n == 2
+
     def test_central_iff_commutes_with_all_products(self):
         # generator commutation implies full commutation; spot-check it
         x = t_leq_sigma((3,), 3)
@@ -585,3 +608,44 @@ class TestVerifyCenterBasis:
         with pytest.raises(DegreeLimitError, match="force"):
             verify_center_basis(9)
         assert time.perf_counter() - start < 1.0
+
+
+def _generators_read(monkeypatch):
+    """The generators whose boundaries `verify_center_basis` compares."""
+    read = []
+    moves = hecke._moves
+
+    def spy(n, i, fact, memo):
+        read.append(i)
+        return moves(n, i, fact, memo)
+
+    monkeypatch.setattr(hecke, "_moves", spy)
+    return read
+
+
+class TestW0Halving:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_labelled_classes_read_half_the_generators(self, monkeypatch,
+                                                           n):
+        # every labelled class is stable under conjugation by w0
+        read = _generators_read(monkeypatch)
+        assert verify_center_basis(n).ok
+        assert read == list(range((n + 1) // 2, n))
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_lone_stair_forms_read_every_generator(self, monkeypatch, n):
+        # a lone stair form is a seed class not stable under w0 (from n = 3
+        # on, some stair form is not its own conjugate), so the check reads
+        # every generator, and its verdict is the Hecke product's
+        monkeypatch.setattr(
+            hecke, "sigma_class",
+            lambda alpha, force=False: make_equiv_class([stair_form(alpha)]))
+        read = _generators_read(monkeypatch)
+        report = verify_center_basis(n)
+        assert any(conj_w0(stair_form(alpha)) != stair_form(alpha)
+                   for alpha in report.alphas)
+        assert read == list(range(1, n))
+        for alpha, good in zip(report.alphas, report.central):
+            x = HeckeElement(n, dict.fromkeys(order_ideal([stair_form(alpha)]), 1))
+            assert good == is_central(x), alpha
+        assert not report.all_central and not report.ok

@@ -134,6 +134,16 @@ class TestOscillating:
                 c = standardize_cycle(tuple(_cycle_of(p)))
                 assert is_oscillating_cycle(c) == wanted
 
+    def test_every_rotation_of_a_cycle_reads_alike(self):
+        # a cycle written from any of its entries, not only from 1
+        for k in range(1, 8):
+            for p in full_cycles(k):
+                c = tuple(_cycle_of(p))
+                rotations = [c[r:] + c[:r] for r in range(k)]
+                assert len(set(map(is_oscillating_cycle, rotations))) == 1
+                assert len(set(map(has_connected_intervals_cycle,
+                                   rotations))) == 1
+
     def test_inverse_preserves_oscillation(self):
         for k in range(1, 8):
             for p in full_cycles(k):

@@ -8,7 +8,7 @@ from heckezero import (
     inductive_product, permutations, stair_classes, verify,
 )
 
-from oracles import perms_of_type
+from oracles import orbit_sets, perms_of_type
 
 
 def test_predicate_mismatch_fails_the_suite(monkeypatch):
@@ -85,16 +85,42 @@ def test_iprod_suite_leaves_the_closed_count_to_the_classes_suite():
     assert not any("formula" in c for c in report["checks"])
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_hook_type_lists_each_permutation_of_the_type_once(n):
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hook_type_draws_each_permutation_with_the_hook_support_once(n):
+    # the plain filter: the permutations of the type whose long cycle
+    # holds 1..m and n-m+1..n, m = k // 2, read off the oracle's orbits
     for k in range(1, n + 1):
+        m = k // 2
+        ends = {*range(1, m + 1), *range(n - m + 1, n + 1)}
+        wanted = {p for p in perms_of_type(n, (k,) + (1,) * (n - k))
+                  if any(len(orbit) == k and ends <= orbit
+                         for orbit in orbit_sets(p))}
         pairs = list(verify._hook_type(n, k))
         got = [p for p, _ in pairs]
         assert len(got) == len(set(got))
-        assert set(got) == set(perms_of_type(n, (k,) + (1,) * (n - k)))
+        assert set(got) == wanted
         # the cycle handed to the hook filter is the one `cycles` finds
         for p, cycle in pairs:
             assert len(cycle) == k and cycle in permutations.cycles(p)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_a_filter_without_the_support_test_fails_the_suite(monkeypatch, n):
+    # the generator draws only the hook supports; one cycle on each other
+    # support still reaches the filter, which must reject it
+    def no_support_test(long, n):
+        std = stair_classes.standardize_cycle(long)
+        return (stair_classes.is_oscillating_cycle(std)
+                and stair_classes.has_connected_intervals_cycle(std))
+
+    assert verify.suite_hooks(n)["ok"] is True
+    monkeypatch.setattr(verify, "_hook_properties", no_support_test)
+    report = verify.suite_hooks(n)
+    assert report["ok"] is False
+    # a label whose long part is 1 or n has no other support
+    for c in report["checks"]:
+        if c["alpha"][0] in (1, n):
+            assert c["ok"] is True, c
 
 
 def test_all_suites_walk_the_degree_once(monkeypatch):
