@@ -5,14 +5,16 @@ Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  The stdlib json writes the
 document but for its row lists (class elements, basis terms), which are
-spliced in as pieces of one bytes `%d` template each; each piece is
-written as it comes, and the whole is never built.  `basis` reads every
-ideal off one rank walk (`hecke.ideal_sums`) and streams each label's
-terms from it, so no term is held.  Exit codes: 0 success,
-1 invalid input, a degree or class size beyond its soft limit without
---force, or stdout closed by its reader before the document was written
-(quietly, as in `| head`), 2 verification failure or internal invariant
-violated (`InvariantError`).
+spliced in as pieces of up to 256 rows: a piece of byte values is one
+repeated row text whose digits are scattered in column by column, with no
+value formatted in Python, and any other piece is one join over a bytes
+`%d` template.  Each piece is written as it comes, and the whole is never
+built.  `basis` reads every ideal off one rank walk (`hecke.ideal_sums`)
+and streams each label's terms from it, so no term is held.  Exit codes:
+0 success, 1 invalid input, a degree or class size beyond its soft limit
+without --force, or stdout closed by its reader before the document was
+written (quietly, as in `| head`), 2 verification failure or internal
+invariant violated (`InvariantError`).
 Any other exception is a bug and keeps its traceback.
 """
 
@@ -68,6 +70,10 @@ _ROWS_PER_PIECE = 256           # rows joined into one piece
 # holds no lone surrogate, so it cannot hold this one
 _HELD = "\udc00heckezero rows\udc00"
 _HELD_TEXT = json.dumps(_HELD)
+# each byte value's decimal digits by place, hundreds, tens and units, with
+# 0 for a place above the top digit
+_PLACES = [*map(bytes, zip(*(str(v).rjust(3, "\0").encode()
+                              for v in range(256))))]
 
 
 class _Rows:
@@ -81,29 +87,32 @@ class _Rows:
 
 
 class _Terms(_Rows):
-    """The terms of a Hecke element, words in lexicographic order, written
-    as the list of objects {"c": c, "w": w} without building them: a dict
-    {w: c}, or, given `c`, words that all have the coefficient c."""
+    """The terms of a Hecke element that all have the coefficient `c`,
+    words in lexicographic order, written as the list of objects
+    {"c": c, "w": w} without building them."""
 
     __slots__ = ("c",)
 
-    def __init__(self, rows, c=None) -> None:
+    def __init__(self, rows, c: int) -> None:
         self.rows, self.c = rows, c
 
 
 def _row_chunks(held: _Rows, indent: str) -> Iterator[str]:
     """The rows of `held`, on a line indented by `indent`, as `json.dumps`
     writes the lists or objects they stand for: pieces of up to
-    `_ROWS_PER_PIECE` rows, each one join over one bytes `%d` template
-    (JSON numbers are ASCII), read back as text.  A coefficient common to
-    all the terms is written into the template.  Every word must be a
-    tuple of exact ints of one length and every coefficient an exact int,
-    as all the commands write (`%d` would write True as 1).
+    `_ROWS_PER_PIECE` rows, read back as text from bytes (JSON numbers are
+    ASCII).  A piece whose values are all bytes is written by column
+    scatter: the row text with W slots per value, W the digit width of its
+    largest value, repeated once per row, and each place of each column
+    filled by one strided slice from one `translate` of the piece's values;
+    the 0 bytes of the places above a value's top digit are then dropped.
+    Any other piece is one join over one bytes `%d` template.  The
+    coefficient is written into the row text.  Every word must be a tuple
+    of exact ints of one length and the coefficient an exact int, as all
+    the commands write (`%d` and `bytes` would write True as 1).
     """
     terms = isinstance(held, _Terms)
-    each = terms and held.c is None     # a coefficient per term
-    rows = held.rows
-    rows = iter(map(tuple.__add__, zip(rows.values()), rows) if each else rows)
+    rows = iter(held.rows)
     first = next(rows, None)            # () is a row, [()] is not empty
     if first is None:
         yield "[]"
@@ -111,19 +120,37 @@ def _row_chunks(held: _Rows, indent: str) -> Iterator[str]:
     inner = indent + "  "       # the lines of the rows
     member = inner + "  " if terms else inner   # the brackets of each word
     entry = member + "  "                       # the values of each word
-    size = len(first) - each
-    template = ("[" + entry + ("," + entry).join(("%d",) * size) + member
-                + "]" if size else "[]")
+    size = len(first)
+    row = ("[" + entry + ("," + entry).join(("%d",) * size) + member + "]"
+           if size else "[]")
     if terms:
-        template = ("{" + member + '"c": ' + ("%d" if each else "%d" % held.c)
-                    + "," + member + '"w": ' + template + inner + "}")
-    fill = template.encode().__mod__
-    join = ("," + inner).encode().join
+        row = ("{" + member + '"c": %d,' % held.c + member + '"w": ' + row
+               + inner + "}")
+    row = ("," + inner + row).encode()  # the first piece opens with "["
+    # the first value's slot; each next one is a separator and entry later
+    start, skip = row.find(b"%d"), len(entry) + 1
     rows = chain((first,), rows)
-    sep = "[" + inner
-    while piece := join(map(fill, islice(rows, _ROWS_PER_PIECE))):
-        yield sep + piece.decode()
-        sep = "," + inner
+    opening = ord("[")
+    while piece := list(islice(rows, _ROWS_PER_PIECE)):
+        try:
+            flat = bytes(chain.from_iterable(piece))
+        except ValueError:      # a value below 0 or above 255
+            text = bytearray().join(map(row.__mod__, piece))
+        else:
+            width = (1 if not flat.translate(None, bytes(range(10))) else
+                     2 if not flat.translate(None, bytes(range(100))) else 3)
+            unit = row.replace(b"%d", b"\1" * width)
+            text = bytearray(unit) * len(piece)
+            for slot, table in enumerate(_PLACES[3 - width:], start):
+                digits = flat.translate(table)
+                for col in range(size):
+                    text[slot + col * (skip + width)::len(unit)] = (
+                        digits[col::size])
+            if width > 1:
+                text = text.replace(b"\0", b"")
+        text[0] = opening
+        opening = ord(",")
+        yield text.decode()
     yield indent + "]"
 
 

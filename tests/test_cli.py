@@ -11,7 +11,6 @@ import sys
 import time
 import tracemalloc
 import types
-from itertools import cycle
 from math import factorial
 from pathlib import Path
 
@@ -138,6 +137,16 @@ class TestSigma:
     def test_non_hook_tail_needs_no_gate(self, capsys):
         doc, _ = run_json(capsys, "sigma", "--alpha", "2,5,5")
         assert doc["size"] == 664
+
+
+    def test_identity_of_degree_256_writes_values_above_a_byte(self, capsys):
+        # its one row holds 256, which the byte scatter cannot take
+        code, out, _ = run(capsys, "sigma", "--alpha", ",".join(["1"] * 256))
+        assert code == 0
+        identity = list(range(1, 257))
+        plain = {"alpha": [1] * 256, "length": 0, "size": 1, "rep": identity,
+                 "elements": [identity]}
+        assert out == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 class TestStairform:
@@ -565,8 +574,10 @@ def _words(size):
 # words of one length per example, as every command writes
 _ROW_LISTS = st.integers(min_value=0, max_value=4).flatmap(
     lambda size: st.lists(_words(size), max_size=6))
-_TERM_DICTS = st.integers(min_value=0, max_value=4).flatmap(
-    lambda size: st.dictionaries(_words(size), _INTS, max_size=4))
+# words of one length whose values are mostly bytes, some of them above 255
+_BYTE_ROWS = st.integers(min_value=0, max_value=4).flatmap(
+    lambda size: st.lists(st.tuples(
+        *[st.integers(min_value=0, max_value=300)] * size), max_size=6))
 
 
 @st.composite
@@ -581,8 +592,8 @@ def _rank_terms(draw):
 
 
 _HELD_TREES = st.recursive(
-    _SCALARS | _INT_LISTS | _ROW_LISTS.map(cli._Rows)
-    | _TERM_DICTS.map(cli._Terms) | _rank_terms(),
+    _SCALARS | _INT_LISTS | (_ROW_LISTS | _BYTE_ROWS).map(cli._Rows)
+    | st.builds(cli._Terms, _ROW_LISTS | _BYTE_ROWS, _INTS) | _rank_terms(),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_STRINGS, inner, max_size=4),
     max_leaves=24)
@@ -591,10 +602,8 @@ _HELD_TREES = st.recursive(
 def _plain(value):
     """`value` with each `_Rows` or `_Terms` replaced by the lists or
     objects it stands for."""
-    if isinstance(value, cli._Terms) and value.c is not None:
-        return [{"c": value.c, "w": list(w)} for w in value.rows]
     if isinstance(value, cli._Terms):
-        return [{"c": c, "w": list(w)} for w, c in value.rows.items()]
+        return [{"c": value.c, "w": list(w)} for w in value.rows]
     if isinstance(value, cli._Rows):
         return [list(w) for w in value.rows]
     if isinstance(value, list):
@@ -620,7 +629,7 @@ class TestJsonText:
 
     @pytest.mark.parametrize("doc", [
         {"a": cli._HELD}, [cli._Rows([(1, 2)]), {"b": [cli._HELD]}],
-        {cli._HELD: cli._Terms({(): 1})},
+        {cli._HELD: cli._Terms([()], 1)},
     ])
     def test_the_row_marker_as_a_string_raises_before_any_write(
             self, monkeypatch, doc):
@@ -642,11 +651,11 @@ class TestJsonText:
         with pytest.raises(TypeError):
             _json_text(doc)
 
-    @given(_TERM_DICTS)
-    def test_terms_write_as_the_objects_they_stand_for(self, terms):
-        # basis writes its terms dict without building {"c", "w"} objects
-        doc = {"terms": cli._Terms(terms), "more": [cli._Terms(terms), 1]}
-        objects = [{"w": list(w), "c": c} for w, c in terms.items()]
+    @given(_ROW_LISTS, _INTS)
+    def test_terms_write_as_the_objects_they_stand_for(self, rows, c):
+        # basis writes its terms without building {"c", "w"} objects
+        doc = {"terms": cli._Terms(rows, c), "more": [cli._Terms(rows, c), 1]}
+        objects = [{"w": list(w), "c": c} for w in rows]
         plain = {"terms": objects, "more": [objects, 1]}
         assert _json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
 
@@ -657,24 +666,35 @@ class TestJsonText:
         plain = {"rows": lists, "more": [lists, 1]}
         assert _json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
 
+    @given(_BYTE_ROWS, _INTS)
+    def test_byte_rows_write_as_what_they_stand_for(self, rows, c):
+        # values 0..255 take the column scatter, larger ones the template
+        lists = [list(w) for w in rows]
+        assert _json_text(cli._Rows(rows)) == json.dumps(lists, indent=2)
+        objects = [{"w": list(w), "c": c} for w in rows]
+        assert _json_text(cli._Terms(rows, c)) == json.dumps(
+            objects, sort_keys=True, indent=2)
+
     # explicit ids, so that a case keeps its name when others are removed
     @pytest.mark.parametrize("rows", [
         [], [()], [(), ()], [(7,)], [(2**70, -2**70, 0)],
         # rows of one length around the bound of a piece
         [(k,) for k in range(255)], [(k, -k) for k in range(256)],
         [(k,) for k in range(257)], [()] * 513, [(k, 1, 2) for k in range(513)],
-    ], ids=[f"rows{k}" for k in (0, 1, 2, 4, *range(9, 15))])
+        # pieces of digit width 1, 2 and 3, a piece above 255, then 1 and 2
+        [(k % (10, 100, 256, 300)[k // 256 % 4], k % 7) for k in range(1300)],
+    ], ids=[f"rows{k}" for k in (0, 1, 2, 4, *range(9, 16))])
     def test_row_lists_of_every_shape(self, rows):
         lists = [list(w) for w in rows]
         assert _json_text(cli._Rows(rows)) == json.dumps(lists, indent=2)
-        terms = dict(zip(rows, cycle((3, -1, 0, 2**70))))
-        objects = [{"w": list(w), "c": c} for w, c in terms.items()]
-        assert _json_text(cli._Terms(terms)) == json.dumps(
-            objects, sort_keys=True, indent=2)
+        # each row closes one bracket, the list one more
+        assert [p.count("]") for p in cli._json_chunks(cli._Rows(rows))] == [
+            *(min(256, len(rows) - k) for k in range(0, len(rows), 256)), 1]
         # one coefficient for every word, as `basis` writes its terms
-        objects = [{"w": list(w), "c": 1} for w in rows]
-        assert _json_text(cli._Terms(rows, 1)) == json.dumps(
-            objects, sort_keys=True, indent=2)
+        for c in (1, -3, 2**70):
+            objects = [{"w": list(w), "c": c} for w in rows]
+            assert _json_text(cli._Terms(rows, c)) == json.dumps(
+                objects, sort_keys=True, indent=2)
 
     @staticmethod
     def emitted_pieces(monkeypatch, doc):
@@ -691,9 +711,9 @@ class TestJsonText:
         return writes
 
     def test_emit_writes_terms_in_bounded_blocks(self, monkeypatch):
-        terms = {(k,): k % 7 - 3 for k in range(10_000)}
-        self.emitted_pieces(monkeypatch, {"terms": cli._Terms(terms)})
-        pieces = list(cli._json_chunks(cli._Terms(terms)))
+        terms = cli._Terms([(k,) for k in range(10_000)], -3)
+        self.emitted_pieces(monkeypatch, {"terms": terms})
+        pieces = list(cli._json_chunks(terms))
         # 39 pieces of 256 terms, a last one of 16, and the closing bracket
         assert [p.count("}") for p in pieces] == [256] * 39 + [16, 0]
 
