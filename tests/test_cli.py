@@ -138,7 +138,6 @@ class TestSigma:
         doc, _ = run_json(capsys, "sigma", "--alpha", "2,5,5")
         assert doc["size"] == 664
 
-
     def test_identity_of_degree_256_writes_values_above_a_byte(self, capsys):
         # its one row holds 256, which the byte scatter cannot take
         code, out, _ = run(capsys, "sigma", "--alpha", ",".join(["1"] * 256))
