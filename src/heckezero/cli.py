@@ -5,12 +5,16 @@ Every subcommand writes a JSON document to stdout (or `--out FILE`) and a
 one-line human summary to stderr.  Output is deterministic: keys sorted,
 element lists sorted lexicographically.  The stdlib json writes the
 document but for its row lists (class elements, basis terms), which are
-spliced in as pieces of up to 256 rows: a piece of byte values is one
-repeated row text whose digits are scattered in column by column, with no
-value formatted in Python, and any other piece is one join over a bytes
-`%d` template.  Each piece is written as it comes, and the whole is never
-built.  `basis` reads every ideal off one rank walk (`hecke.ideal_sums`)
-and streams each label's terms from it, so no term is held.  Exit codes:
+spliced in as pieces of up to 256 rows.  A row list comes in one of two
+forms.  Byte rows, one byte per value, come as blocks of bytes from where
+they are built: a class's members sorted as bytes, a basis element's terms
+picked out of S_n in lex order (`hecke.ideal_sums`).  Each piece of them
+is one repeated row text whose digits are scattered in column by column,
+with no value handled in Python.  Rows of ints, which only a value
+outside 0..255 or a row of length 0 needs, are joined over a bytes `%d`
+template.  Each piece is written as it comes, and the whole is never
+built; `basis` reads every ideal off one rank walk and picks each label's
+terms as it is written, so no label's terms are held.  Exit codes:
 0 success, 1 invalid input, a degree or class size beyond its soft limit
 without --force, or stdout closed by its reader before the document was
 written (quietly, as in `| head`), 2 verification failure or internal
@@ -77,50 +81,60 @@ _PLACES = [*map(bytes, zip(*(str(v).rjust(3, "\0").encode()
 
 
 class _Rows:
-    """Tuples of ints of one length, such as permutations, written as the
-    list of their lists without building them."""
+    """Rows of one length, such as permutations, written as the list of
+    their lists without building them.  With `size` 0, `rows` yields
+    tuples of ints; with `size` > 0, it yields blocks of bytes, each of
+    whole rows of `size` byte values."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "size")
 
-    def __init__(self, rows) -> None:
-        self.rows = rows
+    def __init__(self, rows, size: int = 0) -> None:
+        self.rows, self.size = rows, size
 
 
 class _Terms(_Rows):
     """The terms of a Hecke element that all have the coefficient `c`,
-    words in lexicographic order, written as the list of objects
-    {"c": c, "w": w} without building them."""
+    words in lexicographic order in either form of `_Rows`, written as the
+    list of objects {"c": c, "w": w} without building them."""
 
     __slots__ = ("c",)
 
-    def __init__(self, rows, c: int) -> None:
-        self.rows, self.c = rows, c
+    def __init__(self, rows, c: int, size: int = 0) -> None:
+        self.rows, self.c, self.size = rows, c, size
 
 
 def _row_chunks(held: _Rows, indent: str) -> Iterator[str]:
     """The rows of `held`, on a line indented by `indent`, as `json.dumps`
     writes the lists or objects they stand for: pieces of up to
     `_ROWS_PER_PIECE` rows, read back as text from bytes (JSON numbers are
-    ASCII).  A piece whose values are all bytes is written by column
-    scatter: the row text with W slots per value, W the digit width of its
-    largest value, repeated once per row, and each place of each column
-    filled by one strided slice from one `translate` of the piece's values;
-    the 0 bytes of the places above a value's top digit are then dropped.
-    Any other piece is one join over one bytes `%d` template.  The
-    coefficient is written into the row text.  Every word must be a tuple
-    of exact ints of one length and the coefficient an exact int, as all
-    the commands write (`%d` and `bytes` would write True as 1).
+    ASCII).  A piece of byte rows is written by column scatter: the row
+    text with W slots per value, W the digit width of its largest value,
+    repeated once per row, and each place of each column filled by one
+    strided slice from one `translate` of the piece; the 0 bytes of the
+    places above a value's top digit are then dropped.  A piece of tuples
+    is one join over one bytes `%d` template.  The coefficient is written
+    into the row text.  Every tuple must hold exact ints and the
+    coefficient be an exact int, as all the commands write (`%d` would
+    write True as 1).
     """
     terms = isinstance(held, _Terms)
-    rows = iter(held.rows)
-    first = next(rows, None)            # () is a row, [()] is not empty
+    size = held.size
+    if size:
+        step = size * _ROWS_PER_PIECE
+        pieces = (block[at:at + step] for block in held.rows
+                  for at in range(0, len(block), step))
+    else:
+        rows = iter(held.rows)
+        pieces = iter(lambda: list(islice(rows, _ROWS_PER_PIECE)), [])
+    first = next(pieces, None)          # () is a row, [()] is not empty
     if first is None:
         yield "[]"
         return
+    if not size:
+        size = len(first[0])
     inner = indent + "  "       # the lines of the rows
     member = inner + "  " if terms else inner   # the brackets of each word
     entry = member + "  "                       # the values of each word
-    size = len(first)
     row = ("[" + entry + ("," + entry).join(("%d",) * size) + member + "]"
            if size else "[]")
     if terms:
@@ -129,20 +143,17 @@ def _row_chunks(held: _Rows, indent: str) -> Iterator[str]:
     row = ("," + inner + row).encode()  # the first piece opens with "["
     # the first value's slot; each next one is a separator and entry later
     start, skip = row.find(b"%d"), len(entry) + 1
-    rows = chain((first,), rows)
     opening = ord("[")
-    while piece := list(islice(rows, _ROWS_PER_PIECE)):
-        try:
-            flat = bytes(chain.from_iterable(piece))
-        except ValueError:      # a value below 0 or above 255
+    for piece in chain((first,), pieces):
+        if not held.size:
             text = bytearray().join(map(row.__mod__, piece))
         else:
-            width = (1 if not flat.translate(None, bytes(range(10))) else
-                     2 if not flat.translate(None, bytes(range(100))) else 3)
+            width = (1 if not piece.translate(None, bytes(range(10))) else
+                     2 if not piece.translate(None, bytes(range(100))) else 3)
             unit = row.replace(b"%d", b"\1" * width)
-            text = bytearray(unit) * len(piece)
+            text = bytearray(unit) * (len(piece) // size)
             for slot, table in enumerate(_PLACES[3 - width:], start):
-                digits = flat.translate(table)
+                digits = piece.translate(table)
                 for col in range(size):
                     text[slot + col * (skip + width)::len(unit)] = (
                         digits[col::size])
@@ -202,13 +213,22 @@ def _emit(doc, args, summary: str) -> None:
 
 
 def _class_entry(cls) -> dict:
-    elements = cls.sorted_elements()
+    """The entry of one class, its members sorted.  When every value fits
+    a byte (degree 1 to 255) they are sorted as bytes, whose order is the
+    order of the tuples for rows of one length, and written as byte rows."""
+    n = len(next(iter(cls.elements)))
+    if 0 < n < 256:
+        flat = b"".join(sorted(map(bytes, cls.elements)))
+        rep, rows = list(flat[:n]), _Rows((flat,), n)
+    else:
+        elements = cls.sorted_elements()
+        rep, rows = list(elements[0]), _Rows(elements)
     return {
         "alpha": list(cls.alpha) if cls.alpha is not None else None,
         "length": cls.common_length,
         "size": cls.size,
-        "rep": list(elements[0]),
-        "elements": _Rows(elements),
+        "rep": rep,
+        "elements": rows,
     }
 
 
@@ -277,8 +297,10 @@ def _cmd_basis(args) -> int:
     one = args.alpha is not None
     alphas = ([_parse_alpha(args.alpha)] if one
               else compositions.enumerate_maximal(args.n, args.force))
+    # S_0's one term is a row of no bytes, so it is written as a tuple
     entries = [{"alpha": list(alpha), "ideal_size": size,
-                "terms": _Terms(terms, 1)} for alpha, (size, terms)
+                "terms": _Terms(terms.blocks(), 1, args.n) if args.n
+                else _Terms(terms, 1)} for alpha, (size, terms)
                in zip(alphas, hecke.ideal_sums(alphas, args.n, args.force))]
     if one:
         _emit(entries[0], args, f"basis element of {alphas[0]}: "

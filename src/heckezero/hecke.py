@@ -27,9 +27,11 @@ generators suffice.  Independence is one exact rank: equal masks are
 equal columns, so the rank over S_n is the rank over the few distinct
 masks in the table.  The same walk gives the `basis` command its terms:
 `ideal_sums` counts each label's ideal off the rank array and reads its
-permutations in lex order, one label at a time, so no term is held.  The
-sparse products, `t_leq_sigma` and `is_central` stay as the algebra API
-and as the reference the check is tested against.
+permutations in lex order, one label at a time, so no label's terms are
+held; as bytes, S_n is built in blocks by column scatter and each block
+is masked by the rank array in one big-integer AND.  The sparse
+products, `t_leq_sigma` and `is_central` stay as the algebra API and as
+the reference the check is tested against.
 
 Integer coefficients suffice throughout: all structure constants are
 integral, so any field case follows by extension of scalars.
@@ -482,10 +484,36 @@ def center_ideals(alphas: Sequence[Composition], n: int,
         [sigma_class(alpha, force).elements for alpha in alphas], by_rank=True)
 
 
+def _lex_rows(n: int) -> bytes:
+    """S_n in lexicographic order, one row of n bytes per permutation."""
+    tail = _lex_rows(n - 1) if n else b""
+    return b"".join(_lex_block(n, (v,), tail) for v in range(1, n + 1))
+
+
+def _lex_block(n: int, prefix: tuple[int, ...], tail: bytes) -> bytearray:
+    """The rows of S_n that start with `prefix`, in lexicographic order, by
+    column scatter from `tail`, the rows of S_{n-d}, d = len(prefix): the
+    prefix in the first d columns, then the rows of `tail` moved onto the
+    other values by one `translate`, each of their columns written in by
+    one strided slice."""
+    d = len(prefix)
+    count = factorial(n - d)
+    others = bytes(v for v in range(n + 1) if v not in prefix)     # 0 first
+    rest = tail.translate(others.ljust(256, b"\0"))
+    block = bytearray(count * n)
+    for c, v in enumerate(prefix):
+        block[c::n] = bytes((v,)) * count
+    for c in range(d, n):
+        block[c::n] = rest[c - d::n - d]
+    return block
+
+
 class _IdealTerms:
     """The permutations of one ideal of a rank array, in lexicographic
-    order.  Each iteration translates the rank array to the ideal's bit,
-    so the copy lives only as long as the iterator."""
+    order: iterated, as tuples of ints; from `blocks`, as rows of bytes.
+    `keep` maps the id of each set of ideals to 0xFF when the set holds
+    this ideal and to 0 otherwise.  Each reading translates the rank array
+    by `keep`, so the copy lives only as long as the reading."""
 
     __slots__ = ("n", "ids", "keep")
 
@@ -495,13 +523,39 @@ class _IdealTerms:
     def __iter__(self) -> Iterator[Perm]:
         return compress(all_perms(self.n), self.ids.translate(self.keep))
 
+    def blocks(self) -> Iterator[bytes]:
+        """The same permutations for n >= 1 as rows of n bytes, in blocks
+        of the rows that share their first two values, each block the
+        ideal reaches picked out of S_n (`_lex_block`) by one big-integer
+        AND with its part of the translated rank array, widened to n bytes
+        per row.  The 0 bytes left are then dropped, as every value is at
+        least 1."""
+        n = self.n
+        mask = self.ids.translate(self.keep)
+        depth = min(n, 2)
+        tail = _lex_rows(n - depth)
+        count = factorial(n - depth)
+        for at, prefix in zip(range(0, len(mask), count),
+                              permutations(range(1, n + 1), depth)):
+            part = mask[at:at + count]
+            if 255 in part:
+                rows = _lex_block(n, prefix, tail)
+                wide = bytearray(len(rows))
+                for c in range(n):
+                    wide[c::n] = part
+                picked = (int.from_bytes(rows, "big")
+                          & int.from_bytes(wide, "big"))
+                yield picked.to_bytes(len(rows), "big").replace(b"\0", b"")
+
 
 def ideal_sums(alphas: Sequence[Composition], n: int,
                force: bool = False) -> list[tuple[int, Iterable[Perm]]]:
     """The indicator sums of T_x over the ideals of `center_ideals`, one
     per label: the size of the ideal, summed from one count per id of the
     rank array, and its permutations in lexicographic order, each with
-    coefficient 1, as an iterable that holds no term.
+    coefficient 1, as an iterable that holds no term: it yields tuples,
+    which `t_leq_sigma` reads, and its `blocks` yield the same terms as
+    rows of bytes picked out of S_n, which the `basis` command writes.
 
     >>> [(size, list(terms)) for size, terms
     ...  in ideal_sums([(1, 1, 1), (3,)], 3)]  # doctest: +NORMALIZE_WHITESPACE
@@ -512,7 +566,7 @@ def ideal_sums(alphas: Sequence[Composition], n: int,
     counts = list(map(ids.count, range(len(table))))
     sums = []
     for r in range(len(alphas)):
-        keep = bytes(m >> r & 1 for m in table).ljust(256, b"\0")
+        keep = bytes(255 * (m >> r & 1) for m in table).ljust(256, b"\0")
         sums.append((sum(compress(counts, keep)), _IdealTerms(n, ids, keep)))
     return sums
 

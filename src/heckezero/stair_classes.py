@@ -7,9 +7,10 @@ form*, the representative defined in `permutations`.  For a one-part label
 the class is exactly the set of full cycles that are *oscillating* with
 *connected intervals*, and it grows degree by degree through an insertion
 bijection.  One step, `_lift_all`, inserts the middle value into a whole
-level of one-line lists written in the labels of the final degree, by
-setting two entries of each; `cycle_class` is one loop of it from degree
-3, `lift_cycle_class` one step of it, and `lower_cycle_class` the inverse.
+level written in the labels of the final degree and held by columns, one
+byte per member, each column rewritten by one `translate`; `cycle_class`
+is one loop of it from degree 3, `lift_cycle_class` one step of it on a
+level of one member, and `lower_cycle_class` the inverse.
 Membership is tested by the two predicates on the one cycle, never by
 building the class.  `sigma_class` is the one constructive route to every
 labelled class: the even parts split off through the interleaving
@@ -216,7 +217,7 @@ def _is_cycle_class_member(sigma: Perm) -> bool:
 
 def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
     """The degree-raising bijection from the one-part class of degree n-1
-    onto the one-part class of degree n (n >= 4).
+    onto the one-part class of degree n (4 <= n <= 255).
 
     For even n the middle value m = n/2 + 1 is inserted at the position
     determined by `sigma` and no branch choice exists (`q` must be None).
@@ -224,16 +225,17 @@ def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
     just right of the pair {m-1, m}, selected by q in {0, 1, 2}.
 
     `sigma` is written in the labels of degree n, every value from m up
-    raised by one and m fixed, and takes one step of `_lift_all`, the
-    kernel of `cycle_class`.
+    raised by one and m fixed, as a level of one member, one byte per
+    column; it takes one step of `_lift_all`, the kernel of `cycle_class`,
+    and branch q is row q of the result.
 
     >>> cycle_string(lift_cycle_class(4, from_cycles(3, [(1, 3, 2)])))
     '(1,4,2,3)'
     >>> cycle_string(lift_cycle_class(5, from_cycles(4, [(1, 4, 2, 3)]), 1))
     '(1,5,2,3,4)'
     """
-    if n < 4:
-        raise ValueError("degree-raising map needs n >= 4")
+    if not 4 <= n <= 255:
+        raise ValueError("degree-raising map needs 4 <= n <= 255")
     if len(sigma) != n - 1:
         raise ValueError(f"expected a permutation of degree {n - 1}")
     if not _is_cycle_class_member(sigma):
@@ -245,49 +247,78 @@ def lift_cycle_class(n: int, sigma: Perm, q: int | None = None) -> Perm:
     m = n // 2 + 1
     p = [v + 1 if v >= m else v for v in sigma]
     p.insert(m - 1, m)
-    return tuple(_lift_all([p], list(range(1, n + 1)))[q or 0])
+    rows = zip(*_lift_all([bytes((v,)) for v in p], list(range(1, n + 1))))
+    return [*rows][q or 0]
 
 
-def _lift_all(level: list[list[int]], labels: list[int]) -> list[list[int]]:
-    """Every lift of every member of `level` to the degree k = len(labels):
-    the one lift of each member for even k, its branches q = 0, 1, 2 in
-    that order for odd k.  The one lift step of `cycle_class` and
-    `lift_cycle_class`, without the membership check of the latter.
+def _table(moves: dict[int, int], fill: int | None = None) -> bytes:
+    """A `translate` table sending each key of `moves` to its value and
+    every other byte to `fill`, or to itself when `fill` is None."""
+    if fill is None:
+        return bytes.maketrans(bytes(moves), bytes(moves.values()))
+    table = bytearray((fill,)) * 256
+    for a, b in moves.items():
+        table[a] = b
+    return table
 
-    The members are one-line lists, all of one length, of the full cycles
-    of degree k-1 written in final labels: they move the values `labels`
+
+def _lift_all(columns: list[bytes], labels: list[int]) -> list[bytes]:
+    """Every lift of every member of a level to the degree k = len(labels):
+    the one lift of each member for even k, its branches q = 0, 1, 2 for
+    odd k, concatenated branch by branch.  The one lift step of
+    `cycle_class` and `lift_cycle_class`, without the membership check of
+    the latter.
+
+    The level is held by columns: `columns[c]` has one byte per member,
+    its value at c + 1.  The members are the one-part class members of
+    degree k-1 written in final labels: they move the values `labels`
     other than the middle one, x = labels[k // 2], and fix x and every
     value outside `labels`.  A lift inserts x behind an anchor a of the
-    cycle, a -> x -> p(a), by setting two entries, q[a] = x and
-    q[x] = p[a]: the right product with the transposition (a, x).
+    cycle, a -> x -> p(a): column a takes x, and column x, all x before,
+    takes p(a).  Each column is rewritten by one `translate`, all its
+    lanes at once.
 
     The even anchor is the lesser of u = labels[k // 2 - 1] and its
-    preimage.  The odd anchors are the preimage of, the first of and the
-    second of the pair {u, v} of labels around x on the cycle read from
-    its least value.  Connected intervals make the pair adjacent, so its
-    first is found by two lookups; a pair that is not adjacent raises
-    InvariantError.
+    preimage.  u is the middle value of the cycle, so oscillation puts one
+    lesser and one greater value around it: its preimage is the lesser
+    exactly when its image p(u), the byte in column u, is greater.  The odd
+    anchors are the preimage of, the first of and the second of the pair
+    {u, v} of labels around x on the cycle read from its least value.
+    Connected intervals make the pair adjacent, so each lane holds v in
+    column u or u in column v, which tells its first; a pair that is not
+    adjacent raises InvariantError.
     """
-    k = len(labels)
+    k, lanes = len(labels), len(columns[0])
     u, x = labels[k // 2 - 1:k // 2 + 1]
-    v = labels[k // 2 + 1] if k % 2 else None
-    out = []
-    for p in level:
-        if v is None:
-            anchors = (min(p.index(u), u - 1),)
-        elif p[u - 1] == v:
-            anchors = (p.index(u), u - 1, v - 1)
-        elif p[v - 1] == u:
-            anchors = (p.index(v), v - 1, u - 1)
-        else:
-            raise InvariantError(
-                f"{u} and {v} are not adjacent on the cycle {tuple(p)}")
-        for a in anchors:
-            q = p.copy()
-            q[a] = x
-            q[x - 1] = p[a]
-            out.append(q)
-    return out
+    cu = columns[u - 1]
+    if k % 2 == 0:
+        # u moves to x in the columns before u, where the lesser preimage is
+        out = [column.translate(_table({u: x})) for column in columns[:u - 1]]
+        out += columns[u - 1:]
+        out[u - 1] = cu.translate(bytes((x,)) * u + bytes(range(u, 256)))
+        out[x - 1] = cu.translate(bytes(range(u)) + bytes((u,)) * (256 - u))
+        return out
+    v = labels[k // 2 + 1]
+    cv = columns[v - 1]
+    if cu.count(v) + cv.count(u) < lanes:
+        cycle = next(p for p in zip(*columns)
+                     if p[u - 1] != v and p[v - 1] != u)
+        raise InvariantError(f"{u} and {v} are not adjacent on the cycle {cycle}")
+    # a lane with u -> v holds v in column u, one with v -> u holds u in v
+    first = [column.translate(_table({u: x, v: x})) for column in columns]
+    first[u - 1], first[v - 1] = cu, cv
+    first[x - 1] = cu.translate(_table({v: u}, v))
+    between = columns.copy()
+    between[u - 1] = cu.translate(_table({v: x}))
+    between[v - 1] = cv.translate(_table({u: x}))
+    between[x - 1] = cu.translate(_table({v: v}, u))
+    second = columns.copy()
+    second[u - 1] = cu.translate(_table({v: v}, x))
+    second[v - 1] = cv.translate(_table({u: u}, x))
+    second[x - 1] = (int.from_bytes(cu.translate(_table({v: 0})), "big")
+                     | int.from_bytes(cv.translate(_table({u: 0})), "big")
+                     ).to_bytes(lanes, "big")
+    return [b"".join(branches) for branches in zip(first, between, second)]
 
 
 def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
@@ -334,9 +365,10 @@ def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
     n: those of degree n are 1..n, and those of degree k-1 are the labels
     of degree k without their middle value.  The explicit class of degree
     3 grows by the insertion bijection (`_lift_all`), each even step
-    keeping the count and each odd step tripling it, as one-line lists of
-    length n in which a value not yet inserted is a fixed point in the
-    middle.  The inputs are class members by construction, so the step
+    keeping the count and each odd step tripling it, as n columns of one
+    byte per member, in which a value not yet inserted is a fixed point
+    in the middle; the members are read off as the tuples across the
+    columns.  The inputs are class members by construction, so the step
     skips the membership check; one count against the closed count
     `size_sigma_formula((n,))` instead catches a lift that leaves the class
     or is not injective, and raises InvariantError.
@@ -358,19 +390,15 @@ def _cycle_class(n: int) -> frozenset[Perm]:
         return frozenset([((), (1,), (2, 1))[n]])     # one full cycle each
     labels = {n: list(range(1, n + 1))}
     for k in range(n, 3, -1):
-        below = labels[k].copy()
-        del below[k // 2]
-        labels[k - 1] = below
-    base = labels[3]
-    level = []
-    for tau in ((3, 1, 2), (2, 3, 1)):      # the cycles (1,3,2) and (1,2,3)
-        p = list(range(1, n + 1))
-        for s, t in zip(base, tau):
-            p[s - 1] = base[t - 1]
-        level.append(p)
+        labels[k - 1] = labels[k][:k // 2] + labels[k][k // 2 + 1:]
+    a, b, c = labels[3]
+    # the lanes of the cycles (a,c,b) and (a,b,c); the other values are fixed
+    columns = [bytes((v, v)) for v in range(1, n + 1)]
+    columns[a - 1], columns[b - 1], columns[c - 1] = (
+        bytes((c, b)), bytes((a, c)), bytes((b, a)))
     for k in range(4, n + 1):
-        level = _lift_all(level, labels[k])
-    result = frozenset(map(tuple, level))
+        columns = _lift_all(columns, labels[k])
+    result = frozenset(zip(*columns))
     expected = size_sigma_formula((n,))
     if len(result) != expected:
         raise InvariantError(

@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import types
+from itertools import accumulate, chain
 from math import factorial
 from pathlib import Path
 
@@ -399,7 +400,10 @@ class TestPlumbing:
     # stdlib wrote the documents.  The digests of `verify --n 7 --suite
     # classes` and `--suite iprod` were re-recorded on the commit after
     # a9cfb36, which moved the closed-count checks from the iprod suite to
-    # the classes suite, where they cover every label with a closed count
+    # the classes suite, where they cover every label with a closed count.
+    # The last two, from commit 5a56ed9, pin the deepest odd lift levels
+    # (39,366 rows) and the ideal of (9) at n = 9 before the lift and the
+    # basis terms were carried as byte rows
     GOLDEN = [
         ("verify --n 7 --suite center",
          "d64ece2f055d623bfb3e576b35ba82105a9bb39034ab79fea1fa0ab6b34eda98"),
@@ -435,6 +439,10 @@ class TestPlumbing:
          "652eb74d51e63f0561496b56e0cd6392c3cd83be568b1bdd36639cfd85ac1778"),
         ("basis --n 0",
          "6cf9ba95fa88fe2da781d57e158ffc9e5316c72bb262462449c29556dc12523f"),
+        ("sigma --alpha 21",
+         "b178c409309963e01dbf2c8cedfb631b4b56d3473da0e554b7d204ea325b1c3e"),
+        ("basis --n 9 --alpha 9 --force",
+         "9fa758f7f6674348dc51c3c755c2a443ca2f6377001c012162bd0577cc86c03c"),
     ]
 
     def test_stdout_bytes_match_the_recorded_digests(self, capsys):
@@ -577,34 +585,55 @@ _ROW_LISTS = st.integers(min_value=0, max_value=4).flatmap(
 _BYTE_ROWS = st.integers(min_value=0, max_value=4).flatmap(
     lambda size: st.lists(st.tuples(
         *[st.integers(min_value=0, max_value=300)] * size), max_size=6))
+# byte rows of one length, 1 to 4 values each, in blocks of whole rows,
+# with that length: the arguments of the byte form of `_Rows`
+_ROW_BLOCKS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda size: st.tuples(st.lists(st.lists(
+        st.binary(min_size=size, max_size=size), max_size=4).map(b"".join),
+        max_size=3), st.just(size)))
 
 
 @st.composite
 def _rank_terms(draw):
     """The terms of one ideal of a rank array of S_n, n <= 4, as `basis`
-    writes them: permutations in lex order, each with one coefficient."""
+    writes them: permutations in lex order, each with one coefficient, as
+    tuples or (for n >= 1) as the blocks of byte rows."""
     n = draw(st.integers(min_value=0, max_value=4))
     ids = draw(st.binary(min_size=factorial(n), max_size=factorial(n)))
-    keep = draw(st.binary(min_size=256, max_size=256))
-    return cli._Terms(hecke._IdealTerms(n, bytearray(ids), keep),
-                      draw(_INTS))
+    keep = bytes(draw(st.lists(st.sampled_from([0, 255]), min_size=256,
+                               max_size=256)))
+    terms = hecke._IdealTerms(n, bytearray(ids), keep)
+    if n and draw(st.booleans()):
+        return cli._Terms(list(terms.blocks()), draw(_INTS), n)
+    return cli._Terms(terms, draw(_INTS))
 
 
 _HELD_TREES = st.recursive(
     _SCALARS | _INT_LISTS | (_ROW_LISTS | _BYTE_ROWS).map(cli._Rows)
-    | st.builds(cli._Terms, _ROW_LISTS | _BYTE_ROWS, _INTS) | _rank_terms(),
+    | st.builds(cli._Terms, _ROW_LISTS | _BYTE_ROWS, _INTS) | _rank_terms()
+    | _ROW_BLOCKS.map(lambda pair: cli._Rows(*pair))
+    | st.builds(lambda pair, c: cli._Terms(pair[0], c, pair[1]),
+                _ROW_BLOCKS, _INTS),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_STRINGS, inner, max_size=4),
     max_leaves=24)
+
+
+def _words_of(held):
+    """The words of a `_Rows` or `_Terms` in either form."""
+    if not held.size:
+        return held.rows
+    return [block[at:at + held.size] for block in held.rows
+            for at in range(0, len(block), held.size)]
 
 
 def _plain(value):
     """`value` with each `_Rows` or `_Terms` replaced by the lists or
     objects it stands for."""
     if isinstance(value, cli._Terms):
-        return [{"c": value.c, "w": list(w)} for w in value.rows]
+        return [{"c": value.c, "w": list(w)} for w in _words_of(value)]
     if isinstance(value, cli._Rows):
-        return [list(w) for w in value.rows]
+        return [list(w) for w in _words_of(value)]
     if isinstance(value, list):
         return [_plain(item) for item in value]
     if isinstance(value, dict):
@@ -667,12 +696,21 @@ class TestJsonText:
 
     @given(_BYTE_ROWS, _INTS)
     def test_byte_rows_write_as_what_they_stand_for(self, rows, c):
-        # values 0..255 take the column scatter, larger ones the template
+        # tuples take the template; when every value is 0..255 and a row
+        # is not empty, the same rows as byte blocks, the first row in a
+        # block of its own, take the column scatter
         lists = [list(w) for w in rows]
         assert _json_text(cli._Rows(rows)) == json.dumps(lists, indent=2)
         objects = [{"w": list(w), "c": c} for w in rows]
         assert _json_text(cli._Terms(rows, c)) == json.dumps(
             objects, sort_keys=True, indent=2)
+        if rows and rows[0] and max(map(max, rows)) < 256:
+            blocks = [bytes(rows[0]), b"", bytes(chain(*rows[1:]))]
+            size = len(rows[0])
+            assert _json_text(cli._Rows(blocks, size)) == json.dumps(
+                lists, indent=2)
+            assert _json_text(cli._Terms(blocks, c, size)) == json.dumps(
+                objects, sort_keys=True, indent=2)
 
     # explicit ids, so that a case keeps its name when others are removed
     @pytest.mark.parametrize("rows", [
@@ -693,6 +731,29 @@ class TestJsonText:
         for c in (1, -3, 2**70):
             objects = [{"w": list(w), "c": c} for w in rows]
             assert _json_text(cli._Terms(rows, c)) == json.dumps(
+                objects, sort_keys=True, indent=2)
+
+    # explicit ids, so that a case keeps its name when others are removed
+    @pytest.mark.parametrize("counts", [
+        [], [0], [1], [256], [257, 0, 3], [0, 513, 255, 1],
+    ], ids=["blocks0", "blocks1", "blocks2", "blocks3", "blocks4", "blocks5"])
+    def test_byte_row_blocks_of_every_shape(self, counts):
+        # rows of digit width 1, 2 and 3 by turns of 256, in blocks of the
+        # given row counts; a piece never holds more than 256 rows nor
+        # crosses a block
+        rows = [(k % (10, 100, 256)[k // 256 % 3], k % 7 + 1)
+                for k in range(sum(counts))]
+        at = [0, *accumulate(counts)]
+        blocks = [bytes(chain(*rows[a:b])) for a, b in zip(at, at[1:])]
+        lists = [list(w) for w in rows]
+        assert _json_text(cli._Rows(blocks, 2)) == json.dumps(lists, indent=2)
+        pieces = list(cli._json_chunks(cli._Rows(blocks, 2)))
+        assert [p.count("]") for p in pieces] == [
+            *(min(256, count - k) for count in counts
+              for k in range(0, count, 256)), 1]
+        for c in (1, -3, 2**70):
+            objects = [{"w": list(w), "c": c} for w in rows]
+            assert _json_text(cli._Terms(blocks, c, 2)) == json.dumps(
                 objects, sort_keys=True, indent=2)
 
     @staticmethod

@@ -370,6 +370,14 @@ class TestIdealSums:
             ideal = oracles.ideal_by_inversions(sigma_class(alpha).elements)
             assert list(terms) == list(terms) == sorted(ideal), alpha
             assert size == len(ideal), alpha
+            if n:
+                # the same terms as rows of bytes, as `basis` writes them
+                assert b"".join(terms.blocks()) == bytes(
+                    v for w in sorted(ideal) for v in w), alpha
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_lex_rows_are_s_n_in_lex_order(self, n):
+        assert hecke._lex_rows(n) == bytes(v for w in all_perms(n) for v in w)
 
     @pytest.mark.parametrize("alphas, n, match", [
         ([(3,), (1, 2)], 3, "not a maximal composition"),

@@ -190,6 +190,7 @@ _REACHED = [
                        "cyclic_shift"}),
     ("stairform --alpha 4,2", {"errors", "compositions", "permutations"}),
     ("verify --n 5 --suite hooks", _MODULES - {"hecke"}),
+    ("basis --n 6 --alpha 6", _MODULES - {"verify"}),
 ]
 
 

@@ -1,5 +1,6 @@
 """Stair forms, class predicates, and the constructive bijections."""
 
+import re
 import time
 
 import pytest
@@ -310,7 +311,7 @@ def cycle_class_pick(n):
 
 
 class TestCycleClass:
-    @pytest.mark.parametrize("n", range(1, 16))
+    @pytest.mark.parametrize("n", range(1, 18))
     def test_matches_brute_force(self, n):
         assert cycle_class(n) == approx_class(stair_form((n,)))
 
@@ -324,9 +325,13 @@ class TestCycleClass:
             cycle_class.cache_clear()
 
     def test_the_step_refuses_a_pair_that_is_not_adjacent(self):
-        # (1,2,5,4) with 3 fixed: the pair {2, 4} around 3 sits apart
-        with pytest.raises(InvariantError, match="not adjacent"):
-            stair_classes._lift_all([[2, 5, 3, 1, 4]], [1, 2, 3, 4, 5])
+        # (1,2,5,4) with 3 fixed: the pair {2, 4} around 3 sits apart; the
+        # level is held by columns, one byte per member, and the member
+        # before it, (1,2,4,5), is a lane that lifts
+        level = [(2, 4, 3, 5, 1), (2, 5, 3, 1, 4)]
+        with pytest.raises(InvariantError, match=re.escape(
+                "not adjacent on the cycle (2, 5, 3, 1, 4)")):
+            stair_classes._lift_all([*map(bytes, zip(*level))], [1, 2, 3, 4, 5])
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_matches_predicate_filter(self, n):
@@ -345,8 +350,8 @@ class TestCycleClass:
         # the branch, so the odd step is not injective
         monkeypatch.setattr(
             stair_classes, "_lift_all",
-            lambda level, labels: [p.copy() for p in level
-                                   for _ in range(1 + 2 * (len(labels) % 2))])
+            lambda columns, labels: [column * (1 + 2 * (len(labels) % 2))
+                                     for column in columns])
         cycle_class.cache_clear()
         try:
             with pytest.raises(InvariantError, match="expected 6"):
