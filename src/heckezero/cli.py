@@ -7,8 +7,9 @@ element lists sorted lexicographically.  The stdlib json writes the
 document but for its row lists (class elements, basis terms), which are
 spliced in as pieces of up to 256 rows.  A row list comes in one of two
 forms.  Byte rows, one byte per value, come as blocks of bytes from where
-they are built: a class's members sorted as bytes, a basis element's terms
-picked out of S_n in lex order (`hecke.ideal_sums`).  Each piece of them
+they are built: a class's members sorted as bytes (a labelled class that
+`sigma` builds holds them already), a basis element's terms picked out of
+S_n in lex order (`hecke.ideal_sums`).  Each piece of them
 is one repeated row text whose digits are scattered in column by column,
 with no value handled in Python.  Rows of ints, which only a value
 outside 0..255 or a row of length 0 needs, are joined over a bytes `%d`
@@ -214,11 +215,14 @@ def _emit(doc, args, summary: str) -> None:
 
 def _class_entry(cls) -> dict:
     """The entry of one class, its members sorted.  When every value fits
-    a byte (degree 1 to 255) they are sorted as bytes, whose order is the
-    order of the tuples for rows of one length, and written as byte rows."""
-    n = len(next(iter(cls.elements)))
+    a byte (degree 1 to 255) they are sorted as byte rows, whose order is
+    the order of the tuples for rows of one length, and written as byte
+    rows: the rows of a class that `sigma_class` built, which holds them,
+    or the bytes of each tuple."""
+    rows = cls._rows
+    n = len(rows[0]) if rows else len(next(iter(cls.elements)))
     if 0 < n < 256:
-        flat = b"".join(sorted(map(bytes, cls.elements)))
+        flat = b"".join(sorted(rows or map(bytes, cls.elements)))
         rep, rows = list(flat[:n]), _Rows((flat,), n)
     else:
         elements = cls.sorted_elements()

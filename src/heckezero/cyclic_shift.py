@@ -55,7 +55,8 @@ class _Record:
     """Base of the package's immutable records.  The fields are the
     `__slots__`, set in order by `__init__`; records are equal when they
     are of one class with equal fields, hash by their fields, print as
-    their constructor call, and refuse assignment with AttributeError."""
+    their constructor call, and refuse assignment with AttributeError.  A
+    slot whose name starts with "_" is private state, not a field."""
 
     __slots__ = ()
 
@@ -64,7 +65,8 @@ class _Record:
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name[0] != "_")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -82,7 +84,7 @@ class _Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -94,18 +96,37 @@ class EquivClass(_Record):
 
     All members share a common Coxeter length.  `alpha` is the labelling
     maximal composition when the class is a labelled maximal-stratum class,
-    else None.
+    else None.  A class that `sigma_class` builds holds its members as byte
+    rows, one byte per value, and makes the tuples of `elements` from them
+    on first access.
     """
 
-    __slots__ = ("elements", "common_length", "alpha")
+    __slots__ = ("elements", "common_length", "alpha", "_rows")
 
     def __init__(self, elements: frozenset[Perm], common_length: int,
                  alpha: Composition | None = None) -> None:
-        super().__init__(elements, common_length, alpha)
+        super().__init__(elements, common_length, alpha, None)
+
+    @classmethod
+    def _of_rows(cls, rows: list[bytes], common_length: int,
+                 alpha: Composition) -> EquivClass:
+        """The class of the distinct byte rows `rows`."""
+        self = cls(None, common_length, alpha)
+        object.__delattr__(self, "elements")
+        object.__setattr__(self, "_rows", rows)
+        return self
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: `elements` of a class of rows
+        if name != "elements":
+            raise AttributeError(name)
+        elements = frozenset(map(tuple, self._rows))
+        object.__setattr__(self, "elements", elements)
+        return elements
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.elements if self._rows is None else self._rows)
 
     @property
     def min_element(self) -> Perm:

@@ -143,14 +143,44 @@ def lengths(perms: Iterable[Perm]) -> list[int]:
         high = ones << width - 1
         if any(column & high for column in columns):
             continue            # an entry reaches the top bit of its lane
-        total = 0
-        for i, a in enumerate(columns):
-            lifted = (a | high) - ones
-            for b in columns[i + 1:]:
-                total += (lifted - b) >> width - 1 & ones
+        total = sum(_inversions(columns, width, ones))
         return array(code, total.to_bytes(len(rows) * width // 8,
                                           sys.byteorder)).tolist()
     raise ValueError("an entry is negative or does not fit a lane of 64 bits")
+
+
+def _inversions(columns: list[int], width: int, ones: int) -> Iterator[int]:
+    """The kernel of `lengths`, row by row: for each of the column ints
+    `columns`, in lanes of `width` bits with a 1 in each lane of `ones`,
+    the int whose lanes count the later columns below it."""
+    high = ones << width - 1
+    for i, a in enumerate(columns):
+        lifted = (a | high) - ones
+        yield sum((lifted - b) >> width - 1 & ones for b in columns[i + 1:])
+
+
+def _byte_lengths(columns: list[bytes]) -> tuple[int, int]:
+    """The lengths of the permutations that `columns` hold, one byte per
+    permutation, as one int of 16-bit lanes, and the int with a 1 in each
+    lane.  `_inversions` counts in lanes of 8 bits below n = 128, where
+    every entry lies below the top bit, and each group of rows with at
+    most 255 pairs in all is widened to 16 bits and added."""
+    n, lanes = len(columns), len(columns[0])
+    step = 1 if n < 128 else 2
+    wide, ints = bytearray(step * lanes), []
+    for column in columns:
+        wide[::step] = column
+        ints.append(int.from_bytes(wide, "little"))
+    ones = int.from_bytes(b"\1".ljust(step, b"\0") * lanes, "little")
+    total = part = pairs = 0
+    wide = bytearray(2 * lanes)
+    for i, row in enumerate(_inversions(ints, 8 * step, ones)):
+        part, pairs = part + row, pairs + n - 1 - i
+        # widened before the next row's pairs could carry out of a lane
+        if i == n - 1 or pairs + n - 2 - i >> 8 * step:
+            wide[::2 // step] = part.to_bytes(step * lanes, "little")
+            total, part, pairs = total + int.from_bytes(wide, "little"), 0, 0
+    return total, int.from_bytes(b"\1\0" * lanes, "little")
 
 
 def longest_element(n: int) -> Perm:

@@ -13,10 +13,12 @@ is one loop of it from degree 3, `lift_cycle_class` one step of it on a
 level of one member, and `lower_cycle_class` the inverse.
 Membership is tested by the two predicates on the one cycle, never by
 building the class.  `sigma_class` is the one constructive route to every
-labelled class: the even parts split off through the interleaving
-product, an odd tail shaped like a hook comes from the hook embedding, and
-any other odd tail is the cyclic-shift class of its stair form.  A class
-over the element soft limit is refused unless forced.
+labelled class, built as byte columns from end to end: the even parts
+split off through the interleaving product, an odd tail shaped like a
+hook comes from the hook embedding, and any other odd tail is the
+cyclic-shift class of its stair form.  The class keeps its members as
+byte rows, checked once as a whole.  A class over the element soft limit
+is refused unless forced.
 
 >>> sorted(cycle_class(4)) == sorted([from_cycles(4, [(1, 4, 2, 3)]),
 ...                                   from_cycles(4, [(1, 3, 2, 4)])])
@@ -25,18 +27,19 @@ True
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .compositions import (
     Composition, hook_kind, is_maximal, sort_to_partition, split_even_odd,
 )
 from .counting import _check_size, _too_large, size_sigma_formula
-from .cyclic_shift import approx_class, make_equiv_class
+from .cyclic_shift import EquivClass, approx_class, make_equiv_class
 from .errors import DegreeLimitError, InvariantError
 from .inductive_product import iprod
 from .permutations import (
-    Cycle, Perm, cycle_string, cycle_type, cycles, from_cycles, inverse,
-    length, stair_form,
+    Cycle, Perm, _byte_lengths, cycle_string, cycle_type, cycles, from_cycles,
+    inverse, length, stair_form,
 )
 
 __all__ = [
@@ -367,11 +370,10 @@ def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
     3 grows by the insertion bijection (`_lift_all`), each even step
     keeping the count and each odd step tripling it, as n columns of one
     byte per member, in which a value not yet inserted is a fixed point
-    in the middle; the members are read off as the tuples across the
-    columns.  The inputs are class members by construction, so the step
-    skips the membership check; one count against the closed count
-    `size_sigma_formula((n,))` instead catches a lift that leaves the class
-    or is not injective, and raises InvariantError.
+    in the middle.  The inputs are class members by construction, so the
+    step skips the membership check; the checks of `sigma_class((n,))` on
+    the finished class instead catch a lift that leaves the class or is
+    not injective, and raise InvariantError.
 
     Unless `force` is set, a class over the soft limit of `counting`
     (`ELEMENT_SOFT_LIMIT`) raises DegreeLimitError before any work.
@@ -386,8 +388,18 @@ def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
 @lru_cache(maxsize=None)
 def _cycle_class(n: int) -> frozenset[Perm]:
     """`cycle_class` of a degree that passed its checks."""
-    if n <= 2:
-        return frozenset([((), (1,), (2, 1))[n]])     # one full cycle each
+    return sigma_class((n,) if n else (), force=True).elements
+
+
+# the controls of the class cache, as on any lru_cache function
+cycle_class.cache_info = _cycle_class.cache_info
+cycle_class.cache_clear = _cycle_class.cache_clear
+
+
+def _cycle_columns(n: int) -> list[bytes]:
+    """The columns of `cycle_class(n)`, unchecked, for 2 <= n <= 255."""
+    if n == 2:
+        return [b"\2", b"\1"]
     labels = {n: list(range(1, n + 1))}
     for k in range(n, 3, -1):
         labels[k - 1] = labels[k][:k // 2] + labels[k][k // 2 + 1:]
@@ -398,17 +410,7 @@ def _cycle_class(n: int) -> frozenset[Perm]:
         bytes((c, b)), bytes((a, c)), bytes((b, a)))
     for k in range(4, n + 1):
         columns = _lift_all(columns, labels[k])
-    result = frozenset(zip(*columns))
-    expected = size_sigma_formula((n,))
-    if len(result) != expected:
-        raise InvariantError(
-            f"the lift built {len(result)} full {n}-cycles, expected {expected}")
-    return result
-
-
-# the controls of the class cache, as on any lru_cache function
-cycle_class.cache_info = _cycle_class.cache_info
-cycle_class.cache_clear = _cycle_class.cache_clear
+    return columns
 
 
 def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
@@ -430,19 +432,70 @@ def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
         raise ValueError(f"free point {j} out of range {m + 1}..{n - m}")
     if len(tau) != k or not _is_cycle_class_member(tau):
         raise ValueError(f"{tau} is not in the one-part class of degree {k}")
-    return _embed(tau, j, n)
-
-
-def _embed(tau: Perm, j: int, n: int) -> Perm:
-    """`tau` written onto {1..m} | {j} | {n-m+1..n} of 1..n by the
-    increasing bijection, m = (len(tau)-1)/2, with every other point fixed;
-    the kernel of `odd_hook_embed`, without its checks."""
-    m = (len(tau) - 1) // 2
     support = (*range(1, m + 1), j, *range(n - m + 1, n + 1))
     out = list(range(1, n + 1))
     for s, t in zip(support, tau):
         out[s - 1] = support[t - 1]
     return tuple(out)
+
+
+def _embed_columns(tau: list[bytes], n: int) -> list[bytes]:
+    """`odd_hook_embed` of every member that the columns `tau` hold onto
+    every free point j, the lanes of each j in turn: the support's columns
+    are those of `tau`, relabelled by one `translate` each, and every other
+    column is constant."""
+    k, lanes, m = len(tau), len(tau[0]), len(tau) // 2
+    free = range(m + 1, n - m + 1)
+    blocks = [[bytes((c,)) * lanes] * len(free) for c in range(1, n + 1)]
+    for at, j in enumerate(free):
+        support = bytes((*range(1, m + 1), j, *range(n - m + 1, n + 1)))
+        table = bytes.maketrans(bytes(range(1, k + 1)), support)
+        for s, column in zip(support, tau):
+            blocks[s - 1][at] = column.translate(table)
+    return [b"".join(block) for block in blocks]
+
+
+def _iprod_columns(a: list[bytes], b: list[bytes]) -> list[bytes]:
+    """`iprod` of every member that the columns `a` hold with every member
+    that `b` holds (no columns: the one member of degree 0), the lanes of
+    each member of b in turn.  A's columns, values above k = ceil(n1/2)
+    raised by n2, are tiled |B| times; B's columns, raised by k, go in at
+    k, each lane repeated |A| times by |A| strided slices."""
+    n1, n2, size_a = len(a), len(b), len(a[0])
+    k = (n1 + 1) // 2
+    up_a = _table({v: v + n2 for v in range(k + 1, n1 + 1)})
+    up_b = _table({v: v + k for v in range(1, n2 + 1)})
+    out = [column.translate(up_a) * (len(b[0]) if b else 1) for column in a]
+    for at, column in enumerate(b, k):
+        column = column.translate(up_b)
+        spread = bytearray(size_a * len(column))
+        for lane in range(size_a):
+            spread[lane::size_a] = column
+        out.insert(at, spread)
+    return out
+
+
+def _class_of_columns(columns: list[bytes], alpha: Composition):
+    """The class labelled `alpha` of the members that `columns` hold, kept
+    as their byte rows, after two checks on the whole class that raise
+    InvariantError: the rows are distinct and as many as the closed count,
+    where there is one; and every lane has the length of the stair form,
+    all compared at once (`_byte_lengths`)."""
+    n, lanes = len(columns), len(columns[0])
+    flat = bytearray(n * lanes)
+    for c, column in enumerate(columns):
+        flat[c::n] = column
+    rows = re.findall(b".{%d}" % n, flat, re.DOTALL)
+    distinct, expected = len(set(rows)), size_sigma_formula(alpha) or lanes
+    if not distinct == lanes == expected:
+        raise InvariantError(f"the class of {alpha} was built with {distinct} "
+                             f"distinct members in {lanes}, expected {expected}")
+    ell = length(stair_form(alpha))
+    total, ones = _byte_lengths(columns)
+    if total != ell * ones:
+        raise InvariantError(
+            f"a member of the class of {alpha} is not of length {ell}")
+    return EquivClass._of_rows(rows, ell, alpha)
 
 
 def sigma_class(alpha: Composition, force: bool = False):
@@ -456,33 +509,38 @@ def sigma_class(alpha: Composition, force: bool = False):
     stops once the tail's class outgrows the limit divided by the even
     prefix's count.
 
-    The odd tail is built first: when it is a hook with long part k >= 3,
-    the hook embedding (`_embed`) of every full k-cycle class member onto
-    every free point (the full k-cycle class itself when the tail is (k,)),
-    and otherwise the cyclic-shift class of its stair form, found by the
-    reachability search (`approx_class`), which visits only the class.
-    Each even part, right to left, then joins through the interleaving
-    product with the class of full cycles of that size.
+    The class is built as byte columns, one byte per member.  The odd tail
+    comes first: when it is a hook with long part k >= 3, the hook
+    embedding of the full k-cycle class onto every free point, and
+    otherwise the cyclic-shift class of its stair form, found by the
+    reachability search (`approx_class`), which visits only the class, its
+    tuples turned into columns once.  Each even part, right to left, then
+    joins through the interleaving product with the class of full cycles
+    of that size.  The finished class is checked once
+    (`_class_of_columns`).  A class of degree 0 or past 255, whose values
+    no byte holds, is built from tuples by `odd_hook_embed` and `iprod`.
     """
     budget = _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)
-    if hook_kind(odds) == "odd_hook" and odds[0] >= 3:
-        n = sum(odds)
-        m = (odds[0] - 1) // 2
-        if n == odds[0]:
-            # one part: the support is 1..n and the embedding the identity
-            current = _cycle_class(n)
-        else:
-            current = {
-                _embed(tau, j, n)
-                for tau in _cycle_class(odds[0]) for j in range(m + 1, n - m + 1)
-            }
-    else:
+    n, k = sum(odds), odds[0] if odds else 0
+    hook = hook_kind(odds) == "odd_hook" and k >= 3
+    if not hook:
         try:
             current = approx_class(stair_form(odds), budget=budget,
                                    force=force)
         except DegreeLimitError:
             raise _too_large(alpha) from None
+    if not 0 < sum(alpha) < 256:
+        if hook:
+            current = {odd_hook_embed(tau, j, odds)
+                       for tau in cycle_class(k, force)
+                       for j in range(k // 2 + 1, n - k // 2 + 1)}
+        for part in reversed(evens):
+            current = {iprod(a, b) for a in cycle_class(part, force)
+                       for b in current}
+        return make_equiv_class(current, alpha=alpha)
+    columns = (_embed_columns(_cycle_columns(k), n) if hook
+               else [*map(bytes, zip(*current))])
     for part in reversed(evens):
-        current = {iprod(a, b) for a in _cycle_class(part) for b in current}
-    return make_equiv_class(current, alpha=alpha)
+        columns = _iprod_columns(_cycle_columns(part), columns)
+    return _class_of_columns(columns, alpha)

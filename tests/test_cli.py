@@ -148,6 +148,14 @@ class TestSigma:
                  "elements": [identity]}
         assert out == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
+    def test_a_repeated_lane_exits_2(self, capsys, monkeypatch):
+        lift = stair_classes._lift_all
+        monkeypatch.setattr(stair_classes, "_lift_all", lambda columns, labels: [
+            column + column[:1] for column in lift(columns, labels)])
+        code, out, err = run(capsys, "sigma", "--alpha", "2,7")
+        assert (code, out) == (2, "")
+        assert "internal invariant violated" in err
+
 
 class TestStairform:
     def test_42(self, capsys):
@@ -443,6 +451,20 @@ class TestPlumbing:
          "b178c409309963e01dbf2c8cedfb631b4b56d3473da0e554b7d204ea325b1c3e"),
         ("basis --n 9 --alpha 9 --force",
          "9fa758f7f6674348dc51c3c755c2a443ca2f6377001c012162bd0577cc86c03c"),
+        # the next five, from commit c6725c5, before a labelled class was
+        # carried as byte columns: a label of degree 256 and its count, the
+        # longest class of 128 even parts, a non-hook odd tail behind an
+        # even part, and two even parts before a hook tail
+        ("sigma --alpha 4,5" + ",1" * 247,
+         "591c469350ffc1bbd3bdd31a9e3a36921f35a45aeb2e4634c553be97b8839cef"),
+        ("count --alpha 4,5" + ",1" * 247,
+         "bfad8f1019ff407586aca453506f56f5c5026acda74b38d60b6367dba788b492"),
+        ("sigma --alpha 2" + ",2" * 127,
+         "a0bebb387e74f80bc0a9de9aca6b385df43db294acaca3baa9846537714a52b6"),
+        ("sigma --alpha 2,5,5",
+         "4b2e72b6169e2893dca6419e11553651dbf8a0feab3a1abc87cf5089a95f2bc1"),
+        ("sigma --alpha 4,3,3,1",
+         "63026d9ffed0a9d44eb353eb2a3699e54497fadade97cc032d96e820ffaf74b8"),
     ]
 
     def test_stdout_bytes_match_the_recorded_digests(self, capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_string, cycle_type, cycles,
-    even_orbits, from_cycles, identity, inverse, length, lengths,
-    longest_element,
+    _byte_lengths, even_orbits, from_cycles, identity, inverse, length,
+    lengths, longest_element,
 )
 from heckezero.cyclic_shift import _step, one_step
 from heckezero.hecke import (
@@ -100,6 +100,18 @@ class TestLengths:
         assert lengths([]) == []
         assert lengths([(), ()]) == [0, 0]
         assert lengths(iter([(2, 1), (1, 2)])) == [1, 0]
+
+    # the column form counts in 8-bit lanes, in groups of rows with at
+    # most 255 pairs from n = 24 on, and in 16-bit lanes from n = 128
+    @pytest.mark.parametrize("n", [1, 2, 23, 24, 40, 127, 128, 255])
+    def test_the_column_form_agrees(self, n):
+        rng = random.Random(n)
+        perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(30)]
+        perms += [longest_element(n), identity(n)]
+        total, ones = _byte_lengths([bytes(c) for c in zip(*perms)])
+        assert ones == sum(1 << 16 * r for r in range(len(perms)))
+        assert total == sum(ell << 16 * r
+                            for r, ell in enumerate(lengths(perms)))
 
     @pytest.mark.parametrize("rows", [
         [(1, 2), (1, 2, 3)], [(2, 1), ()], [(-1, 2)], [(1, -2**70)],

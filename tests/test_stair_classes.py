@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from heckezero.cyclic_shift import approx_class, label_max_classes
+from heckezero.cyclic_shift import EquivClass, approx_class, label_max_classes
 from heckezero.permutations import (
     all_perms, conj_w0, cycle_type, from_cycles, identity, inverse, length,
-    stair_form, stair_sequence,
+    longest_element, stair_form, stair_sequence,
 )
 from heckezero.stair_classes import (
     cycle_class, has_connected_intervals,
@@ -461,6 +461,60 @@ class TestSigmaClass:
     def test_rejects_non_maximal(self):
         with pytest.raises(ValueError):
             sigma_class((1, 2))
+
+
+def columns_of(perms):
+    return [bytes(column) for column in zip(*perms)]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n", range(11))
+    def test_the_two_routes_agree(self, n):
+        for alpha in enumerate_maximal(n):
+            cls = sigma_class(alpha)
+            brute = approx_class(stair_form(alpha), force=True)
+            assert cls.elements == brute, alpha
+            assert cls.size == len(brute)
+            assert cls.common_length == length(stair_form(alpha))
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_the_column_embedding_is_odd_hook_embed(self, n):
+        for k in range(3, n + 1, 2):
+            alpha = (k,) + (1,) * (n - k)
+            embedded = stair_classes._embed_columns(
+                stair_classes._cycle_columns(k), n)
+            assert set(zip(*embedded)) == {
+                odd_hook_embed(tau, j, alpha) for tau in cycle_class(k)
+                for j in range(k // 2 + 1, n - k // 2 + 1)}
+
+    def test_a_repeated_lane_raises(self, monkeypatch):
+        # one more copy of the first lane at each step: every member is
+        # still built, so the distinct rows alone match the closed count,
+        # but some member is held twice
+        lift = stair_classes._lift_all
+        monkeypatch.setattr(stair_classes, "_lift_all", lambda columns, labels: [
+            column + column[:1] for column in lift(columns, labels)])
+        for alpha in [(7,), (2, 7), (4, 3, 1), (6, 3, 3)]:
+            with pytest.raises(InvariantError, match="distinct members"):
+                sigma_class(alpha)
+
+    @pytest.mark.parametrize("alpha", [(3,), (18, 3, 3)])
+    def test_lanes_of_another_length_raise(self, alpha):
+        # (18, 3, 3) has no closed count, and its length 263 is summed in
+        # 16-bit lanes from two groups of 8-bit ones
+        sf = stair_form(alpha)
+        same = stair_classes._class_of_columns(
+            columns_of([sf, conj_w0(sf)]), alpha)
+        assert same.elements == {sf, conj_w0(sf)}
+        with pytest.raises(InvariantError, match="not of length"):
+            stair_classes._class_of_columns(
+                columns_of([sf, longest_element(len(sf))]), alpha)
+
+    def test_a_class_of_rows_builds_its_tuples_once(self):
+        cls = sigma_class((2, 5, 1))
+        assert cls._rows is not None and cls.size == 12
+        assert cls.elements is cls.elements
+        assert cls == EquivClass(cls.elements, cls.common_length, (2, 5, 1))
 
 
 class TestSizeGate:
