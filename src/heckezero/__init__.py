@@ -2,8 +2,8 @@
 Cyclic-shift classes of maximal-length permutations and the center of the
 0-Hecke algebra of the symmetric group.
 
-The package has two halves that check each other, both resting on a shared
-base (`errors`, `compositions`, and `permutations` with the stair forms):
+Two halves check each other on a shared base (`errors` with the soft
+limits, `compositions`, `permutations` with stair forms and `EquivClass`):
 
 * a brute-force half (`cyclic_shift`), importing nothing else, that finds
   the classes of the length-non-increasing conjugation relation on S_n as
@@ -11,13 +11,13 @@ base (`errors`, `compositions`, and `permutations` with the stair forms):
 * a constructive half (`stair_classes`, `inductive_product`, `counting`)
   whose single route, `sigma_class`, builds each maximal-stratum class from
   its odd tail (a hook embedding of a grown full-cycle class; only a
-  non-hook tail takes the brute half's search from its stair form) and
-  joins the even parts through the interleaving product, together with
-  closed counting formulas.
+  non-hook tail calls the brute half, for the search from its stair form)
+  and joins the even parts through the interleaving product, together
+  with closed counting formulas.
 
-On top of both, `hecke` realizes the center of the 0-Hecke algebra as
-indicator sums over Bruhat order ideals of the maximal classes and
-verifies the basis property at small degree.
+On the constructive half, `hecke` realizes the center of the 0-Hecke
+algebra as indicator sums over Bruhat order ideals of the maximal classes
+and verifies the basis property at small degree.
 
 Every submodule but `errors` and `cli` is registered lazily
 (`importlib.util.LazyLoader`) and runs on first use, so a CLI command
@@ -38,14 +38,15 @@ _EXPORTS = {
     "compositions": ("enumerate_maximal", "hook_kind", "is_maximal",
                      "sort_to_partition", "split_even_odd"),
     "counting": ("dim_center", "size_sigma_formula"),
-    "cyclic_shift": ("EquivClass", "approx_class", "equiv_classes",
-                     "label_max_classes", "min_representatives", "one_step"),
+    "cyclic_shift": ("approx_class", "equiv_classes", "label_max_classes",
+                     "min_representatives", "one_step"),
     "hecke": ("HeckeElement", "is_central", "mul", "order_ideal", "t_basis",
               "t_leq_sigma", "verify_center_basis"),
     "inductive_product": ("iprod", "iprod_length_law"),
-    "permutations": ("compose", "conj_w0", "cycle_string", "cycle_type",
-                     "cycles", "even_orbits", "from_cycles", "identity",
-                     "inverse", "length", "longest_element", "stair_form"),
+    "permutations": ("EquivClass", "compose", "conj_w0", "cycle_string",
+                     "cycle_type", "cycles", "even_orbits", "from_cycles",
+                     "identity", "inverse", "length", "longest_element",
+                     "stair_form"),
     "stair_classes": ("cycle_class", "has_connected_intervals",
                       "hook_properties", "is_oscillating", "lift_cycle_class",
                       "lower_cycle_class", "member_sigma_alpha",

@@ -36,7 +36,7 @@ from . import (
     compositions, counting, cyclic_shift, hecke, permutations, stair_classes,
     verify,
 )
-from .errors import DegreeLimitError, InvariantError
+from .errors import DegreeLimitError, InvariantError, _check_degree
 
 __all__ = ["main"]
 
@@ -297,7 +297,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    cyclic_shift._check_degree(args.n, args.force)
+    _check_degree(args.n, args.force)
     one = args.alpha is not None
     alphas = ([_parse_alpha(args.alpha)] if one
               else compositions.enumerate_maximal(args.n, args.force))

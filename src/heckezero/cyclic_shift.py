@@ -24,7 +24,9 @@ class, the extreme length and the permutations reaching it; the members
 of a class share their length and their conjugacy class, so the search
 then runs only inside the stratum.  Enumerations walk in
 lexicographic one-line order, so everything here is deterministic; the
-practical degree bound n <= 8 is a soft limit lifted by `force=True`.
+practical degree bound n <= 8 is the soft limit of `errors`, lifted by
+`force=True`.  Classes are `EquivClass` records of `permutations`; the
+constructive half calls in only for a non-hook odd tail (`approx_class`).
 """
 
 from __future__ import annotations
@@ -33,120 +35,19 @@ from functools import lru_cache
 from itertools import product
 
 from .compositions import Composition, enumerate_maximal
-from .errors import ELEMENT_SOFT_LIMIT, DegreeLimitError, InvariantError
+from .errors import (
+    ELEMENT_SOFT_LIMIT, DegreeLimitError, InvariantError, _check_degree,
+)
 from .permutations import (
-    Perm, all_perms, compose, length, lengths, longest_element, stair_form,
+    EquivClass, Perm, all_perms, compose, length, longest_element, stair_form,
 )
 
 __all__ = [
-    "TWISTS", "EquivClass", "make_equiv_class",
-    "one_step", "approx_class",
+    "TWISTS", "one_step", "approx_class",
     "equiv_classes", "label_max_classes", "min_representatives",
-    "DEGREE_SOFT_LIMIT",
 ]
 
 TWISTS = ("id", "nu")
-
-#: Largest degree brute-forced without `force=True` (8! = 40320 vertices).
-DEGREE_SOFT_LIMIT = 8
-
-
-class _Record:
-    """Base of the package's immutable records.  The fields are the
-    `__slots__`, set in order by `__init__`; records are equal when they
-    are of one class with equal fields, hash by their fields, print as
-    their constructor call, and refuse assignment with AttributeError.  A
-    slot whose name starts with "_" is private state, not a field."""
-
-    __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__
-                     if name[0] != "_")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__ if name[0] != "_")
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-
-class EquivClass(_Record):
-    """One equivalence class of mutually cyclic-shift-reachable permutations.
-
-    All members share a common Coxeter length.  `alpha` is the labelling
-    maximal composition when the class is a labelled maximal-stratum class,
-    else None.  A class that `sigma_class` builds holds its members as byte
-    rows, one byte per value, and makes the tuples of `elements` from them
-    on first access.
-    """
-
-    __slots__ = ("elements", "common_length", "alpha", "_rows")
-
-    def __init__(self, elements: frozenset[Perm], common_length: int,
-                 alpha: Composition | None = None) -> None:
-        super().__init__(elements, common_length, alpha, None)
-
-    @classmethod
-    def _of_rows(cls, rows: list[bytes], common_length: int,
-                 alpha: Composition) -> EquivClass:
-        """The class of the distinct byte rows `rows`."""
-        self = cls(None, common_length, alpha)
-        object.__delattr__(self, "elements")
-        object.__setattr__(self, "_rows", rows)
-        return self
-
-    def __getattr__(self, name):
-        # reached only while a slot is unset: `elements` of a class of rows
-        if name != "elements":
-            raise AttributeError(name)
-        elements = frozenset(map(tuple, self._rows))
-        object.__setattr__(self, "elements", elements)
-        return elements
-
-    @property
-    def size(self) -> int:
-        return len(self.elements if self._rows is None else self._rows)
-
-    @property
-    def min_element(self) -> Perm:
-        return min(self.elements)
-
-    def sorted_elements(self) -> list[Perm]:
-        return sorted(self.elements)
-
-
-def make_equiv_class(elements, alpha: Composition | None = None) -> EquivClass:
-    """Build an EquivClass, checking that its members are of one degree
-    and share one length, which the batch kernel `lengths` counts for all
-    of them at once."""
-    elems = frozenset(elements)
-    if not elems:
-        raise ValueError("an equivalence class cannot be empty")
-    common = set(lengths(elems))
-    if len(common) != 1:
-        raise ValueError("elements do not share a common length")
-    return EquivClass(elems, common.pop(), alpha)
 
 
 def _check_twist(twist: str) -> None:
@@ -227,16 +128,6 @@ def approx_class(w: Perm, twist: str = "id", budget: int | None = None,
             raise DegreeLimitError(f"the class of {w} holds more than {budget}"
                                    " elements; pass force=True to override")
     return frozenset(seen)
-
-
-def _check_degree(n: int, force: bool) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > DEGREE_SOFT_LIMIT and not force:
-        raise DegreeLimitError(
-            f"degree {n} exceeds the practical bound {DEGREE_SOFT_LIMIT} "
-            "for brute-force enumeration; pass force=True to override"
-        )
 
 
 def _extreme_lengths(n: int, longest: bool) -> dict[Perm, int]:

@@ -1,11 +1,12 @@
 """
 Exception types shared by the brute-force and constructive halves, and the
-element soft limit that both enforce.
+two soft limits they enforce: on elements, and on degree with its gate.
 """
 
 from __future__ import annotations
 
-__all__ = ["DegreeLimitError", "InvariantError", "ELEMENT_SOFT_LIMIT"]
+__all__ = ["DegreeLimitError", "InvariantError", "ELEMENT_SOFT_LIMIT",
+           "DEGREE_SOFT_LIMIT"]
 
 #: Largest class `sigma_class` builds, largest class search `approx_class`
 #: runs, and largest label list `enumerate_maximal` returns without
@@ -13,6 +14,9 @@ __all__ = ["DegreeLimitError", "InvariantError", "ELEMENT_SOFT_LIMIT"]
 #: and (23,), with 118,098, takes about 1.2 s and 78 MB in a fresh CLI
 #: process.
 ELEMENT_SOFT_LIMIT = 200_000
+
+#: Largest degree brute-forced without `force=True` (8! = 40320 vertices).
+DEGREE_SOFT_LIMIT = 8
 
 
 class DegreeLimitError(ValueError):
@@ -26,3 +30,12 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed: a constructed object does not
     have the property the construction guarantees.  Always a bug; the CLI
     maps it, and only it, to exit code 2."""
+
+
+def _check_degree(n: int, force: bool) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > DEGREE_SOFT_LIMIT and not force:
+        raise DegreeLimitError(
+            f"degree {n} exceeds the practical bound {DEGREE_SOFT_LIMIT} "
+            "for brute-force enumeration; pass force=True to override")

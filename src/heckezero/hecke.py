@@ -45,8 +45,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import Composition, enumerate_maximal, is_maximal
 from .counting import dim_center
-from .cyclic_shift import _check_degree, _Record
-from .permutations import Perm, all_perms, conj_w0, cycles
+from .errors import _check_degree
+from .permutations import Perm, _Record, all_perms, conj_w0, cycles
 from .stair_classes import sigma_class
 
 __all__ = [

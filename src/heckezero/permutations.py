@@ -9,7 +9,8 @@ The degree-0 permutation is the empty tuple `()`.
 
 The *stair form* of a composition alpha, the representative of its class
 that both halves of the package share, cuts 1, n, 2, n-1, ... into blocks
-of sizes alpha_1, alpha_2, ... and reads each block as a cycle.
+of sizes alpha_1, alpha_2, ... and reads each block as a cycle.  Both
+halves also share the record type here and the class record `EquivClass`.
 
 >>> compose((2, 1, 3), (1, 3, 2))
 (2, 3, 1)
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 from .compositions import Composition, check_composition
 
 __all__ = [
-    "Perm", "Cycle", "OrbitPartition",
+    "Perm", "Cycle", "OrbitPartition", "EquivClass", "make_equiv_class",
     "identity", "all_perms", "compose", "inverse", "length", "lengths",
     "longest_element", "conj_w0",
     "cycles", "from_cycles", "cycle_type", "orbits", "even_orbits",
@@ -325,3 +326,101 @@ def stair_form(alpha: Composition) -> Perm:
         cycs.append(seq[start:start + part])
         start += part
     return from_cycles(n, cycs)
+
+
+class _Record:
+    """Base of the package's immutable records.  The fields are the
+    `__slots__`, set in order by `__init__`; records are equal when they
+    are of one class with equal fields, hash by their fields, print as
+    their constructor call, and refuse assignment with AttributeError.  A
+    slot whose name starts with "_" is private state, not a field."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name[0] != "_")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class EquivClass(_Record):
+    """One equivalence class of mutually cyclic-shift-reachable permutations.
+
+    All members share a common Coxeter length.  `alpha` is the labelling
+    maximal composition when the class is a labelled maximal-stratum class,
+    else None.  A class that `sigma_class` builds holds its members as byte
+    rows, one byte per value, and makes the tuples of `elements` from them
+    on first access.
+    """
+
+    __slots__ = ("elements", "common_length", "alpha", "_rows")
+
+    def __init__(self, elements: frozenset[Perm], common_length: int,
+                 alpha: Composition | None = None) -> None:
+        super().__init__(elements, common_length, alpha, None)
+
+    @classmethod
+    def _of_rows(cls, rows: list[bytes], common_length: int,
+                 alpha: Composition) -> EquivClass:
+        """The class of the distinct byte rows `rows`."""
+        self = cls(None, common_length, alpha)
+        object.__delattr__(self, "elements")
+        object.__setattr__(self, "_rows", rows)
+        return self
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: `elements` of a class of rows
+        if name != "elements":
+            raise AttributeError(name)
+        elements = frozenset(map(tuple, self._rows))
+        object.__setattr__(self, "elements", elements)
+        return elements
+
+    @property
+    def size(self) -> int:
+        return len(self.elements if self._rows is None else self._rows)
+
+    @property
+    def min_element(self) -> Perm:
+        return min(self.elements)
+
+    def sorted_elements(self) -> list[Perm]:
+        return sorted(self.elements)
+
+
+def make_equiv_class(elements, alpha: Composition | None = None) -> EquivClass:
+    """Build an EquivClass, checking that its members are of one degree
+    and share one length, which the batch kernel `lengths` counts for all
+    of them at once."""
+    elems = frozenset(elements)
+    if not elems:
+        raise ValueError("an equivalence class cannot be empty")
+    common = set(lengths(elems))
+    if len(common) != 1:
+        raise ValueError("elements do not share a common length")
+    return EquivClass(elems, common.pop(), alpha)

@@ -16,9 +16,9 @@ building the class.  `sigma_class` is the one constructive route to every
 labelled class, built as byte columns from end to end: the even parts
 split off through the interleaving product, an odd tail shaped like a
 hook comes from the hook embedding, and any other odd tail is the
-cyclic-shift class of its stair form.  The class keeps its members as
-byte rows, checked once as a whole.  A class over the element soft limit
-is refused unless forced.
+cyclic-shift class of its stair form, the one call into the brute half.
+The class (an `EquivClass`) keeps its members as byte rows, checked once
+as a whole, and is refused past the soft limit of `errors` unless forced.
 
 >>> sorted(cycle_class(4)) == sorted([from_cycles(4, [(1, 4, 2, 3)]),
 ...                                   from_cycles(4, [(1, 3, 2, 4)])])
@@ -30,16 +30,15 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+from . import cyclic_shift, inductive_product
 from .compositions import (
     Composition, hook_kind, is_maximal, sort_to_partition, split_even_odd,
 )
 from .counting import _check_size, _too_large, size_sigma_formula
-from .cyclic_shift import EquivClass, approx_class, make_equiv_class
 from .errors import DegreeLimitError, InvariantError
-from .inductive_product import iprod
 from .permutations import (
-    Cycle, Perm, _byte_lengths, cycle_string, cycle_type, cycles, from_cycles,
-    inverse, length, stair_form,
+    Cycle, EquivClass, Perm, _byte_lengths, cycle_string, cycle_type, cycles,
+    from_cycles, identity, inverse, length, make_equiv_class, stair_form,
 )
 
 __all__ = [
@@ -500,34 +499,35 @@ def _class_of_columns(columns: list[bytes], alpha: Composition):
 
 def sigma_class(alpha: Composition, force: bool = False):
     """The full class labelled by the maximal composition `alpha`, as an
-    EquivClass.
+    EquivClass (the class record of `permutations`).
 
-    Unless `force` is set, a class over the soft limit of `counting`
-    (`ELEMENT_SOFT_LIMIT`) raises DegreeLimitError.  The size is predicted
+    Unless `force` is set, a class over the element soft limit of `errors`,
+    gated in `counting`, raises DegreeLimitError.  The size is predicted
     before any work, as the closed count of the even prefix times that of
     a hook tail; a non-hook odd tail has no closed count yet, so its search
     stops once the tail's class outgrows the limit divided by the even
     prefix's count.
 
     The class is built as byte columns, one byte per member.  The odd tail
-    comes first: when it is a hook with long part k >= 3, the hook
-    embedding of the full k-cycle class onto every free point, and
-    otherwise the cyclic-shift class of its stair form, found by the
-    reachability search (`approx_class`), which visits only the class, its
-    tuples turned into columns once.  Each even part, right to left, then
-    joins through the interleaving product with the class of full cycles
-    of that size.  The finished class is checked once
-    (`_class_of_columns`).  A class of degree 0 or past 255, whose values
-    no byte holds, is built from tuples by `odd_hook_embed` and `iprod`.
+    comes first: a tail of ones, or none, is the identity alone; a hook
+    with long part k >= 3, the hook embedding of the full k-cycle class
+    onto every free point; any other, the cyclic-shift class of its stair
+    form from the brute half's search (`cyclic_shift.approx_class`, its
+    one call there, read off the module object), turned into columns once.
+    Each even part, right to left, then joins through the interleaving
+    product with the class of full cycles of that size.  The finished
+    class is checked once (`_class_of_columns`).  A class of degree 0 or
+    past 255, whose values no byte holds, is built from tuples.
     """
     budget = _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)
     n, k = sum(odds), odds[0] if odds else 0
     hook = hook_kind(odds) == "odd_hook" and k >= 3
-    if not hook:
+    current = {identity(n)}  # the class of a tail of ones, or of none
+    if k > 2 and not hook:
         try:
-            current = approx_class(stair_form(odds), budget=budget,
-                                   force=force)
+            current = cyclic_shift.approx_class(stair_form(odds),
+                                                budget=budget, force=force)
         except DegreeLimitError:
             raise _too_large(alpha) from None
     if not 0 < sum(alpha) < 256:
@@ -536,8 +536,8 @@ def sigma_class(alpha: Composition, force: bool = False):
                        for tau in cycle_class(k, force)
                        for j in range(k // 2 + 1, n - k // 2 + 1)}
         for part in reversed(evens):
-            current = {iprod(a, b) for a in cycle_class(part, force)
-                       for b in current}
+            current = {inductive_product.iprod(a, b)
+                       for a in cycle_class(part, force) for b in current}
         return make_equiv_class(current, alpha=alpha)
     columns = (_embed_columns(_cycle_columns(k), n) if hook
                else [*map(bytes, zip(*current))])

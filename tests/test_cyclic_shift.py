@@ -7,12 +7,11 @@ from heckezero.compositions import enumerate_maximal
 from heckezero.errors import DegreeLimitError, InvariantError
 from heckezero.cyclic_shift import (
     _match_representatives, _step, approx_class,
-    equiv_classes, label_max_classes, make_equiv_class, min_representatives,
-    one_step,
+    equiv_classes, label_max_classes, min_representatives, one_step,
 )
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_type, even_orbits, from_cycles,
-    identity, length, lengths, longest_element,
+    identity, length, lengths, longest_element, make_equiv_class,
 )
 from heckezero.stair_classes import member_sigma_alpha, stair_form
 

@@ -9,7 +9,6 @@ import pytest
 from heckezero import hecke
 from heckezero.compositions import enumerate_maximal
 from heckezero.counting import dim_center
-from heckezero.cyclic_shift import make_equiv_class
 from heckezero.errors import DegreeLimitError
 from heckezero.hecke import (
     HeckeElement, integer_matrix_rank, is_central, left_mul_gen, mul,
@@ -18,7 +17,7 @@ from heckezero.hecke import (
 )
 from heckezero.permutations import (
     all_perms, compose, conj_w0, from_cycles, identity, length,
-    longest_element,
+    longest_element, make_equiv_class,
 )
 from heckezero.stair_classes import sigma_class, stair_form
 

@@ -98,6 +98,31 @@ def test_the_brute_half_rests_on_the_shared_base_and_imports_run_one_way():
                  if name not in leaves}
 
 
+@pytest.mark.parametrize("module, name", [("cyclic_shift", "approx_class"),
+                                          ("inductive_product", "iprod")])
+def test_the_constructive_half_calls_its_neighbours_once(module, name):
+    # outside cli and verify, the one name a library module reads of the
+    # brute half, or of the tuple product, is read in sigma_class off the
+    # lazily registered module object, so no other label executes it
+    reads = set()
+    for path in LIBRARY:
+        if path.stem in ("cli", "verify", module):
+            continue
+        tree = _parse(path)[1]
+        local = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module is None
+                 for alias in node.names if alias.name == module}
+        reads |= {(path.stem, None, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module == module for alias in node.names}
+        reads |= {(path.stem, getattr(top, "name", None), node.attr)
+                  for top in tree.body for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in local}
+    assert reads == {("stair_classes", "sigma_class", name)}
+
+
 def _reads(tree, skip=None):
     """Every name that `tree` loads, bare or as an attribute, outside the
     top-level definition named `skip`."""
@@ -181,16 +206,21 @@ print(json.dumps([code, sorted(
     if name.startswith("heckezero.") and type(module) is types.ModuleType)]))
 """
 _MODULES = {path.stem for path in LIBRARY} - {"cli"}
+# a hook or empty odd tail is built without the brute half's search, and
+# on a label's byte-column route without the tuple product
+_BYTE_ROUTE = _MODULES - {"cyclic_shift", "inductive_product"}
 _REACHED = [
     ("", {"errors"}),
     ("dim --n 6", {"compositions", "counting", "errors"}),
     ("sigma --alpha 2,5,5", _MODULES - {"hecke", "verify"}),
-    ("count --alpha 2,8,4,5,1,1,1", _MODULES - {"hecke", "verify"}),
+    ("sigma --alpha 19", _BYTE_ROUTE - {"hecke", "verify"}),
+    ("sigma --alpha 4,2", _BYTE_ROUTE - {"hecke", "verify"}),
+    ("count --alpha 2,8,4,5,1,1,1", _BYTE_ROUTE - {"hecke", "verify"}),
     ("classes --n 5", {"errors", "compositions", "permutations",
                        "cyclic_shift"}),
     ("stairform --alpha 4,2", {"errors", "compositions", "permutations"}),
     ("verify --n 5 --suite hooks", _MODULES - {"hecke"}),
-    ("basis --n 6 --alpha 6", _MODULES - {"verify"}),
+    ("basis --n 6 --alpha 6", _BYTE_ROUTE - {"verify"}),
 ]
 
 

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from heckezero.cyclic_shift import EquivClass
+from heckezero.permutations import EquivClass
 from heckezero.hecke import CenterBasisReport, HeckeElement
 
 ELEMENTS = frozenset({(2, 3, 1), (3, 1, 2)})

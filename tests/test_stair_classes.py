@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from heckezero.cyclic_shift import EquivClass, approx_class, label_max_classes
+from heckezero.cyclic_shift import approx_class, label_max_classes
 from heckezero.permutations import (
-    all_perms, conj_w0, cycle_type, from_cycles, identity, inverse, length,
+    EquivClass, all_perms, conj_w0, cycle_type, from_cycles, identity, inverse, length,
     longest_element, stair_form, stair_sequence,
 )
 from heckezero.stair_classes import (
@@ -16,7 +16,7 @@ from heckezero.stair_classes import (
     is_oscillating_cycle, lift_cycle_class, lower_cycle_class,
     member_sigma_alpha, odd_hook_embed, sigma_class, standardize_cycle,
 )
-from heckezero import counting, stair_classes
+from heckezero import counting, cyclic_shift, stair_classes
 from heckezero.compositions import (
     enumerate_maximal, hook_kind, is_maximal, odd_partitions,
 )
@@ -461,6 +461,30 @@ class TestSigmaClass:
     def test_rejects_non_maximal(self):
         with pytest.raises(ValueError):
             sigma_class((1, 2))
+
+    @pytest.mark.parametrize("alpha", [(), (2,), (4, 2), (8,), (2, 2, 2),
+                                       (4, 1, 1), (2, 2, 1)])
+    def test_a_tail_of_ones_or_none_takes_no_search(self, alpha, monkeypatch):
+        # the class of an all-even label, or of one whose odd tail is all
+        # ones, is built without the brute half's search
+        expected = approx_class(stair_form(alpha), force=True)
+        monkeypatch.setattr(cyclic_shift, "approx_class", _refuse_search)
+        assert sigma_class(alpha) == EquivClass(
+            expected, length(stair_form(alpha)), alpha)
+
+    @pytest.mark.parametrize("alpha", [(3, 3), (2, 5, 5), (2, 3, 3, 1, 1)])
+    def test_a_non_hook_tail_takes_the_search(self, alpha, monkeypatch):
+        monkeypatch.setattr(cyclic_shift, "approx_class", _refuse_search)
+        with pytest.raises(_Searched):
+            sigma_class(alpha)
+
+
+class _Searched(Exception):
+    pass
+
+
+def _refuse_search(*args, **kwargs):
+    raise _Searched(args)
 
 
 def columns_of(perms):
