@@ -12,6 +12,10 @@ that both halves of the package share, cuts 1, n, 2, n-1, ... into blocks
 of sizes alpha_1, alpha_2, ... and reads each block as a cycle.  Both
 halves also share the record type here and the class record `EquivClass`.
 
+`lengths` counts the inversions of many permutations of one degree up to
+255 at once, in byte lanes of big integers: `_byte_lengths`, the one batch
+kernel, which also checks every class that `sigma_class` builds as bytes.
+
 >>> compose((2, 1, 3), (1, 3, 2))
 (2, 3, 1)
 >>> cycles((6, 5, 4, 3, 1, 2))
@@ -22,15 +26,14 @@ halves also share the record type here and the class record `EquivClass`.
 
 from __future__ import annotations
 
-import sys
-from array import array
-from itertools import chain, permutations as _lex_permutations
+import struct
+from itertools import permutations as _lex_permutations
 from typing import Iterable, Iterator
 
 from .compositions import Composition, check_composition
 
 __all__ = [
-    "Perm", "Cycle", "OrbitPartition", "EquivClass", "make_equiv_class",
+    "Perm", "Cycle", "OrbitPartition", "EquivClass",
     "identity", "all_perms", "compose", "inverse", "length", "lengths",
     "longest_element", "conj_w0",
     "cycles", "from_cycles", "cycle_type", "orbits", "even_orbits",
@@ -102,83 +105,62 @@ def length(p: Perm) -> int:
     return inversions
 
 
-#: the array typecode of each lane width `lengths` can choose, in bits
-_LANES = {array(code).itemsize * 8: code for code in "BHIQ"}
-
-
 def lengths(perms: Iterable[Perm]) -> list[int]:
-    """`length` of every permutation in `perms`, all of one degree, in order.
-
-    Each column of the permutations becomes one big integer of fixed-width
-    lanes, lane r holding the entry of the r-th permutation.  Setting the
-    top bit of every lane of column a and subtracting column b plus one
-    from every lane leaves the top bit set exactly where a > b, and no lane
-    borrows from the next; shifted down, that is 0 or 1 in every lane.
-    Summing it over the n(n-1)/2 pairs of columns counts the inversions of
-    every permutation at once.  The lanes are the narrowest of 8, 16, 32
-    and 64 bits that hold n(n-1)/2 and every entry below their top bit, so
-    no value or sum crosses a lane.
-
-    Permutations of different degrees, and entries that no lane holds
-    (negative, or 2^63 and above), raise ValueError.
+    """`length` of every permutation in `perms`, all of one degree n <= 255,
+    in order: the rows are joined, one byte per entry, split into their n
+    byte columns and counted all at once by `_byte_lengths`.  One
+    `translate` checks that every entry lies in 1..n, as the kernel's
+    8-bit lanes below n = 128 need.  Permutations of different degrees, a
+    degree past 255, and an entry outside 1..n raise ValueError.
 
     >>> lengths([(3, 2, 1), (1, 2, 3), (2, 3, 1)])
     [3, 0, 2]
     """
     rows = list(perms)
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("permutations of different degrees")
     n = len(rows[0]) if rows else 0
-    for width, code in _LANES.items():
-        if n * (n - 1) // 2 >> width:
-            continue            # a count would cross its lane
-        try:
-            packed = memoryview(
-                b"".join(map(bytes, rows)) if width == 8
-                else array(code, chain.from_iterable(rows)))
-        except (ValueError, OverflowError):
-            continue            # an entry is negative or wider than the lane
-        columns = [int.from_bytes(packed[j::n], sys.byteorder)
-                   for j in range(n)]
-        ones = int.from_bytes(array(code, [1]) * len(rows), sys.byteorder)
-        high = ones << width - 1
-        if any(column & high for column in columns):
-            continue            # an entry reaches the top bit of its lane
-        total = sum(_inversions(columns, width, ones))
-        return array(code, total.to_bytes(len(rows) * width // 8,
-                                          sys.byteorder)).tolist()
-    raise ValueError("an entry is negative or does not fit a lane of 64 bits")
-
-
-def _inversions(columns: list[int], width: int, ones: int) -> Iterator[int]:
-    """The kernel of `lengths`, row by row: for each of the column ints
-    `columns`, in lanes of `width` bits with a 1 in each lane of `ones`,
-    the int whose lanes count the later columns below it."""
-    high = ones << width - 1
-    for i, a in enumerate(columns):
-        lifted = (a | high) - ones
-        yield sum((lifted - b) >> width - 1 & ones for b in columns[i + 1:])
+    if any(len(row) != n for row in rows):
+        raise ValueError("permutations of different degrees")
+    if n > 255:
+        raise ValueError(f"degree {n} is past 255")
+    joined = b"".join(map(bytes, rows))
+    if joined.translate(None, bytes(range(1, n + 1))):
+        raise ValueError(f"an entry lies outside 1..{n}")
+    if not joined:
+        return [0] * len(rows)
+    total, _ = _byte_lengths([joined[c::n] for c in range(n)])
+    return list(struct.unpack(f"<{len(rows)}H",
+                              total.to_bytes(2 * len(rows), "little")))
 
 
 def _byte_lengths(columns: list[bytes]) -> tuple[int, int]:
     """The lengths of the permutations that `columns` hold, one byte per
-    permutation, as one int of 16-bit lanes, and the int with a 1 in each
-    lane.  `_inversions` counts in lanes of 8 bits below n = 128, where
-    every entry lies below the top bit, and each group of rows with at
-    most 255 pairs in all is widened to 16 bits and added."""
+    permutation and every entry in 1..n, as one int of 16-bit lanes, and
+    the int with a 1 in each lane.
+
+    Each column becomes one int, lane r holding the r-th permutation's
+    entry.  Setting the top bit of every lane of column a and subtracting
+    column b plus one from every lane leaves the top bit set exactly where
+    a > b, with no borrow between lanes; summed over the pairs of columns,
+    it counts every inversion at once.  The lanes are 8 bits wide below
+    n = 128, where every entry lies below the top bit, else 16; each group
+    of rows with at most 255 pairs in all is widened to 16 bits and added
+    before a count could cross its lane."""
     n, lanes = len(columns), len(columns[0])
-    step = 1 if n < 128 else 2
+    step, width = (1, 8) if n < 128 else (2, 16)
     wide, ints = bytearray(step * lanes), []
     for column in columns:
         wide[::step] = column
         ints.append(int.from_bytes(wide, "little"))
     ones = int.from_bytes(b"\1".ljust(step, b"\0") * lanes, "little")
+    high = ones << width - 1
     total = part = pairs = 0
     wide = bytearray(2 * lanes)
-    for i, row in enumerate(_inversions(ints, 8 * step, ones)):
-        part, pairs = part + row, pairs + n - 1 - i
+    for i, a in enumerate(ints):
+        lifted = (a | high) - ones
+        part += sum((lifted - b) >> width - 1 & ones for b in ints[i + 1:])
+        pairs += n - 1 - i
         # widened before the next row's pairs could carry out of a lane
-        if i == n - 1 or pairs + n - 2 - i >> 8 * step:
+        if i == n - 1 or pairs + n - 2 - i >> width:
             wide[::2 // step] = part.to_bytes(step * lanes, "little")
             total, part, pairs = total + int.from_bytes(wide, "little"), 0, 0
     return total, int.from_bytes(b"\1\0" * lanes, "little")
@@ -411,16 +393,3 @@ class EquivClass(_Record):
 
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)
-
-
-def make_equiv_class(elements, alpha: Composition | None = None) -> EquivClass:
-    """Build an EquivClass, checking that its members are of one degree
-    and share one length, which the batch kernel `lengths` counts for all
-    of them at once."""
-    elems = frozenset(elements)
-    if not elems:
-        raise ValueError("an equivalence class cannot be empty")
-    common = set(lengths(elems))
-    if len(common) != 1:
-        raise ValueError("elements do not share a common length")
-    return EquivClass(elems, common.pop(), alpha)

@@ -17,8 +17,9 @@ labelled class, built as byte columns from end to end: the even parts
 split off through the interleaving product, an odd tail shaped like a
 hook comes from the hook embedding, and any other odd tail is the
 cyclic-shift class of its stair form, the one call into the brute half.
-The class (an `EquivClass`) keeps its members as byte rows, checked once
-as a whole, and is refused past the soft limit of `errors` unless forced.
+A label of degree 0 or past 255 takes the same steps on tuples.  Either
+way the class (an `EquivClass`) is checked once as a whole, a fault raising
+InvariantError, and is refused past the soft limit of `errors` unless forced.
 
 >>> sorted(cycle_class(4)) == sorted([from_cycles(4, [(1, 4, 2, 3)]),
 ...                                   from_cycles(4, [(1, 3, 2, 4)])])
@@ -38,7 +39,7 @@ from .counting import _check_size, _too_large, size_sigma_formula
 from .errors import DegreeLimitError, InvariantError
 from .permutations import (
     Cycle, EquivClass, Perm, _byte_lengths, cycle_string, cycle_type, cycles,
-    from_cycles, identity, inverse, length, make_equiv_class, stair_form,
+    from_cycles, identity, inverse, length, stair_form,
 )
 
 __all__ = [
@@ -374,7 +375,7 @@ def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
     the finished class instead catch a lift that leaves the class or is
     not injective, and raise InvariantError.
 
-    Unless `force` is set, a class over the soft limit of `counting`
+    Unless `force` is set, a class over the element soft limit of `errors`
     (`ELEMENT_SOFT_LIMIT`) raises DegreeLimitError before any work.
     """
     if n < 0:
@@ -474,27 +475,30 @@ def _iprod_columns(a: list[bytes], b: list[bytes]) -> list[bytes]:
     return out
 
 
-def _class_of_columns(columns: list[bytes], alpha: Composition):
-    """The class labelled `alpha` of the members that `columns` hold, kept
-    as their byte rows, after two checks on the whole class that raise
-    InvariantError: the rows are distinct and as many as the closed count,
-    where there is one; and every lane has the length of the stair form,
-    all compared at once (`_byte_lengths`)."""
-    n, lanes = len(columns), len(columns[0])
-    flat = bytearray(n * lanes)
-    for c, column in enumerate(columns):
-        flat[c::n] = column
-    rows = re.findall(b".{%d}" % n, flat, re.DOTALL)
-    distinct, expected = len(set(rows)), size_sigma_formula(alpha) or lanes
-    if not distinct == lanes == expected:
+def _checked_class(rows: list, alpha: Composition,
+                   columns: list[bytes] | None = None):
+    """The class labelled `alpha` of the members `rows`, after two checks
+    on the whole class that raise InvariantError: the rows are distinct
+    and as many as the closed count, where there is one; and every member
+    has the length of the stair form.  Byte rows come with the `columns`
+    that hold them, whose lanes are compared all at once (`_byte_lengths`),
+    and the class keeps them as rows; tuples are compared one by one."""
+    built, distinct = len(rows), len(set(rows))
+    expected = size_sigma_formula(alpha) or built
+    if not distinct == built == expected:
         raise InvariantError(f"the class of {alpha} was built with {distinct} "
-                             f"distinct members in {lanes}, expected {expected}")
+                             f"distinct members in {built}, expected {expected}")
     ell = length(stair_form(alpha))
-    total, ones = _byte_lengths(columns)
-    if total != ell * ones:
+    if columns is None:
+        same = all(length(p) == ell for p in rows)
+    else:
+        total, ones = _byte_lengths(columns)
+        same = total == ell * ones
+    if not same:
         raise InvariantError(
             f"a member of the class of {alpha} is not of length {ell}")
-    return EquivClass._of_rows(rows, ell, alpha)
+    return (EquivClass(frozenset(rows), ell, alpha) if columns is None
+            else EquivClass._of_rows(rows, ell, alpha))
 
 
 def sigma_class(alpha: Composition, force: bool = False):
@@ -515,32 +519,38 @@ def sigma_class(alpha: Composition, force: bool = False):
     form from the brute half's search (`cyclic_shift.approx_class`, its
     one call there, read off the module object), turned into columns once.
     Each even part, right to left, then joins through the interleaving
-    product with the class of full cycles of that size.  The finished
-    class is checked once (`_class_of_columns`).  A class of degree 0 or
-    past 255, whose values no byte holds, is built from tuples.
+    product with the class of full cycles of that size.  A class of degree
+    0 or past 255, whose values no byte holds, is built in the same steps
+    from tuples.  Either way the finished class is checked once, by
+    `_checked_class`, and a fault raises InvariantError.
     """
     budget = _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)
     n, k = sum(odds), odds[0] if odds else 0
     hook = hook_kind(odds) == "odd_hook" and k >= 3
-    current = {identity(n)}  # the class of a tail of ones, or of none
+    current = [identity(n)]  # the class of a tail of ones, or of none
     if k > 2 and not hook:
         try:
-            current = cyclic_shift.approx_class(stair_form(odds),
-                                                budget=budget, force=force)
+            current = [*cyclic_shift.approx_class(stair_form(odds),
+                                                  budget=budget, force=force)]
         except DegreeLimitError:
             raise _too_large(alpha) from None
     if not 0 < sum(alpha) < 256:
         if hook:
-            current = {odd_hook_embed(tau, j, odds)
+            current = [odd_hook_embed(tau, j, odds)
                        for tau in cycle_class(k, force)
-                       for j in range(k // 2 + 1, n - k // 2 + 1)}
+                       for j in range(k // 2 + 1, n - k // 2 + 1)]
         for part in reversed(evens):
-            current = {inductive_product.iprod(a, b)
-                       for a in cycle_class(part, force) for b in current}
-        return make_equiv_class(current, alpha=alpha)
+            current = [inductive_product.iprod(a, b)
+                       for a in cycle_class(part, force) for b in current]
+        return _checked_class(current, alpha)
     columns = (_embed_columns(_cycle_columns(k), n) if hook
                else [*map(bytes, zip(*current))])
     for part in reversed(evens):
         columns = _iprod_columns(_cycle_columns(part), columns)
-    return _class_of_columns(columns, alpha)
+    degree = len(columns)
+    flat = bytearray(degree * len(columns[0]))
+    for c, column in enumerate(columns):
+        flat[c::degree] = column
+    rows = re.findall(b".{%d}" % degree, flat, re.DOTALL)
+    return _checked_class(rows, alpha, columns)

@@ -72,10 +72,7 @@ def suite_classes(n: int, force: bool = False) -> dict:
         predicate_ok = predicate == brute and all(
             member_sigma_alpha(p, alpha) for p in predicate)
         nu_stable = all(conj_w0(w) in brute for w in brute)
-        try:
-            constructive = sigma_class(alpha).elements == brute
-        except ValueError:
-            constructive = False    # a fault in the constructive route
+        constructive = sigma_class(alpha, force).elements == brute
         formula = size_sigma_formula(alpha)
         good = (predicate_ok and nu_stable and constructive
                 and formula in (None, len(brute)))

@@ -156,6 +156,15 @@ class TestSigma:
         assert (code, out) == (2, "")
         assert "internal invariant violated" in err
 
+    def test_a_lost_free_point_past_a_byte_exits_2(self, capsys, monkeypatch):
+        # the tuple route is checked as the byte route is
+        embed = stair_classes.odd_hook_embed
+        monkeypatch.setattr(stair_classes, "odd_hook_embed",
+                            lambda tau, j, alpha: embed(tau, 3, alpha))
+        code, out, err = run(capsys, "sigma", "--alpha", "4,5" + ",1" * 247)
+        assert (code, out) == (2, "")
+        assert "internal invariant violated" in err
+
 
 class TestStairform:
     def test_42(self, capsys):

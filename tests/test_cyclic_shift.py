@@ -11,7 +11,7 @@ from heckezero.cyclic_shift import (
 )
 from heckezero.permutations import (
     all_perms, compose, conj_w0, cycle_type, even_orbits, from_cycles,
-    identity, length, lengths, longest_element, make_equiv_class,
+    identity, length, lengths, longest_element,
 )
 from heckezero.stair_classes import member_sigma_alpha, stair_form
 
@@ -157,22 +157,6 @@ class TestArrowClosure:
         assert len(label_max_classes(6)[(3, 3)].elements) == 22
         monkeypatch.setattr(cyclic_shift, "ELEMENT_SOFT_LIMIT", 22)
         assert len(approx_class(w)) == 22
-
-
-class TestMakeEquivClass:
-    def test_reads_the_common_length(self):
-        cls = make_equiv_class([(2, 3, 1), (3, 1, 2)], alpha=(3,))
-        assert (cls.common_length, cls.size, cls.alpha) == (2, 2, (3,))
-
-    def test_refuses_members_of_different_degrees(self):
-        # both have length 0, which the class used to report
-        with pytest.raises(ValueError, match="different degrees"):
-            make_equiv_class([(1, 2), (1, 2, 3)])
-
-    @pytest.mark.parametrize("elements", [[], [(1, 2), (2, 1)]])
-    def test_refuses_empty_or_unequal_lengths(self, elements):
-        with pytest.raises(ValueError):
-            make_equiv_class(elements)
 
 
 class TestEquivClasses:

@@ -16,8 +16,8 @@ from heckezero.hecke import (
     verify_center_basis,
 )
 from heckezero.permutations import (
-    all_perms, compose, conj_w0, from_cycles, identity, length,
-    longest_element, make_equiv_class,
+    EquivClass, all_perms, compose, conj_w0, from_cycles, identity, length,
+    longest_element,
 )
 from heckezero.stair_classes import sigma_class, stair_form
 
@@ -644,9 +644,10 @@ class TestW0Halving:
         # a lone stair form is a seed class not stable under w0 (from n = 3
         # on, some stair form is not its own conjugate), so the check reads
         # every generator, and its verdict is the Hecke product's
-        monkeypatch.setattr(
-            hecke, "sigma_class",
-            lambda alpha, force=False: make_equiv_class([stair_form(alpha)]))
+        def lone_stair_form(alpha, force=False):
+            sf = stair_form(alpha)
+            return EquivClass(frozenset({sf}), length(sf), alpha)
+        monkeypatch.setattr(hecke, "sigma_class", lone_stair_form)
         read = _generators_read(monkeypatch)
         report = verify_center_basis(n)
         assert any(conj_w0(stair_form(alpha)) != stair_form(alpha)

@@ -78,23 +78,16 @@ class TestLengths:
         perms = list(all_perms(n))
         assert lengths(perms) == [inv_count(p) for p in perms]
 
-    # 8-bit lanes hold n(n-1)/2 up to n = 23, 16-bit lanes up to n = 362;
-    # the longest element fills every lane of its count
-    @pytest.mark.parametrize("n", [22, 23, 24, 362, 363])
+    # 8-bit lanes hold n(n-1)/2 up to n = 23 and every entry below their
+    # top bit up to n = 127; 16-bit lanes take the rest up to n = 255.  The
+    # longest element fills every lane of its count
+    @pytest.mark.parametrize("n", [22, 23, 24, 127, 128, 255])
     def test_random_permutations_at_each_lane_width(self, n):
         rng = random.Random(n)
         perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(12)]
         perms += [longest_element(n), identity(n)]
         assert lengths(perms) == [inv_count(p) for p in perms]
         assert lengths(perms) == [length(p) for p in perms]
-
-    @pytest.mark.parametrize("rows", [
-        [(127, 0, 5)], [(128, 0, 5)], [(0, 255, 256)], [(2**62, 1, 2**15)],
-        [(2**63 - 1, 0)], [(3, 1, 2), (300, 2**40, 7)],
-    ])
-    def test_entries_choose_a_wider_lane(self, rows):
-        # a value at a lane's top bit would read as a borrow
-        assert lengths(rows) == [inv_count(p) for p in rows]
 
     def test_empty_and_degree_zero(self):
         assert lengths([]) == []
@@ -110,12 +103,19 @@ class TestLengths:
         perms += [longest_element(n), identity(n)]
         total, ones = _byte_lengths([bytes(c) for c in zip(*perms)])
         assert ones == sum(1 << 16 * r for r in range(len(perms)))
-        assert total == sum(ell << 16 * r
-                            for r, ell in enumerate(lengths(perms)))
+        assert total == sum(inv_count(p) << 16 * r
+                            for r, p in enumerate(perms))
 
+    # rows of different degrees, entries outside 1..n, and degrees past
+    # 255, where no byte holds an entry; an entry at the top bit of an
+    # 8-bit lane (128 at n = 3) would read as a borrow
     @pytest.mark.parametrize("rows", [
         [(1, 2), (1, 2, 3)], [(2, 1), ()], [(-1, 2)], [(1, -2**70)],
         [(2**63, 1)], [(1, 2), (2**64, 1)],
+        [(127, 0, 5)], [(128, 0, 5)], [(0, 255, 256)], [(2**62, 1, 2**15)],
+        [(2**63 - 1, 0)], [(3, 1, 2), (300, 2**40, 7)],
+        [(3, 1, 4)], [(2, 2, 0)], [(128, 1, 2)], [identity(256)],
+        [longest_element(363), identity(363)],
     ])
     def test_refuses_what_no_lane_holds(self, rows):
         with pytest.raises(ValueError):

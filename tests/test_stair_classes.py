@@ -16,7 +16,7 @@ from heckezero.stair_classes import (
     is_oscillating_cycle, lift_cycle_class, lower_cycle_class,
     member_sigma_alpha, odd_hook_embed, sigma_class, standardize_cycle,
 )
-from heckezero import counting, cyclic_shift, stair_classes
+from heckezero import counting, cyclic_shift, inductive_product, stair_classes
 from heckezero.compositions import (
     enumerate_maximal, hook_kind, is_maximal, odd_partitions,
 )
@@ -525,14 +525,40 @@ class TestColumns:
     @pytest.mark.parametrize("alpha", [(3,), (18, 3, 3)])
     def test_lanes_of_another_length_raise(self, alpha):
         # (18, 3, 3) has no closed count, and its length 263 is summed in
-        # 16-bit lanes from two groups of 8-bit ones
+        # 16-bit lanes from two groups of 8-bit ones; the tuple route
+        # compares each member's length in turn
         sf = stair_form(alpha)
-        same = stair_classes._class_of_columns(
-            columns_of([sf, conj_w0(sf)]), alpha)
+        good, bad = [sf, conj_w0(sf)], [sf, longest_element(len(sf))]
+        same = stair_classes._checked_class(
+            [*map(bytes, good)], alpha, columns_of(good))
         assert same.elements == {sf, conj_w0(sf)}
+        assert stair_classes._checked_class(good, alpha) == same
+        for args in ([*map(bytes, bad)], alpha, columns_of(bad)), (bad, alpha):
+            with pytest.raises(InvariantError, match="not of length"):
+                stair_classes._checked_class(*args)
+
+    def test_a_lost_free_point_past_a_byte_raises(self, monkeypatch):
+        # every free point embeds onto the first: the 2976 members of the
+        # class of degree 256 collapse to 12
+        embed = stair_classes.odd_hook_embed
+        monkeypatch.setattr(stair_classes, "odd_hook_embed",
+                            lambda tau, j, alpha: embed(tau, 3, alpha))
+        with pytest.raises(InvariantError,
+                           match="12 distinct members in 2976, expected 2976"):
+            sigma_class((4, 5) + (1,) * 247)
+
+    def test_a_member_of_another_length_past_a_byte_raises(self, monkeypatch):
+        # one product swaps its last two values, which keeps it a distinct
+        # permutation of degree 256 but changes its length by one
+        iprod, built = inductive_product.iprod, []
+
+        def one_swapped(a, b):
+            p = iprod(a, b)
+            built.append(p)
+            return p if len(built) > 1 else p[:-2] + p[:-3:-1]
+        monkeypatch.setattr(inductive_product, "iprod", one_swapped)
         with pytest.raises(InvariantError, match="not of length"):
-            stair_classes._class_of_columns(
-                columns_of([sf, longest_element(len(sf))]), alpha)
+            sigma_class((4, 5) + (1,) * 247)
 
     def test_a_class_of_rows_builds_its_tuples_once(self):
         cls = sigma_class((2, 5, 1))

@@ -19,13 +19,32 @@ def test_predicate_mismatch_fails_the_suite(monkeypatch):
 
 
 def test_construction_fault_fails_the_suite(monkeypatch):
-    def broken(alpha):
-        raise ValueError("constructive route broke")
+    # a wrong class reads as a mismatch; an error in the constructive
+    # route is not turned into one, and reaches the caller
+    def wrong(alpha, force=False):
+        return permutations.EquivClass(frozenset(), 0, alpha)
 
-    monkeypatch.setattr(verify, "sigma_class", broken)
+    monkeypatch.setattr(verify, "sigma_class", wrong)
     report = verify.suite_classes(4)
     assert report["ok"] is False
     assert all(c["constructive_matches"] is False for c in report["checks"])
+
+    def broken(alpha, force=False):
+        raise ValueError("constructive route broke")
+
+    monkeypatch.setattr(verify, "sigma_class", broken)
+    with pytest.raises(ValueError, match="broke"):
+        verify.suite_classes(4)
+
+
+def test_the_classes_suite_passes_force_on(monkeypatch):
+    # (3, 1, 1, 1), (3, 3), (5, 1) and (6) hold more than 5 elements
+    monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 5)
+    report = verify.suite_classes(6, force=True)
+    assert report["ok"] is True
+    assert all(c["constructive_matches"] for c in report["checks"])
+    with pytest.raises(errors.DegreeLimitError, match="force"):
+        verify.suite_classes(6)
 
 
 def test_hook_filter_rejecting_all_fails_the_suite(monkeypatch):
