@@ -369,6 +369,8 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    if hasattr(sys, "set_int_max_str_digits"):  # write counts of any length
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         code = args.fn(args)

@@ -281,7 +281,7 @@ def min_representatives(n: int, force: bool = False) -> dict[Composition, Perm]:
     """Representatives `stair_form(alpha) * w0` of the nu-twisted minimal
     stratum, one per maximal composition of n.
 
-    It is the maximal "id" stratum times w0, cached by `label_max_classes`;
+    It is the maximal "id" stratum times w0, both cached by `_stratum`;
     each of its classes must hold one representative, else InvariantError.
     """
     classes = equiv_classes(n, "nu", "min", force)

@@ -8,9 +8,9 @@ the class is exactly the set of full cycles that are *oscillating* with
 *connected intervals*, and it grows degree by degree through an insertion
 bijection.  One step, `_lift_all`, inserts the middle value into a whole
 level written in the labels of the final degree and held by columns, one
-byte per member, each column rewritten by one `translate`; `cycle_class`
-is one loop of it from degree 3, `lift_cycle_class` one step of it on a
-level of one member, and `lower_cycle_class` the inverse.
+byte per member, each column rewritten by one `translate`; the class is
+built by one loop of it (`_cycle_columns`, uncached), `lift_cycle_class`
+is one step of it on a level of one member, `lower_cycle_class` the inverse.
 Membership is tested by the two predicates on the one cycle, never by
 building the class.  `sigma_class` is the one constructive route to every
 labelled class, built as byte columns from end to end: the even parts
@@ -361,43 +361,33 @@ def lower_cycle_class(sigma: Perm) -> tuple[Perm, int | None]:
 
 
 def cycle_class(n: int, force: bool = False) -> frozenset[Perm]:
-    """The maximal class of full n-cycles, generated degree by degree in
-    one loop.
-
-    Every degree k <= n is written in final labels, the values of degree
-    n: those of degree n are 1..n, and those of degree k-1 are the labels
-    of degree k without their middle value.  The explicit class of degree
-    3 grows by the insertion bijection (`_lift_all`), each even step
-    keeping the count and each odd step tripling it, as n columns of one
-    byte per member, in which a value not yet inserted is a fixed point
-    in the middle.  The inputs are class members by construction, so the
-    step skips the membership check; the checks of `sigma_class((n,))` on
-    the finished class instead catch a lift that leaves the class or is
-    not injective, and raise InvariantError.
-
-    Unless `force` is set, a class over the element soft limit of `errors`
-    (`ELEMENT_SOFT_LIMIT`) raises DegreeLimitError before any work.
+    """The maximal class of full n-cycles, the members of `sigma_class((n,))`
+    (of the empty label for n = 0), built anew by each call: nothing is
+    cached.  Unless `force` is set, a class over the element soft limit of
+    `errors` (`ELEMENT_SOFT_LIMIT`) raises DegreeLimitError before any work.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > 2:
-        _check_size((n,), force)
-    return _cycle_class(n)
-
-
-@lru_cache(maxsize=None)
-def _cycle_class(n: int) -> frozenset[Perm]:
-    """`cycle_class` of a degree that passed its checks."""
-    return sigma_class((n,) if n else (), force=True).elements
-
-
-# the controls of the class cache, as on any lru_cache function
-cycle_class.cache_info = _cycle_class.cache_info
-cycle_class.cache_clear = _cycle_class.cache_clear
+    return sigma_class((n,) if n else (), force).elements
 
 
 def _cycle_columns(n: int) -> list[bytes]:
-    """The columns of `cycle_class(n)`, unchecked, for 2 <= n <= 255."""
+    """The class of full n-cycles (n >= 2) as n byte columns, one byte per
+    member: its one builder, unchecked, which both routes of `sigma_class`
+    read.  A part past 255, with over 2 * 3**126 members, raises ValueError.
+
+    Every degree k <= n is written in final labels, the values of degree
+    n: those of degree n are 1..n, and those of degree k-1 are the labels
+    of degree k without their middle value.  The class of degree 3 grows
+    by the insertion bijection (`_lift_all`) in one loop, each even step
+    keeping the count and each odd step tripling it; a value not yet
+    inserted is a fixed point in the middle.  The step skips the membership
+    check: the checks of `sigma_class` on the finished class catch a lift
+    that leaves the class or is not injective, and raise InvariantError.
+    """
+    if n > 255:
+        raise ValueError(f"no byte columns hold the full {n}-cycles; "
+                         "a part may be at most 255")
     if n == 2:
         return [b"\2", b"\1"]
     labels = {n: list(range(1, n + 1))}
@@ -520,9 +510,9 @@ def sigma_class(alpha: Composition, force: bool = False):
     one call there, read off the module object), turned into columns once.
     Each even part, right to left, then joins through the interleaving
     product with the class of full cycles of that size.  A class of degree
-    0 or past 255, whose values no byte holds, is built in the same steps
-    from tuples.  Either way the finished class is checked once, by
-    `_checked_class`, and a fault raises InvariantError.
+    0 or past 255, whose values no byte holds, takes the same steps on the
+    tuples of the same columns (`_cycle_columns`, never `cycle_class`).
+    The class is checked once by `_checked_class`, which raises InvariantError.
     """
     budget = _check_size(alpha, force)
     evens, odds, _ = split_even_odd(alpha)
@@ -538,11 +528,11 @@ def sigma_class(alpha: Composition, force: bool = False):
     if not 0 < sum(alpha) < 256:
         if hook:
             current = [odd_hook_embed(tau, j, odds)
-                       for tau in cycle_class(k, force)
+                       for tau in zip(*_cycle_columns(k))
                        for j in range(k // 2 + 1, n - k // 2 + 1)]
         for part in reversed(evens):
             current = [inductive_product.iprod(a, b)
-                       for a in cycle_class(part, force) for b in current]
+                       for a in zip(*_cycle_columns(part)) for b in current]
         return _checked_class(current, alpha)
     columns = (_embed_columns(_cycle_columns(k), n) if hook
                else [*map(bytes, zip(*current))])

@@ -188,6 +188,14 @@ class TestDim:
         code, out, _ = run(capsys, "dim", "--n", "7")
         assert out.strip() == "16"
 
+    def test_a_count_past_4300_digits_is_written_whole(self, capsys,
+                                                       monkeypatch):
+        # Python 3.11 refuses by default to write an int of over 4300 digits
+        monkeypatch.setattr(counting, "dim_center", lambda n: 10 ** 5000)
+        code, out, err = run(capsys, "dim", "--n", "3")
+        assert code == 0, err
+        assert out == "1" + "0" * 5000 + "\n"
+
     def test_force_is_not_an_option(self, capsys):
         # neither dim nor stairform runs brute force, so neither takes --force
         for argv in (("dim", "--n", "5"), ("stairform", "--alpha", "4,2")):
@@ -349,6 +357,24 @@ class TestPlumbing:
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (1, "")
         assert "--force" in err
+
+    @pytest.mark.parametrize("argv", ["sigma --alpha 256 --force",
+                                      "count --alpha 2,257 --force"])
+    def test_a_part_past_a_byte_is_refused_in_one_line(self, capsys, argv):
+        # no byte holds the values of its full cycles, and the class would
+        # have over 2 * 3**126 members
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckezero.cli", *argv.split()],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == err
+        assert err.startswith("error: no byte columns hold the full 25")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dim.json"

@@ -315,14 +315,17 @@ class TestCycleClass:
     def test_matches_brute_force(self, n):
         assert cycle_class(n) == approx_class(stair_form((n,)))
 
-    def test_one_loop_fills_one_cache_entry(self):
-        # a recursive build would fill one entry per degree below n
-        cycle_class.cache_clear()
-        try:
-            cycle_class(12)
-            assert cycle_class.cache_info().misses == 1
-        finally:
-            cycle_class.cache_clear()
+    def test_one_loop_lifts_once_per_degree(self, monkeypatch):
+        # one lift step for each degree 4..12; a build that recursed through
+        # the classes of lower degree would lift some degree more than once
+        lift, degrees = stair_classes._lift_all, []
+
+        def counted(columns, labels):
+            degrees.append(len(labels))
+            return lift(columns, labels)
+        monkeypatch.setattr(stair_classes, "_lift_all", counted)
+        assert len(cycle_class(12)) == 2 * 3 ** 4
+        assert degrees == list(range(4, 13))
 
     def test_the_step_refuses_a_pair_that_is_not_adjacent(self):
         # (1,2,5,4) with 3 fixed: the pair {2, 4} around 3 sits apart; the
@@ -352,12 +355,8 @@ class TestCycleClass:
             stair_classes, "_lift_all",
             lambda columns, labels: [column * (1 + 2 * (len(labels) % 2))
                                      for column in columns])
-        cycle_class.cache_clear()
-        try:
-            with pytest.raises(InvariantError, match="expected 6"):
-                cycle_class(5)
-        finally:
-            cycle_class.cache_clear()
+        with pytest.raises(InvariantError, match="expected 6"):
+            cycle_class(5)
 
 
 class TestOddHookEmbed:
@@ -390,13 +389,12 @@ class TestOddHookEmbed:
         with pytest.raises(ValueError):
             odd_hook_embed(perm((1, 3, 2), n=3), 1, (3, 1, 1))
 
-    def test_checks_membership_without_building_the_class(self):
+    def test_checks_membership_without_building_the_class(self, monkeypatch):
         # the class of full 41-cycles has 2 * 3**19 elements
-        cached = cycle_class.cache_info().currsize
+        monkeypatch.setattr(stair_classes, "_cycle_columns", _refuse_build)
         start = time.perf_counter()
         p = odd_hook_embed(stair_form((41,)), 21, (41, 1))
         assert time.perf_counter() - start < 1
-        assert cycle_class.cache_info().currsize == cached
         assert p[21] == 22
         assert member_sigma_alpha(p, (41, 1))
 
@@ -478,6 +476,18 @@ class TestSigmaClass:
         with pytest.raises(_Searched):
             sigma_class(alpha)
 
+    def test_no_route_calls_cycle_class(self, monkeypatch):
+        # both routes read the full-cycle factors off `_cycle_columns`; the
+        # last three labels, of degree 256 and 257, take the tuple route
+        expected = {alpha: cls.elements for n in range(8)
+                    for alpha, cls in label_max_classes(n).items()}
+        monkeypatch.setattr(stair_classes, "cycle_class", _refuse_build)
+        for alpha, elements in expected.items():
+            assert sigma_class(alpha).elements == elements, alpha
+        for alpha, size in [((2,) * 128, 1), ((4, 5) + (1,) * 247, 2976),
+                            ((2, 1) + (1,) * 254, 1)]:
+            assert sigma_class(alpha).size == size, alpha
+
 
 class _Searched(Exception):
     pass
@@ -485,6 +495,10 @@ class _Searched(Exception):
 
 def _refuse_search(*args, **kwargs):
     raise _Searched(args)
+
+
+def _refuse_build(*args, **kwargs):
+    raise AssertionError(f"a class was built: {args}")
 
 
 def columns_of(perms):
@@ -615,14 +629,13 @@ class TestSizeGate:
             sigma_class((8, 3, 3))
 
     @pytest.mark.parametrize("n", [25, 41, 10**12])
-    def test_cycle_class_refuses_before_any_work(self, n):
+    def test_cycle_class_refuses_before_any_work(self, n, monkeypatch):
         # 2 * 3**11 full 25-cycles; 10**12 would need a power with 2e11 digits
-        cached = cycle_class.cache_info().currsize
+        monkeypatch.setattr(stair_classes, "_cycle_columns", _refuse_build)
         start = time.perf_counter()
         with pytest.raises(DegreeLimitError, match="force=True"):
             cycle_class(n)
         assert time.perf_counter() - start < 1
-        assert cycle_class.cache_info().currsize == cached
 
     def test_cycle_class_force_lifts_the_limit(self, monkeypatch):
         monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 18)
@@ -630,8 +643,6 @@ class TestSizeGate:
         with pytest.raises(DegreeLimitError):
             cycle_class(9)
         assert len(cycle_class(9, force=True)) == 54
-        # a degree built once serves every later call, forced or not
-        assert cycle_class(8, force=True) is cycle_class(8)
 
     def test_the_benchmark_labels_pass_without_force(self):
         for alpha in [(19,), (2, 8, 4, 5, 1, 1, 1), (3, 3, 3)]:
