@@ -10,15 +10,17 @@ or flips a sign:
               = -T_w        otherwise.
 
 The center has a basis of indicator sums over Bruhat order ideals
-generated by the maximal cyclic-shift classes.  `verify_center_basis`
-checks centrality, linear independence and the dimension count from one
-walk over the one-line prefixes of S_n, which decides Bruhat order by the
-tableau criterion.  The walk writes one byte per permutation, indexed by
-its lexicographic rank: the id of the set of ideals holding it, with
-whole subtrees of one set written by one slice.  For a lower ideal I, T_i
-times the indicator sum of I is the indicator sum of its upper boundary
-{z : s_i z < z, s_i z in I, z not in I}, and the right product is the same
-with z s_i, so centrality is a comparison of boundaries.  With each ideal
+generated by the maximal cyclic-shift classes.  `center_ideals` is the
+one entry into the walk over the one-line prefixes of S_n, which decides
+Bruhat order by the tableau criterion, for every labelled class at once;
+`verify_center_basis` checks centrality, linear independence and the
+dimension count from it.  The walk writes one byte per permutation,
+indexed by its lexicographic rank: the id of the set of ideals holding
+it, with whole subtrees of one set written by one slice.  For a lower
+ideal I, T_i times the indicator sum of I is the indicator sum of its
+upper boundary {z : s_i z < z, s_i z in I, z not in I}, and the right
+product is the same with z s_i, so centrality is a comparison of
+boundaries, made in one loop (`_noncentral_labels`).  With each ideal
 held as one integer whose bit r stands for rank r, both products move
 ranks by fixed shifts on fixed sets of ranks, so each comparison is a few
 big-integer operations.  Conjugation by w0 sends T_i to T_{n-i}; when
@@ -39,8 +41,10 @@ integral, so any field case follows by extension of scalars.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress, permutations
 from math import factorial
+from operator import xor
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import Composition, enumerate_maximal, is_maximal
@@ -370,6 +374,10 @@ def _climb_sets(m: int, i: int, memo: dict) -> list[int]:
     return sets
 
 
+#: Bits of label ints `_noncentral_labels` builds per group: about 64 MB.
+_GROUP_BITS = 1 << 29
+
+
 def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int,
                        stable: bool = False) -> int:
     """The bits r whose ideal sum chi_r = sum of T_w over the w with bit r
@@ -390,51 +398,35 @@ def _noncentral_labels(ids: bytearray, table: Sequence[int], n: int,
     commutes with T_{n-i}, and only the generators i >= ceil(n/2) are
     checked.
 
-    Each ideal is one int with bit r set for lex rank r, and both climbs
-    move ranks by shifts (`_moves`).  The ints are built a group of labels
-    at a time, about 64 MB of them, and each group is checked and freed
-    before the next is built.
+    Each ideal is one int with bit q set for lex rank q, read off a
+    reversed copy of the rank array, and both climbs move ranks by shifts
+    (`_moves`), so one loop compares the boundaries.  The ints are built a
+    group of labels at a time (`_GROUP_BITS`); the reversed copy is freed
+    once they are read, and the group's ints and moves before the next
+    group is built.
     """
     fact = [factorial(k) for k in range(n + 1)]
     labels = max(table).bit_length()
-    per_group = max(1, (1 << 29) // fact[n])
+    per_group = max(1, _GROUP_BITS // fact[n])
     gens = range((n + 1) // 2 if stable else 1, n)
     memo: dict = {}
     bad = 0
     for first in range(0, labels, per_group):
-        group = range(first, min(first + per_group, labels))
-        bad |= _noncentral_in(_ideal_ints(ids, table, group), n, gens, fact, memo)
-    return bad
-
-
-def _ideal_ints(ids: bytearray, table: Sequence[int],
-                bits: Iterable[int]) -> list[tuple[int, int]]:
-    """Each bit r in `bits` with its ideal as one int, bit q set when the
-    permutation of lex rank q lies in it, read off the rank array; the
-    reversed copy of the array is freed on return."""
-    flipped = ids[::-1]
-    ints = []
-    for r in bits:
-        ones = bytes(0x30 | m >> r & 1 for m in table).ljust(256, b"0")
-        ints.append((r, int(flipped.translate(ones), 2)))
-    return ints
-
-
-def _noncentral_in(ideals: list[tuple[int, int]], n: int, gens: Iterable[int],
-                   fact: Sequence[int], memo: dict) -> int:
-    """The bits r of the pairs (r, ideal) whose boundaries along some
-    generator in `gens` disagree outside the ideal."""
-    bad = 0
-    for i in gens:
-        moves = _moves(n, i, fact, memo)
-        for r, ideal in ideals:
-            if bad >> r & 1:
-                continue
-            moved = 0
-            for ranks, shift in moves:
-                moved ^= (ideal & ranks) << shift
-            if moved | ideal != ideal:
-                bad |= 1 << r
+        flipped = ids[::-1]
+        ideals = []
+        for r in range(first, min(first + per_group, labels)):
+            ones = bytes(0x30 | m >> r & 1 for m in table).ljust(256, b"0")
+            ideals.append((r, int(flipped.translate(ones), 2)))
+        del flipped
+        for i in gens:
+            moves = _moves(n, i, fact, memo)
+            # a label fails where its moved ranks leave the ideal; the
+            # generator expressions keep no int of the group past it
+            bad |= sum(1 << r for r, ideal in ideals if not bad >> r & 1
+                       and ideal != ideal | reduce(xor, (
+                           (ideal & ranks) << shift for ranks, shift in moves)))
+            del moves
+        del ideals
     return bad
 
 
@@ -466,13 +458,15 @@ def _moves(n: int, i: int, fact: Sequence[int], memo: dict) -> list[tuple[int, i
 
 
 def center_ideals(alphas: Sequence[Composition], n: int,
-                  force: bool = False) -> tuple[bytearray, list[int]]:
+                  force: bool = False) -> tuple[bytearray, list[int], bool]:
     """The Bruhat order ideals generated by the classes labelled by
     `alphas`, all from one prefix walk: the rank array and mask table of
     `_ideal_masks(..., by_rank=True)`, bit r of a mask standing for
-    alphas[r].  Each label must be a maximal composition of n.  The ideals
-    can hold most of S_n, so n is gated by the brute-force soft limit
-    `DEGREE_SOFT_LIMIT` before any class is built, lifted by `force=True`.
+    alphas[r], and whether every class is stable under conjugation by w0,
+    which lets `_noncentral_labels` read half the generators.  Each label
+    must be a maximal composition of n.  The ideals can hold most of S_n,
+    so n is gated by the brute-force soft limit `DEGREE_SOFT_LIMIT` before
+    any class is built, lifted by `force=True`.
     """
     for alpha in alphas:
         if not is_maximal(alpha):
@@ -480,8 +474,9 @@ def center_ideals(alphas: Sequence[Composition], n: int,
         if sum(alpha) != n:
             raise ValueError(f"|{alpha}| != {n}")
     _check_degree(n, force)
-    return _ideal_masks(
-        [sigma_class(alpha, force).elements for alpha in alphas], by_rank=True)
+    seeds = [sigma_class(alpha, force).elements for alpha in alphas]
+    stable = all(conj_w0(w) in seed for seed in seeds for w in seed)
+    return *_ideal_masks(seeds, by_rank=True), stable
 
 
 def _lex_rows(n: int) -> bytes:
@@ -562,7 +557,7 @@ def ideal_sums(alphas: Sequence[Composition], n: int,
     [(1, [(1, 2, 3)]),
      (5, [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)])]
     """
-    ids, table = center_ideals(alphas, n, force)
+    ids, table, _ = center_ideals(alphas, n, force)
     counts = list(map(ids.count, range(len(table))))
     sums = []
     for r in range(len(alphas)):
@@ -655,34 +650,30 @@ def verify_center_basis(n: int, force: bool = False) -> CenterBasisReport:
     central, linearly independent, and as many as the center dimension.
 
     The degree is gated by `DEGREE_SOFT_LIMIT` before any work, lifted by
-    `force=True`.  One prefix walk over the labelled classes, as in
-    `center_ideals`, which the `basis` command reads, builds every ideal
-    at once, as one mask id per permutation in lex rank order.
-    Centrality is read off the upper boundaries of the ideals by
-    big-integer shifts (`_noncentral_labels`), with no Hecke product.  When
-    every class is stable under conjugation by w0, checked first, that
+    `force=True`.  The ideals come from `center_ideals`, the one entry
+    into the rank walk, which the `basis` command reads too: one mask id
+    per permutation in lex rank order.  Centrality is read off the upper
+    boundaries of the ideals by big-integer shifts in one loop
+    (`_noncentral_labels`), with no Hecke product.  When every class is
+    stable under conjugation by w0, as `center_ideals` reports, that loop
     reads only the generators i >= ceil(n/2); else every generator.
     Independence is the exact rank of the k ideal sums as rows over the
     columns T_w.  The column of w is its mask, so equal ids give equal
     columns and id 0 a zero column: the rank is that of the k x m matrix
-    of the m nonzero table masks whose id occurs in the rank array, by
-    Bareiss elimination.  It is exact for every input, so a dependent
-    family is reported with its true rank.
+    of the m nonzero ids' table masks, as every such id occurs in the rank
+    array, by Bareiss elimination.  It is exact for every input, so a
+    dependent family is reported with its true rank.
 
     Returns a report rather than raising, so callers can surface every
     failing assertion at once.
     """
     _check_degree(n, force)
     alphas = tuple(enumerate_maximal(n, force))
-    seeds = [sigma_class(alpha, force).elements for alpha in alphas]
-    stable = all(conj_w0(w) in seed for seed in seeds for w in seed)
-    ids, table = _ideal_masks(seeds, by_rank=True)
-    del seeds
+    ids, table, stable = center_ideals(alphas, n, force)
     bad = _noncentral_labels(ids, table, n, stable)
     central = tuple(not bad >> r & 1 for r in range(len(alphas)))
-    columns = [m for j, m in enumerate(table) if j and j in ids]
     rank = integer_matrix_rank(
-        [[m >> r & 1 for m in columns] for r in range(len(alphas))])
+        [[m >> r & 1 for m in table[1:]] for r in range(len(alphas))])
     dim = dim_center(n)
 
     failures = []

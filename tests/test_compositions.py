@@ -56,6 +56,12 @@ class TestEnumerateMaximal:
         out = enumerate_maximal(8)
         assert out == sorted(out)
 
+    def test_rejects_a_negative_degree(self):
+        with pytest.raises(ValueError) as caught:
+            enumerate_maximal(-1)
+        assert caught.type is ValueError
+        assert str(caught.value) == "n must be nonnegative"
+
     def test_more_labels_than_the_element_limit_need_force(self, monkeypatch):
         # dim_center(8) = 26 labels
         monkeypatch.setattr(compositions, "ELEMENT_SOFT_LIMIT", 25)

@@ -112,6 +112,18 @@ class TestTBasis:
         with pytest.raises(ValueError, match=re.escape("(1, 1, 1)")):
             t_basis(3, (1, 1, 1))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: t_basis(3, (1, 2)), "degree mismatch: 2 != 3"),
+        (lambda: left_mul_gen(3, t_basis(3, identity(3))),
+         "generator index 3 out of range for degree 3"),
+        (lambda: right_mul_gen(0, t_basis(3, identity(3))),
+         "generator index 0 out of range for degree 3"),
+    ], ids=["degree", "left-generator", "right-generator"])
+    def test_an_input_check_raises_its_message(self, call, message):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert caught.type is ValueError and str(caught.value) == message
+
 
 class TestReducedWord:
     def test_identity(self):
@@ -263,6 +275,8 @@ class TestOrderIdeal:
         assert hecke._ideal_masks(seeds) == {
             w for w, j in zip(perms, ids) if j}
         assert table[0] == 0 and len(set(table)) == len(table)
+        # every id is written when it is made, so the rank reads table[1:]
+        assert set(range(1, len(table))) <= set(ids)
         assert perms == sorted(perms)
 
     def test_rank_array_refuses_more_than_256_masks(self):
@@ -464,6 +478,32 @@ class TestIsCentral:
                 assert (not bad >> r & 1) == is_central(x), seed
             flagged += bin(bad).count("1")
         assert flagged >= 5 or n == 2
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("stable", [False, True])
+    def test_one_label_per_group_gives_the_same_bits(self, monkeypatch, n,
+                                                     stable):
+        # through n = 9 every label fits in one group; with one bit per
+        # group each label is its own group, its ints built and its moves
+        # read on their own, and the verdicts stay the same.  The second
+        # family adds the w0-closed stair forms of (n,), whose ideal is not
+        # central
+        classes = [sigma_class(a).elements for a in enumerate_maximal(n)]
+        sf = stair_form((n,))
+        gens = list(range((n + 1) // 2 if stable else 1, n))
+        verdicts = []
+        for seeds in (classes, classes + [{sf, conj_w0(sf)}]):
+            ids, table = hecke._ideal_masks(seeds, by_rank=True)
+            read = _generators_read(monkeypatch)
+            default = hecke._noncentral_labels(ids, table, n, stable)
+            assert read == gens
+            monkeypatch.setattr(hecke, "_GROUP_BITS", 1)
+            read = _generators_read(monkeypatch)
+            assert hecke._noncentral_labels(ids, table, n, stable) == default
+            assert read == gens * len(seeds)
+            monkeypatch.undo()
+            verdicts.append(default)
+        assert verdicts == [0, 1 << len(classes)]
 
     def test_central_iff_commutes_with_all_products(self):
         # generator commutation implies full commutation; spot-check it

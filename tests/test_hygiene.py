@@ -123,6 +123,26 @@ def test_the_constructive_half_calls_its_neighbours_once(module, name):
     assert reads == {("stair_classes", "sigma_class", name)}
 
 
+def test_the_rank_walk_has_one_entry():
+    # `center_ideals` is the one library caller of the rank walk, and
+    # `order_ideal` of the tuple walk; `verify_center_basis` and the
+    # `basis` command reach the rank walk through `center_ideals`
+    calls = []
+    for path in LIBRARY:
+        tree = _parse(path)[1]
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "_ideal_masks"):
+                    calls.append((path.stem, getattr(top, "name", None),
+                                  len(node.args), sorted(
+                                      (k.arg, ast.literal_eval(k.value))
+                                      for k in node.keywords)))
+    assert sorted(calls) == [
+        ("hecke", "center_ideals", 1, [("by_rank", True)]),
+        ("hecke", "order_ideal", 1, [])]
+
+
 def _reads(tree, skip=None):
     """Every name that `tree` loads, bare or as an attribute, outside the
     top-level definition named `skip`."""

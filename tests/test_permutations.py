@@ -239,6 +239,16 @@ class TestCycles:
 
     def test_cycle_string(self):
         assert cycle_string(perm((1, 3), n=3)) == "(1,3)(2)"
+        assert cycle_string(()) == "()"
+
+    @pytest.mark.parametrize("cycs, message", [
+        ([(1, 4)], "cycle entry 4 outside 1..3"),
+        ([(1, 2), (2, 3)], "cycles are not disjoint at 2"),
+    ], ids=["out-of-range", "not-disjoint"])
+    def test_from_cycles_checks_its_cycles(self, cycs, message):
+        with pytest.raises(ValueError) as caught:
+            from_cycles(3, cycs)
+        assert caught.type is ValueError and str(caught.value) == message
 
     @pytest.mark.parametrize("p", [
         (1, 1, 2), (2, 2, 1), (0, 1, 2), (1, 2, 4), (2, 3, 4), (-1, 2, 3),

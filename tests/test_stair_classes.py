@@ -94,6 +94,24 @@ class TestMemberSigmaAlpha:
             assert got == cls.elements
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: member_sigma_alpha(identity(4), (3,)),
+     "degree mismatch: |(3,)| != 4"),
+    (lambda: standardize_cycle(()), "empty cycle"),
+    (lambda: hook_properties(identity(6), (3, 3)), "not a hook: (3, 3)"),
+    (lambda: lift_cycle_class(5, perm((1, 2, 3), n=3)),
+     "expected a permutation of degree 4"),
+    (lambda: cycle_class(-1), "n must be nonnegative"),
+    (lambda: odd_hook_embed(perm((1, 3, 2), n=3), 2, (3, 3)),
+     "not an odd hook with long part >= 3: (3, 3)"),
+], ids=["member-degree", "empty-cycle", "not-a-hook", "lift-degree",
+        "negative-cycle-class", "not-an-odd-hook"])
+def test_an_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is ValueError and str(caught.value) == message
+
+
 class TestStandardizeCycle:
     def test_example(self):
         assert standardize_cycle((3, 11, 4, 10, 5)) == (1, 5, 2, 4, 3)

@@ -181,6 +181,14 @@ def test_all_suites_walk_the_degree_once(monkeypatch):
     assert sorted(law_walks) == [1, 2, 3, 4, 5]
 
 
+def test_an_unknown_suite_is_refused_by_name():
+    with pytest.raises(ValueError) as caught:
+        verify.run_suites(3, "bogus")
+    assert caught.type is ValueError
+    assert str(caught.value) == ("unknown suite 'bogus'; expected all or one "
+                                 "of ['center', 'classes', 'hooks', 'iprod']")
+
+
 @pytest.mark.parametrize("module", [
     heckezero, cli, compositions, counting, cyclic_shift, errors, hecke,
     inductive_product, permutations, stair_classes, verify,
