@@ -303,8 +303,8 @@ def _cmd_basis(args) -> int:
               else compositions.enumerate_maximal(args.n, args.force))
     # S_0's one term is a row of no bytes, so it is written as a tuple
     entries = [{"alpha": list(alpha), "ideal_size": size,
-                "terms": _Terms(terms.blocks(), 1, args.n) if args.n
-                else _Terms(terms, 1)} for alpha, (size, terms)
+                "terms": _Terms(blocks if args.n else [()], 1, args.n)}
+               for alpha, (size, blocks)
                in zip(alphas, hecke.ideal_sums(alphas, args.n, args.force))]
     if one:
         _emit(entries[0], args, f"basis element of {alphas[0]}: "

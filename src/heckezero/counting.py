@@ -11,7 +11,7 @@ from __future__ import annotations
 from .compositions import (
     Composition, _count_maximal, hook_kind, split_even_odd,
 )
-from .errors import ELEMENT_SOFT_LIMIT, DegreeLimitError
+from .errors import ELEMENT_CEILING, ELEMENT_SOFT_LIMIT, DegreeLimitError
 
 __all__ = ["size_sigma_formula", "dim_center", "ELEMENT_SOFT_LIMIT"]
 
@@ -57,32 +57,41 @@ def _size_factors(alpha: Composition) -> tuple[int, int, int, bool]:
 
 
 def _check_size(alpha: Composition, force: bool) -> int | None:
-    """Refuse, unless `force`, the class of the maximal composition `alpha`
-    when its predicted size exceeds `ELEMENT_SOFT_LIMIT`; else return the
-    limit divided by that size, the budget of a non-hook tail's search.
+    """Refuse the class of the maximal composition `alpha` when its
+    predicted size exceeds `ELEMENT_SOFT_LIMIT`, or with `force` the
+    `ELEMENT_CEILING`, but for a part past 255, which the builder refuses
+    by name; else return the bound divided by that size, the budget of a
+    non-hook tail's search.
 
     The size is the even-prefix factor 2^p * 3^q times the size of a hook
     tail, c * 2 * 3^((r-3)/2) for the tail (r, 1, ..., 1).  It is decided
     from the exponents before any power is evaluated: a factor 2^p or 3^q
-    with an exponent of the limit's bit length or more exceeds the limit on
+    with an exponent of the bound's bit length or more exceeds the bound on
     its own.  A non-hook odd tail has no size formula yet, so only its even
     prefix counts here, and the search for the tail is held to the budget.
     """
-    if force:
+    if force and max(alpha, default=0) > 255:
         return None
+    bound = ELEMENT_CEILING if force else ELEMENT_SOFT_LIMIT
     c, p, q, _ = _size_factors(alpha)
-    bits = ELEMENT_SOFT_LIMIT.bit_length()
-    if p < bits and q < bits and c * 2 ** p * 3 ** q <= ELEMENT_SOFT_LIMIT:
-        return ELEMENT_SOFT_LIMIT // (c * 2 ** p * 3 ** q)
-    raise _too_large(alpha)
+    bits = bound.bit_length()
+    if p < bits and q < bits and c * 2 ** p * 3 ** q <= bound:
+        return bound // (c * 2 ** p * 3 ** q)
+    raise _too_large(alpha, force)
 
 
-def _too_large(alpha: Composition) -> DegreeLimitError:
-    """The refusal of the class of `alpha`, by `_check_size` or `sigma_class`."""
-    return DegreeLimitError(
-        f"the class of {alpha} holds more than {ELEMENT_SOFT_LIMIT} elements, "
-        "the practical bound for constructing a class; pass force=True to "
-        "override")
+def _too_large(alpha: Composition, force: bool) -> ValueError:
+    """The refusal of the class of `alpha`: past the soft limit, or with
+    `force` past the ceiling, naming the closed count where there is one."""
+    if not force:
+        return DegreeLimitError(
+            f"the class of {alpha} holds more than {ELEMENT_SOFT_LIMIT} "
+            "elements, the practical bound for constructing a class; pass "
+            "force=True to override")
+    c, p, q, counted = _size_factors(alpha)
+    held = f"{c * 2**p} * 3^{q} elements, over" if counted else "more than"
+    return ValueError(f"the class of {alpha} holds {held} the ceiling of "
+                      f"{ELEMENT_CEILING} elements for constructing a class")
 
 
 def dim_center(n: int) -> int:

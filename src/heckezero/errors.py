@@ -1,12 +1,12 @@
 """
 Exception types shared by the brute-force and constructive halves, and the
-two soft limits they enforce: on elements, and on degree with its gate.
+limits they enforce: on elements, soft and a ceiling, and on degree, soft.
 """
 
 from __future__ import annotations
 
 __all__ = ["DegreeLimitError", "InvariantError", "ELEMENT_SOFT_LIMIT",
-           "DEGREE_SOFT_LIMIT"]
+           "ELEMENT_CEILING", "DEGREE_SOFT_LIMIT"]
 
 #: Largest class `sigma_class` builds, largest class search `approx_class`
 #: runs, and largest label list `enumerate_maximal` returns without
@@ -14,6 +14,10 @@ __all__ = ["DegreeLimitError", "InvariantError", "ELEMENT_SOFT_LIMIT",
 #: and (23,), with 118,098, takes about 0.24 s and 39 MB in a fresh CLI
 #: process (Python 3.11, 2 shared vCPUs).
 ELEMENT_SOFT_LIMIT = 200_000
+
+#: Largest class `sigma_class` builds even with `force=True`: about 2 GB at
+#: 200 bytes a member, so (31,) with 9,565,938 members and not (33,).
+ELEMENT_CEILING = 10_000_000
 
 #: Largest degree brute-forced without `force=True` (8! = 40320 vertices).
 DEGREE_SOFT_LIMIT = 8

@@ -28,12 +28,12 @@ every class is stable under it, as each labelled class is, half the
 generators suffice.  Independence is one exact rank: equal masks are
 equal columns, so the rank over S_n is the rank over the few distinct
 masks in the table.  The same walk gives the `basis` command its terms:
-`ideal_sums` counts each label's ideal off the rank array and reads its
-permutations in lex order, one label at a time, so no label's terms are
-held; as bytes, S_n is built in blocks by column scatter and each block
-is masked by the rank array in one big-integer AND.  The sparse
-products, `t_leq_sigma` and `is_central` stay as the algebra API and as
-the reference the check is tested against.
+`ideal_sums` counts each label's ideal off the rank array and yields its
+permutations in lex order as byte rows, one label at a time, so no
+label's terms are held: S_n is built in blocks by column scatter, each
+masked by the rank array in one big-integer AND.  The sparse products,
+`is_central` and `t_leq_sigma` (off the tuple walk of `order_ideal`)
+stay as the algebra API and as the reference the check is tested against.
 
 Integer coefficients suffice throughout: all structure constants are
 integral, so any field case follows by extension of scalars.
@@ -479,12 +479,6 @@ def center_ideals(alphas: Sequence[Composition], n: int,
     return *_ideal_masks(seeds, by_rank=True), stable
 
 
-def _lex_rows(n: int) -> bytes:
-    """S_n in lexicographic order, one row of n bytes per permutation."""
-    tail = _lex_rows(n - 1) if n else b""
-    return b"".join(_lex_block(n, (v,), tail) for v in range(1, n + 1))
-
-
 def _lex_block(n: int, prefix: tuple[int, ...], tail: bytes) -> bytearray:
     """The rows of S_n that start with `prefix`, in lexicographic order, by
     column scatter from `tail`, the rows of S_{n-d}, d = len(prefix): the
@@ -503,79 +497,66 @@ def _lex_block(n: int, prefix: tuple[int, ...], tail: bytes) -> bytearray:
     return block
 
 
-class _IdealTerms:
-    """The permutations of one ideal of a rank array, in lexicographic
-    order: iterated, as tuples of ints; from `blocks`, as rows of bytes.
-    `keep` maps the id of each set of ideals to 0xFF when the set holds
-    this ideal and to 0 otherwise.  Each reading translates the rank array
-    by `keep`, so the copy lives only as long as the reading."""
-
-    __slots__ = ("n", "ids", "keep")
-
-    def __init__(self, n: int, ids: bytearray, keep: bytes) -> None:
-        self.n, self.ids, self.keep = n, ids, keep
-
-    def __iter__(self) -> Iterator[Perm]:
-        return compress(all_perms(self.n), self.ids.translate(self.keep))
-
-    def blocks(self) -> Iterator[bytes]:
-        """The same permutations for n >= 1 as rows of n bytes, in blocks
-        of the rows that share their first two values, each block the
-        ideal reaches picked out of S_n (`_lex_block`) by one big-integer
-        AND with its part of the translated rank array, widened to n bytes
-        per row.  The 0 bytes left are then dropped, as every value is at
-        least 1."""
-        n = self.n
-        mask = self.ids.translate(self.keep)
-        depth = min(n, 2)
-        tail = _lex_rows(n - depth)
-        count = factorial(n - depth)
-        for at, prefix in zip(range(0, len(mask), count),
-                              permutations(range(1, n + 1), depth)):
-            part = mask[at:at + count]
-            if 255 in part:
-                rows = _lex_block(n, prefix, tail)
-                wide = bytearray(len(rows))
-                for c in range(n):
-                    wide[c::n] = part
-                picked = (int.from_bytes(rows, "big")
-                          & int.from_bytes(wide, "big"))
-                yield picked.to_bytes(len(rows), "big").replace(b"\0", b"")
+def _ideal_blocks(n: int, ids: bytearray, keep: bytes) -> Iterator[bytes]:
+    """The permutations of one ideal of a rank array in lexicographic
+    order, as rows of n bytes in blocks of the rows that share their first
+    two values.  `keep` maps each id to 0xFF when its set holds the ideal,
+    else to 0; the rank array is translated by it on the first read.  Each
+    block the ideal reaches is picked out of S_n (`_lex_block`, on S_{n-2}
+    from `all_perms`) by one big-integer AND with its part of the array,
+    widened to n bytes a row, and the 0 bytes left dropped (no value is 0)."""
+    mask = ids.translate(keep)
+    depth = min(n, 2)
+    tail = b"".join(map(bytes, all_perms(n - depth)))
+    count = factorial(n - depth)
+    for at, prefix in zip(range(0, len(mask), count),
+                          permutations(range(1, n + 1), depth)):
+        part = mask[at:at + count]
+        if 255 in part:
+            rows = _lex_block(n, prefix, tail)
+            wide = bytearray(len(rows))
+            for c in range(n):
+                wide[c::n] = part
+            picked = int.from_bytes(rows, "big") & int.from_bytes(wide, "big")
+            yield picked.to_bytes(len(rows), "big").replace(b"\0", b"")
 
 
 def ideal_sums(alphas: Sequence[Composition], n: int,
-               force: bool = False) -> list[tuple[int, Iterable[Perm]]]:
+               force: bool = False) -> list[tuple[int, Iterator[bytes]]]:
     """The indicator sums of T_x over the ideals of `center_ideals`, one
     per label: the size of the ideal, summed from one count per id of the
-    rank array, and its permutations in lexicographic order, each with
-    coefficient 1, as an iterable that holds no term: it yields tuples,
-    which `t_leq_sigma` reads, and its `blocks` yield the same terms as
-    rows of bytes picked out of S_n, which the `basis` command writes.
+    rank array, and one generator of its terms, each with coefficient 1,
+    as blocks of byte rows in lexicographic order (`_ideal_blocks`), which
+    the `basis` command writes without holding them.
 
-    >>> [(size, list(terms)) for size, terms
-    ...  in ideal_sums([(1, 1, 1), (3,)], 3)]  # doctest: +NORMALIZE_WHITESPACE
-    [(1, [(1, 2, 3)]),
-     (5, [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)])]
+    >>> [(size, list(b"".join(blocks))) for size, blocks
+    ...  in ideal_sums([(1, 1, 1), (3,)], 3)]
+    [(1, [1, 2, 3]), (5, [1, 2, 3, 1, 3, 2, 2, 1, 3, 2, 3, 1, 3, 1, 2])]
     """
     ids, table, _ = center_ideals(alphas, n, force)
     counts = list(map(ids.count, range(len(table))))
-    sums = []
-    for r in range(len(alphas)):
-        keep = bytes(255 * (m >> r & 1) for m in table).ljust(256, b"\0")
-        sums.append((sum(compress(counts, keep)), _IdealTerms(n, ids, keep)))
-    return sums
+    keeps = [bytes(255 * (m >> r & 1) for m in table).ljust(256, b"\0")
+             for r in range(len(alphas))]
+    return [(sum(compress(counts, keep)), _ideal_blocks(n, ids, keep))
+            for keep in keeps]
 
 
 def t_leq_sigma(alpha: Composition, n: int, force: bool = False) -> HeckeElement:
     """The central element of the class labelled by `alpha`: the indicator
-    sum of T_x over the Bruhat order ideal generated by the class, the
-    one-label case of `ideal_sums`.
+    sum of T_x over the Bruhat order ideal of the class, from the tuple
+    walk of `order_ideal`, in lex order.  The label is checked and n gated
+    as in `center_ideals`, before the class is built.
 
     >>> t_leq_sigma((1, 1, 1), 3) == t_basis(3, (1, 2, 3))
     True
     """
-    [(_, terms)] = ideal_sums([alpha], n, force)
-    return HeckeElement(n, dict.fromkeys(terms, 1))
+    if not is_maximal(alpha):
+        raise ValueError(f"not a maximal composition: {alpha}")
+    if sum(alpha) != n:
+        raise ValueError(f"|{alpha}| != {n}")
+    _check_degree(n, force)
+    return HeckeElement(n, dict.fromkeys(
+        sorted(order_ideal(sigma_class(alpha, force), force)), 1))
 
 
 def is_central(x: HeckeElement) -> bool:

@@ -19,7 +19,7 @@ hook comes from the hook embedding, and any other odd tail is the
 cyclic-shift class of its stair form, the one call into the brute half.
 A label of degree 0 or past 255 takes the same steps on tuples.  Either
 way the class (an `EquivClass`) is checked once as a whole, a fault raising
-InvariantError, and is refused past the soft limit of `errors` unless forced.
+InvariantError, and is refused past the soft limit or, if forced, the ceiling.
 
 >>> sorted(cycle_class(4)) == sorted([from_cycles(4, [(1, 4, 2, 3)]),
 ...                                   from_cycles(4, [(1, 3, 2, 4)])])
@@ -415,13 +415,18 @@ def odd_hook_embed(tau: Perm, j: int, alpha: Composition) -> Perm:
     """
     if hook_kind(alpha) != "odd_hook" or alpha[0] < 3:
         raise ValueError(f"not an odd hook with long part >= 3: {alpha}")
-    k = alpha[0]
-    n = sum(alpha)
+    k, n = alpha[0], sum(alpha)
     m = (k - 1) // 2
     if not m + 1 <= j <= n - m:
         raise ValueError(f"free point {j} out of range {m + 1}..{n - m}")
     if len(tau) != k or not _is_cycle_class_member(tau):
         raise ValueError(f"{tau} is not in the one-part class of degree {k}")
+    return _hook_embed(tau, j, n)
+
+
+def _hook_embed(tau: Perm, j: int, n: int) -> Perm:
+    """`odd_hook_embed` of `tau` onto the point j at degree n, unchecked."""
+    m = len(tau) // 2
     support = (*range(1, m + 1), j, *range(n - m + 1, n + 1))
     out = list(range(1, n + 1))
     for s, t in zip(support, tau):
@@ -495,12 +500,12 @@ def sigma_class(alpha: Composition, force: bool = False):
     """The full class labelled by the maximal composition `alpha`, as an
     EquivClass (the class record of `permutations`).
 
-    Unless `force` is set, a class over the element soft limit of `errors`,
-    gated in `counting`, raises DegreeLimitError.  The size is predicted
-    before any work, as the closed count of the even prefix times that of
-    a hook tail; a non-hook odd tail has no closed count yet, so its search
-    stops once the tail's class outgrows the limit divided by the even
-    prefix's count.
+    A class over the element soft limit of `errors` raises DegreeLimitError
+    unless `force` is set, and one over its ceiling raises ValueError even
+    then.  The size is predicted before any work (`counting`), as the
+    closed count of the even prefix times that of a hook tail; a non-hook
+    odd tail has no closed count yet, so its search stops once the tail's
+    class outgrows the bound divided by the even prefix's count.
 
     The class is built as byte columns, one byte per member.  The odd tail
     comes first: a tail of ones, or none, is the identity alone; a hook
@@ -524,10 +529,10 @@ def sigma_class(alpha: Composition, force: bool = False):
             current = [*cyclic_shift.approx_class(stair_form(odds),
                                                   budget=budget, force=force)]
         except DegreeLimitError:
-            raise _too_large(alpha) from None
+            raise _too_large(alpha, force) from None
     if not 0 < sum(alpha) < 256:
         if hook:
-            current = [odd_hook_embed(tau, j, odds)
+            current = [_hook_embed(tau, j, n)
                        for tau in zip(*_cycle_columns(k))
                        for j in range(k // 2 + 1, n - k // 2 + 1)]
         for part in reversed(evens):

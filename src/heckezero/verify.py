@@ -11,11 +11,9 @@ from __future__ import annotations
 from itertools import combinations, islice, permutations
 from typing import Iterator
 
-from . import hecke
+from . import cyclic_shift, hecke, inductive_product
 from .compositions import enumerate_maximal, hook_kind
 from .counting import dim_center, size_sigma_formula
-from .cyclic_shift import label_max_classes
-from .inductive_product import _crossing, iprod
 from .permutations import Cycle, Perm, all_perms, conj_w0, lengths, stair_form
 from .stair_classes import (
     _hook_properties, _invariants, cycle_class, member_sigma_alpha, sigma_class,
@@ -52,7 +50,7 @@ def suite_classes(n: int, force: bool = False) -> dict:
     constructive generator and the closed count (on the labels that have
     one), plus the dimension count and stability under conjugation by the
     longest element."""
-    labelled = label_max_classes(n, force=force)
+    labelled = cyclic_shift.label_max_classes(n, force=force)
     # The labelling has put each stair form in the maximal stratum, so the
     # stair form's length is the maximal length of its cycle type, and the
     # permutations of that type and length are the stratum's members of that
@@ -109,7 +107,7 @@ def suite_hooks(n: int, force: bool = False) -> dict:
     of `hook_properties`.  The support test is checked on the rest of the
     type by one cycle on each other support, which the filter must
     reject."""
-    labelled = label_max_classes(n, force=force)
+    labelled = cyclic_shift.label_max_classes(n, force=force)
     checks = []
     ok = True
     for alpha in enumerate_maximal(n):
@@ -141,10 +139,11 @@ def suite_hooks(n: int, force: bool = False) -> dict:
 def suite_iprod(n: int, force: bool = False) -> dict:
     """Product decomposition of even-first labels and the length law.
 
-    Both sides of the decomposition come from brute force: the class of
-    alpha at degree n and the class of alpha[1:] at the lower degree."""
-    labelled = label_max_classes(n, force=force)
-    lower = {m: label_max_classes(m, force=force) for m in range(1, n - 1)}
+    The classes of alpha at degree n and of alpha[1:] below come from brute
+    force, the full-cycle factor from the constructive `cycle_class`."""
+    labelled = cyclic_shift.label_max_classes(n, force=force)
+    lower = {m: cyclic_shift.label_max_classes(m, force=force)
+             for m in range(1, n - 1)}
     checks = []
     ok = True
     for alpha in enumerate_maximal(n):
@@ -152,7 +151,7 @@ def suite_iprod(n: int, force: bool = False) -> dict:
             continue
         brute = labelled[alpha].elements
         product = {
-            iprod(a, b) for a in cycle_class(alpha[0])
+            inductive_product.iprod(a, b) for a in cycle_class(alpha[0])
             for b in lower[n - alpha[0]][alpha[1:]].elements
         }
         good = product == brute
@@ -166,13 +165,14 @@ def suite_iprod(n: int, force: bool = False) -> dict:
     for n1 in range(1, n):
         n2 = n - n1
         full_cycles = [p for p, _ in _hook_type(n1, n1)]
-        left = [l1 + _crossing(s1) * n2
+        left = [l1 + inductive_product._crossing(s1) * n2
                 for s1, l1 in zip(full_cycles, lengths(full_cycles))]
         rights = all_perms(n2)
         per_block = max(1, 4096 // len(full_cycles))
         while block := list(islice(rights, per_block)):
             law = [base + l2 for l2 in lengths(block) for base in left]
-            products = [iprod(s1, s2) for s2 in block for s1 in full_cycles]
+            products = [inductive_product.iprod(s1, s2)
+                        for s2 in block for s1 in full_cycles]
             law_ok = law_ok and lengths(products) == law
     ok = ok and law_ok
     return {

@@ -158,9 +158,9 @@ class TestSigma:
 
     def test_a_lost_free_point_past_a_byte_exits_2(self, capsys, monkeypatch):
         # the tuple route is checked as the byte route is
-        embed = stair_classes.odd_hook_embed
-        monkeypatch.setattr(stair_classes, "odd_hook_embed",
-                            lambda tau, j, alpha: embed(tau, 3, alpha))
+        embed = stair_classes._hook_embed
+        monkeypatch.setattr(stair_classes, "_hook_embed",
+                            lambda tau, j, n: embed(tau, 3, n))
         code, out, err = run(capsys, "sigma", "--alpha", "4,5" + ",1" * 247)
         assert (code, out) == (2, "")
         assert "internal invariant violated" in err
@@ -375,6 +375,28 @@ class TestPlumbing:
         assert proc.stderr == err
         assert err.startswith("error: no byte columns hold the full 25")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, alpha, size", [
+        ("sigma --alpha 255 --force", "(255,)", "2 * 3^126"),
+        ("count --alpha 255 --force", "(255,)", "2 * 3^126"),
+        ("sigma --alpha 253,1,1 --force", "(253, 1, 1)", "6 * 3^125"),
+    ], ids=["sigma-255", "count-255", "sigma-253-1-1"])
+    def test_force_stops_at_the_ceiling_in_one_line(self, capsys, monkeypatch,
+                                                    argv, alpha, size):
+        # the predicted size is refused before any full cycle is built, and
+        # the refusal names no flag: none lifts the ceiling
+        def refuse(n):
+            raise AssertionError(f"the full {n}-cycles were built")
+
+        monkeypatch.setattr(stair_classes, "_cycle_columns", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (f"error: the class of {alpha} holds {size} elements, "
+                       "over the ceiling of 10000000 elements for constructing "
+                       "a class\n")
+        assert "force" not in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dim.json"
@@ -652,17 +674,15 @@ _ROW_BLOCKS = st.integers(min_value=1, max_value=4).flatmap(
 
 @st.composite
 def _rank_terms(draw):
-    """The terms of one ideal of a rank array of S_n, n <= 4, as `basis`
-    writes them: permutations in lex order, each with one coefficient, as
-    tuples or (for n >= 1) as the blocks of byte rows."""
-    n = draw(st.integers(min_value=0, max_value=4))
+    """The terms of one ideal of a rank array of S_n, 1 <= n <= 4, as
+    `basis` writes them: permutations in lex order, each with one
+    coefficient, as the blocks of byte rows of the block reader."""
+    n = draw(st.integers(min_value=1, max_value=4))
     ids = draw(st.binary(min_size=factorial(n), max_size=factorial(n)))
     keep = bytes(draw(st.lists(st.sampled_from([0, 255]), min_size=256,
                                max_size=256)))
-    terms = hecke._IdealTerms(n, bytearray(ids), keep)
-    if n and draw(st.booleans()):
-        return cli._Terms(list(terms.blocks()), draw(_INTS), n)
-    return cli._Terms(terms, draw(_INTS))
+    blocks = hecke._ideal_blocks(n, bytearray(ids), keep)
+    return cli._Terms(list(blocks), draw(_INTS), n)
 
 
 _HELD_TREES = st.recursive(

@@ -3,6 +3,7 @@
 import random
 import re
 import time
+from math import factorial
 
 import pytest
 
@@ -363,6 +364,37 @@ class TestTLeqSigma:
         with pytest.raises(ValueError):
             t_leq_sigma((2, 1), 4)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_the_reference_reads_the_tuple_walk(self, monkeypatch, n):
+        # the reference the boundary loop is checked against shares no step
+        # with it past the tuple walk: the rank array is never reached
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank array was reached")
+
+        monkeypatch.setattr(hecke, "center_ideals", refuse)
+        for alpha in enumerate_maximal(n):
+            ideal = oracles.ideal_by_inversions(sigma_class(alpha).elements)
+            x = t_leq_sigma(alpha, n)
+            assert x == HeckeElement(n, {w: 1 for w in sorted(ideal)}), alpha
+            assert list(x.terms) == sorted(ideal), alpha
+
+    @pytest.mark.parametrize("alpha, n, kind, message", [
+        ((1, 2), 9, ValueError, "not a maximal composition: (1, 2)"),
+        ((3, 1), 3, ValueError, "|(3, 1)| != 3"),
+        ((9,), 9, DegreeLimitError, "degree 9 exceeds the practical bound 8 "
+         "for brute-force enumeration; pass force=True to override"),
+    ], ids=["not-maximal", "degree-mismatch", "degree-gate"])
+    def test_refuses_before_any_class_is_built(self, monkeypatch, alpha, n,
+                                               kind, message):
+        # the label is checked, then its degree, then the degree gate
+        def refuse(*args, **kwargs):
+            raise AssertionError("a class was built")
+
+        monkeypatch.setattr(hecke, "sigma_class", refuse)
+        with pytest.raises(ValueError) as info:
+            t_leq_sigma(alpha, n)
+        assert (type(info.value), str(info.value)) == (kind, message)
+
     @pytest.mark.parametrize("alpha", [(3,), (2, 2), (5,), (4, 1, 1)])
     def test_terms_are_the_ideal_in_lex_order(self, alpha):
         # one seed block: the walk's masks are all 1 and serve as the terms
@@ -375,22 +407,24 @@ class TestIdealSums:
     @pytest.mark.parametrize("n", range(7))
     def test_every_label_reads_its_ideal_in_lex_order(self, n):
         # one walk for every label; each label's terms come off the rank
-        # array in lexicographic order, and can be read more than once
+        # array in lexicographic order as rows of bytes, as `basis` writes
+        # them (S_0's one row has no bytes)
         alphas = enumerate_maximal(n)
         sums = hecke.ideal_sums(alphas, n)
         assert len(sums) == len(alphas)
-        for alpha, (size, terms) in zip(alphas, sums):
+        for alpha, (size, blocks) in zip(alphas, sums):
             ideal = oracles.ideal_by_inversions(sigma_class(alpha).elements)
-            assert list(terms) == list(terms) == sorted(ideal), alpha
             assert size == len(ideal), alpha
-            if n:
-                # the same terms as rows of bytes, as `basis` writes them
-                assert b"".join(terms.blocks()) == bytes(
-                    v for w in sorted(ideal) for v in w), alpha
+            assert b"".join(blocks) == bytes(
+                v for w in sorted(ideal) for v in w), alpha
 
     @pytest.mark.parametrize("n", range(8))
     def test_lex_rows_are_s_n_in_lex_order(self, n):
-        assert hecke._lex_rows(n) == bytes(v for w in all_perms(n) for v in w)
+        # with every id kept, the block reader reads all of S_n, each block
+        # scattered from the rows of S_{n-2}
+        keep = b"\xff" * 256
+        blocks = hecke._ideal_blocks(n, bytearray(factorial(n)), keep)
+        assert b"".join(blocks) == bytes(v for w in all_perms(n) for v in w)
 
     @pytest.mark.parametrize("alphas, n, match", [
         ([(3,), (1, 2)], 3, "not a maximal composition"),

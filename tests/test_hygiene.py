@@ -197,6 +197,31 @@ def test_every_benchmark_command_parses():
         assert parser.parse_args(list(argv)).fn, argv
 
 
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # under the repo's warning filters, the report of a failing @given
+    # test must not raise inside pytest, or every later test goes unrun
+    (tmp_path / "test_a_property.py").write_text(_FAILING_PROPERTY)
+    (tmp_path / "test_b_plain.py").write_text("def test_passes():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q",
+         str(tmp_path / "test_a_property.py"), str(tmp_path / "test_b_plain.py")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
+
+
 def test_importing_the_cli_loads_every_module_and_no_dataclasses():
     # the benchmark's tracer wraps functions in every module after one
     # `import heckezero.cli`; `dataclasses` (and with it `inspect`) would
@@ -239,7 +264,8 @@ _REACHED = [
     ("classes --n 5", {"errors", "compositions", "permutations",
                        "cyclic_shift"}),
     ("stairform --alpha 4,2", {"errors", "compositions", "permutations"}),
-    ("verify --n 5 --suite hooks", _MODULES - {"hecke"}),
+    ("verify --n 5 --suite hooks", _MODULES - {"hecke", "inductive_product"}),
+    ("verify --n 5 --suite center", _BYTE_ROUTE),
     ("basis --n 6 --alpha 6", _BYTE_ROUTE - {"verify"}),
 ]
 

@@ -16,7 +16,9 @@ from heckezero.stair_classes import (
     is_oscillating_cycle, lift_cycle_class, lower_cycle_class,
     member_sigma_alpha, odd_hook_embed, sigma_class, standardize_cycle,
 )
-from heckezero import counting, cyclic_shift, inductive_product, stair_classes
+from heckezero import (
+    compositions, counting, cyclic_shift, inductive_product, stair_classes,
+)
 from heckezero.compositions import (
     enumerate_maximal, hook_kind, is_maximal, odd_partitions,
 )
@@ -569,12 +571,30 @@ class TestColumns:
             with pytest.raises(InvariantError, match="not of length"):
                 stair_classes._checked_class(*args)
 
+    def test_the_tuple_route_checks_the_hook_once_per_class(self, monkeypatch):
+        # 6 full 5-cycles on 252 free points: the label and the cycles are
+        # checked once each at most, not once for each of the 1512 members
+        alpha = (5,) + (1,) * 251
+        calls = []
+        for module, name in [(compositions, "hook_kind"),
+                             (counting, "hook_kind"),
+                             (stair_classes, "hook_kind"),
+                             (stair_classes, "_is_cycle_class_member")]:
+            check = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, check=check: (
+                calls.append(check) or check(*args)))
+        cls = sigma_class(alpha)
+        assert cls.size == 1512 and len(calls) <= 6 + 4
+        monkeypatch.undo()
+        assert cls.elements == {odd_hook_embed(tau, j, alpha)
+                                for tau in cycle_class(5) for j in range(3, 255)}
+
     def test_a_lost_free_point_past_a_byte_raises(self, monkeypatch):
         # every free point embeds onto the first: the 2976 members of the
         # class of degree 256 collapse to 12
-        embed = stair_classes.odd_hook_embed
-        monkeypatch.setattr(stair_classes, "odd_hook_embed",
-                            lambda tau, j, alpha: embed(tau, 3, alpha))
+        embed = stair_classes._hook_embed
+        monkeypatch.setattr(stair_classes, "_hook_embed",
+                            lambda tau, j, n: embed(tau, 3, n))
         with pytest.raises(InvariantError,
                            match="12 distinct members in 2976, expected 2976"):
             sigma_class((4, 5) + (1,) * 247)
@@ -645,6 +665,32 @@ class TestSizeGate:
         monkeypatch.setattr(counting, "ELEMENT_SOFT_LIMIT", 17)
         with pytest.raises(DegreeLimitError):
             sigma_class((8, 3, 3))
+
+    def test_force_stops_at_the_ceiling(self, monkeypatch):
+        # (11,) has 2 * 3**4 = 162 members; the ceiling holds under force,
+        # and its refusal is a plain ValueError, with no flag to lift it
+        monkeypatch.setattr(counting, "ELEMENT_CEILING", 161)
+        with pytest.raises(ValueError) as info:
+            sigma_class((11,), force=True)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "the class of (11,) holds 2 * 3^4 elements, over the ceiling of "
+            "161 elements for constructing a class")
+        monkeypatch.setattr(counting, "ELEMENT_CEILING", 162)
+        assert sigma_class((11,), force=True).size == 162
+
+    def test_a_non_hook_tail_searches_up_to_the_ceiling(self, monkeypatch):
+        # (5, 5) has 664 members and no closed count: under force its search
+        # takes the ceiling as its budget
+        monkeypatch.setattr(counting, "ELEMENT_CEILING", 663)
+        with pytest.raises(ValueError) as info:
+            sigma_class((5, 5), force=True)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "the class of (5, 5) holds more than the ceiling of 663 elements "
+            "for constructing a class")
+        monkeypatch.setattr(counting, "ELEMENT_CEILING", 664)
+        assert sigma_class((5, 5), force=True).size == 664
 
     @pytest.mark.parametrize("n", [25, 41, 10**12])
     def test_cycle_class_refuses_before_any_work(self, n, monkeypatch):
